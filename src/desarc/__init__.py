@@ -52,7 +52,7 @@ from .enumeration import (
     pgl_order,
     run_job,
 )
-from .field import GF, FieldElement, enumerate_field
+from .field import GF
 from .projlin import (
     Collineation,
     ProjPoint,
@@ -67,7 +67,6 @@ from .projlin import (
     meet,
     normalize,
     point_from,
-    subspace_from,
     subspace_in,
 )
 

@@ -28,6 +28,7 @@ from .desargues import _label
 from .errors import (
     BadSymbols,
     DegenerateConfiguration,
+    GeometryError,
     TooFewSymbols,
     WrongCount,
 )
@@ -186,7 +187,7 @@ def vertex_sweep(config: LabeledConfiguration) -> SweepReport:
                     break
             entries.append(SweepEntry((a, b), ok,
                                       "" if ok else "edge intersections mismatch"))
-        except Exception as exc:  # report, never abort the sweep
+        except GeometryError as exc:  # a failed check; a bug propagates
             entries.append(SweepEntry((a, b), False, type(exc).__name__))
     return SweepReport(config.n, config.field.q, len(config), tuple(entries))
 

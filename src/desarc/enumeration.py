@@ -268,7 +268,10 @@ def _sectioned_search(n: int, field: GF, h: Subspace, budget: int,
                 raise WrongCount("sampled arc did not section to a full configuration")
             state["checked"] += 1
 
-    search = _ArcSearch(field, n + 1, n + 3, h.dual_vector(), budget, visit)
+    # at n = 1 a diagonal point of the planar quadrangle can lie on h, so
+    # the arcs there are counted but not sectioned
+    search = _ArcSearch(field, n + 1, n + 3, h.dual_vector(), budget,
+                        visit if n >= 2 else None)
     search.run()
     return search, state["checked"]
 
@@ -277,9 +280,12 @@ def count_sectioned_configs(n: int, field: GF, h: Subspace,
                             budget: int = DEFAULT_BUDGET,
                             sample_every: int = 100,
                             sample_cap: int = 20) -> SectionedCount:
-    """Exact count of ordered (n+3)-arcs of PG(n+1, q) with no point on h;
-    every such arc sections to a valid labeled configuration, which is
-    verified on a deterministic sample of the enumerated arcs."""
+    """Exact count of ordered (n+3)-arcs of PG(n+1, q) with no point on h.
+
+    For n >= 2 every such arc sections to a valid labeled configuration,
+    which is verified on a deterministic sample of the enumerated arcs.  At
+    n = 1 that claim fails (a diagonal point of the quadrangle can lie on h),
+    so the arcs are only counted and `samples_checked` is 0."""
     search, checked = _sectioned_search(n, field, h, budget,
                                         sample_every, sample_cap)
     return SectionedCount(search.count, search.count // factorial(n + 3), checked)

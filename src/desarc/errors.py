@@ -15,10 +15,6 @@ class InvalidField(GeometryError):
     """Field parameters are inconsistent (p not prime, bad modulus, ...)."""
 
 
-class MixedFields(GeometryError):
-    """Two operands belong to different fields."""
-
-
 class DivisionByZero(GeometryError, ZeroDivisionError):
     """Inversion or division by the zero element."""
 

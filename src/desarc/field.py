@@ -7,16 +7,21 @@ of integers, and the enumeration order 0, 1, ..., q-1 starts with the zero
 and one of the field, which keeps every downstream construction
 deterministic.
 
-Prime fields compute with plain modular arithmetic; extension fields of
-small order precompute full operation tables, larger ones reduce polynomials
-on the fly.
+Prime fields compute with plain modular arithmetic.  Every extension field
+computes with discrete-logarithm tables of size O(q) over a primitive
+element g (Lidl & Niederreiter, *Finite Fields*, ch. 2): exp[i] = g^i and
+log[g^i] = i give mul and inv.  add, sub and neg act on the coefficient
+vectors: in characteristic 2 that is XOR of the codes, in odd
+characteristic it goes through the Zech table zech[i] = log(1 + g^i).  A
+modulus is accepted only when Rabin's test proves it irreducible.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from array import array
+from operator import xor
 
-from .errors import DivisionByZero, InvalidField, MixedFields
+from .errors import DivisionByZero, InvalidField
 
 # Irreducible moduli for the desk-scale extension fields, coefficient order
 # constant-term first, monic.
@@ -29,23 +34,8 @@ DEFAULT_MODULI = {
     27: (1, 2, 0, 1),     # x^3 + 2x + 1 over GF(3)
 }
 
-_TABLE_LIMIT = 64   # precompute mul/inv tables up to this order
-_ORDER_LIMIT = 2 ** 16
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+_ORDER_LIMIT = 2 ** 16   # every table entry fits an unsigned 16-bit slot
+_NO_LOG = 0xFFFF         # zech entry where 1 + g^i = 0; every log is below it
 
 
 def _poly_trim(c):
@@ -54,63 +44,46 @@ def _poly_trim(c):
     return c
 
 
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _poly_trim(out)
+def _poly_gcd(a, b, p):
+    """A greatest common divisor of two polynomials over GF(p)."""
+    a, b = _poly_trim(list(a)), _poly_trim(list(b))
+    while b:
+        lead_inv = pow(b[-1], p - 2, p)
+        while len(a) >= len(b):     # a <- a mod b
+            shift, factor = len(a) - len(b), a[-1] * lead_inv % p
+            for i, c in enumerate(b):
+                a[shift + i] = (a[shift + i] - factor * c) % p
+            _poly_trim(a)
+        a, b = b, a
+    return a
 
 
-def _poly_divmod(a, b, p):
-    # b monic-izable; returns (quotient, remainder) over GF(p)
-    a = list(a)
-    _poly_trim(a)
-    db = len(b) - 1
-    lead_inv = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        shift = len(a) - 1 - db
-        factor = (a[-1] * lead_inv) % p
-        q[shift] = factor
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - factor * c) % p
-        _poly_trim(a)
-    return q, a
+def _prime_factors(n: int):
+    """The distinct prime divisors of n, in increasing order."""
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return out
 
 
-def _poly_sub(a, b, p):
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return _poly_trim([(x - y) % p for x, y in zip(a, b)])
-
-
-def _poly_inv_mod(a, modulus, p):
-    # extended Euclid in GF(p)[x]; a invertible mod modulus
-    r0, r1 = list(modulus), _poly_trim(list(a))
-    t0, t1 = [], [1]
-    while r1:
-        q, r = _poly_divmod(r0, r1, p)
-        r0, r1 = r1, r
-        t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1, p), p)
-    if len(r0) != 1:
-        raise DivisionByZero("element is not invertible")
-    c_inv = pow(r0[0], p - 2, p)
-    return [(x * c_inv) % p for x in t0]
-
-
-def _irreducible(modulus, p) -> bool:
-    """Exhaustive factor test: no monic divisor of degree 1..deg//2."""
-    deg = len(modulus) - 1
-    for d in range(1, deg // 2 + 1):
-        for tail in product(range(p), repeat=d):
-            divisor = list(tail) + [1]
-            _, rem = _poly_divmod(list(modulus), divisor, p)
-            if not rem:
-                return False
-    return True
+def _axpy(a, b, s, p):
+    """Code of a + s*b for element codes a, b and an integer s: the
+    coefficient vectors combined digit by digit mod p."""
+    if p == 2:
+        return a ^ b if s & 1 else a
+    out, place = 0, 1
+    while a or b:
+        a, x = divmod(a, p)
+        b, y = divmod(b, p)
+        out += (x + s * y) % p * place
+        place *= p
+    return out
 
 
 class GF:
@@ -118,13 +91,13 @@ class GF:
 
     Instances are immutable and compare equal when (p, k, modulus) agree.
     The callable attributes add/sub/mul/neg/inv work on integer element
-    codes; `element` wraps a code into a FieldElement with operator support.
+    codes.
     """
 
     __slots__ = ("p", "k", "q", "modulus", "add", "sub", "mul", "neg", "inv")
 
     def __init__(self, p: int, k: int = 1, modulus=None):
-        if not _is_prime(p):
+        if _prime_factors(p) != [p]:
             raise InvalidField(f"characteristic {p} is not prime")
         if k < 1:
             raise InvalidField("degree must be a positive integer")
@@ -151,16 +124,6 @@ class GF:
                 raise InvalidField(f"modulus must have {k + 1} coefficients")
             if modulus[-1] != 1:
                 raise InvalidField("modulus must be monic")
-            if k <= 4 and not _irreducible(modulus, p):
-                raise InvalidField("modulus is reducible over the prime field")
-            if k > 4:
-                # root test only; full factoring is quadratic in q
-                for t in range(p):
-                    acc = 0
-                    for c in reversed(modulus):
-                        acc = (acc * t + c) % p
-                    if acc == 0:
-                        raise InvalidField("modulus has a root in the prime field")
             object.__setattr__(self, "modulus", modulus)
             self._init_ext_ops()
 
@@ -183,83 +146,121 @@ class GF:
 
     def _init_ext_ops(self):
         p, k, q, modulus = self.p, self.k, self.q, self.modulus
+        n = q - 1                 # order of the multiplicative group
+        # x^k = -(m_0 + m_1 x + ... + m_{k-1} x^{k-1}) modulo the modulus
+        fold = _axpy(0, self.from_coeffs(modulus[:-1]), p - 1, p)
+        x = p                     # the code of the polynomial x
 
-        def decode(v):
-            out = []
-            for _ in range(k):
-                v, r = divmod(v, p)
-                out.append(r)
+        if p == 2:
+            full = q | fold       # the modulus as a code; XOR clears x^k
+
+            def times_x(v):
+                v <<= 1
+                return v ^ full if v & q else v
+        else:
+            top = q // p          # place value of the leading digit
+
+            def times_x(v):
+                hi, lo = divmod(v, top)
+                return _axpy(lo * p, fold, hi, p)
+
+        # products and powers of codes modulo the modulus, valid before it
+        # is known to be irreducible.  times(a, b) runs Horner's rule over
+        # the digits of a: O(k * deg a) digit operations.
+        def times(a, b):
+            acc = 0
+            for d in reversed(self.coeffs(a)):
+                if acc:
+                    acc = times_x(acc)
+                if d:
+                    acc = _axpy(acc, b, d, p)
+            return acc
+
+        def power(a, e):
+            out = 1
+            while e:
+                if e & 1:
+                    out = times(out, a)
+                a = times(a, a)
+                e >>= 1
             return out
 
-        def encode(c):
-            v = 0
-            for x in reversed(c):
-                v = v * p + x
-            return v
+        # Rabin's test (Rabin 1980): the modulus is irreducible iff
+        # x^(p^k) = x and gcd(modulus, x^(p^(k/r)) - x) = 1 for every prime
+        # r dividing k
+        frobenius = [x]           # frobenius[i] = x^(p^i)
+        for _ in range(k):
+            frobenius.append(power(frobenius[-1], p))
+        gcds = [_poly_gcd(modulus, self.coeffs(_axpy(frobenius[k // r], x, -1, p)),
+                          p) for r in _prime_factors(k)]
+        if frobenius[k] != x or any(len(d) > 1 for d in gcds):
+            raise InvalidField("modulus is reducible over the prime field")
 
-        def raw_add(a, b):
-            ca, cb = decode(a), decode(b)
-            return encode([(x + y) % p for x, y in zip(ca, cb)])
+        # g is primitive iff g^(n/r) != 1 for every prime r dividing n; no
+        # element of the prime field is, so the search starts at x
+        factors = _prime_factors(n)
+        g = next(g for g in range(x, q)
+                 if all(power(g, n // r) != 1 for r in factors))
+        step = times_x if g == x else (lambda v: times(g, v))
+        exp, log = array("H"), array("H", [0]) * q
+        v = 1
+        for i in range(n):
+            exp.append(v)
+            log[v] = i
+            v = step(v)
+        exp += exp                # exp[log a + log b] needs no reduction
 
-        def raw_sub(a, b):
-            ca, cb = decode(a), decode(b)
-            return encode([(x - y) % p for x, y in zip(ca, cb)])
+        def mul(a, b):
+            return exp[log[a] + log[b]] if a and b else 0
 
-        def raw_neg(a):
-            return encode([(-x) % p for x in decode(a)])
-
-        def raw_mul(a, b):
-            prod = _poly_mul(_poly_trim(decode(a)), _poly_trim(decode(b)), p)
-            _, rem = _poly_divmod(prod, list(modulus), p) if prod else ([], [])
-            rem = rem + [0] * (k - len(rem))
-            return encode(rem)
-
-        def raw_inv(a):
+        def inv(a):
             if a == 0:
                 raise DivisionByZero("inverse of zero")
-            c = _poly_inv_mod(_poly_trim(decode(a)), list(modulus), p)
-            c = c + [0] * (k - len(c))
-            return encode(c[:k])
+            return exp[n - log[a]]
 
-        if q <= _TABLE_LIMIT:
-            add_t = [[raw_add(a, b) for b in range(q)] for a in range(q)]
-            sub_t = [[raw_sub(a, b) for b in range(q)] for a in range(q)]
-            mul_t = [[raw_mul(a, b) for b in range(q)] for a in range(q)]
-            neg_t = [raw_neg(a) for a in range(q)]
-            inv_t = [0] + [raw_inv(a) for a in range(1, q)]
+        if p == 2:
+            # coefficient vectors add by XOR, and every element is its own
+            # negative
+            add = sub = xor
 
-            def inv(a, _t=inv_t):
-                if a == 0:
-                    raise DivisionByZero("inverse of zero")
-                return _t[a]
-
-            object.__setattr__(self, "add", lambda a, b, _t=add_t: _t[a][b])
-            object.__setattr__(self, "sub", lambda a, b, _t=sub_t: _t[a][b])
-            object.__setattr__(self, "mul", lambda a, b, _t=mul_t: _t[a][b])
-            object.__setattr__(self, "neg", lambda a, _t=neg_t: _t[a])
-            object.__setattr__(self, "inv", inv)
+            def neg(a):
+                return a
         else:
-            object.__setattr__(self, "add", raw_add)
-            object.__setattr__(self, "sub", raw_sub)
-            object.__setattr__(self, "mul", raw_mul)
-            object.__setattr__(self, "neg", raw_neg)
-            object.__setattr__(self, "inv", raw_inv)
+            half = n // 2         # g^half = -1
+            no_log = _NO_LOG
+            zech = array("H", [0]) * n
+            for i in range(n):
+                e = exp[i]        # 1 + e: the constant digit steps up by one
+                e = e + 1 if e % p != p - 1 else e + 1 - p
+                zech[i] = log[e] if e else no_log
+            zech += zech          # differences of logs index it unreduced
 
-    # -- derived operations ------------------------------------------------
+            def add(a, b):        # g^la + g^lb = g^la (1 + g^(lb - la))
+                if not a:
+                    return b
+                if not b:
+                    return a
+                la = log[a]
+                z = zech[log[b] - la]
+                return 0 if z == no_log else exp[la + z]
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
+            def sub(a, b):        # a + (-b), with log(-b) = log b + half
+                if not b:
+                    return a
+                if not a:
+                    return exp[log[b] + half]
+                la = log[a]
+                z = zech[log[b] + half - la]
+                return 0 if z == no_log else exp[la + z]
 
-    def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+            def neg(a):
+                return exp[log[a] + half] if a else 0
+
+        object.__setattr__(self, "add", add)
+        object.__setattr__(self, "sub", sub)
+        object.__setattr__(self, "mul", mul)
+        object.__setattr__(self, "neg", neg)
+        object.__setattr__(self, "inv", inv)
 
     def scalar(self, m: int) -> int:
         """The image of the rational integer m under the natural map into
@@ -282,37 +283,15 @@ class GF:
             v = v * self.p + x
         return v
 
-    # -- element interface ---------------------------------------------------
-
-    def element(self, x) -> "FieldElement":
-        if isinstance(x, FieldElement):
-            if x.field != self:
-                raise MixedFields(f"element of {x.field} used in {self}")
-            return x
-        v = int(x)
-        if self.k == 1:
-            v %= self.p
-        elif not 0 <= v < self.q:
-            raise InvalidField(f"element code {v} out of range for {self}")
-        return FieldElement(self, v)
-
     def value(self, x) -> int:
-        """Integer code of x, which may be a FieldElement or an int code."""
-        if isinstance(x, FieldElement):
-            if x.field != self:
-                raise MixedFields(f"element of {x.field} used in {self}")
-            return x.value
+        """Canonical integer code of x: a residue for prime fields, a
+        range-checked code for extension fields."""
         v = int(x)
         if self.k == 1:
             return v % self.p
         if not 0 <= v < self.q:
             raise InvalidField(f"element code {v} out of range for {self}")
         return v
-
-    def elements(self):
-        """All q elements: zero first, one second, then the remaining codes
-        in increasing order."""
-        return [FieldElement(self, v) for v in range(self.q)]
 
     # -- identity ------------------------------------------------------------
 
@@ -328,90 +307,3 @@ class GF:
 
     def __repr__(self):
         return f"GF({self.q})"
-
-
-def enumerate_field(field: GF):
-    """Deterministic enumeration of all field elements."""
-    return field.elements()
-
-
-class FieldElement:
-    """A field element carrying its field handle; supports +,-,*,/ and inv.
-
-    Mixing elements of different fields raises MixedFields.  Plain ints on
-    either side are coerced into the element's field.
-    """
-
-    __slots__ = ("field", "value")
-
-    def __init__(self, field: GF, value: int):
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, FieldElement):
-            if other.field != self.field:
-                raise MixedFields(
-                    f"cannot combine {self.field} and {other.field} elements")
-            return other.value
-        return self.field.value(other)
-
-    def __add__(self, other):
-        return FieldElement(self.field, self.field.add(self.value, self._coerce(other)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return FieldElement(self.field, self.field.sub(self.value, self._coerce(other)))
-
-    def __rsub__(self, other):
-        return FieldElement(self.field, self.field.sub(self._coerce(other), self.value))
-
-    def __mul__(self, other):
-        return FieldElement(self.field, self.field.mul(self.value, self._coerce(other)))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return FieldElement(self.field, self.field.div(self.value, self._coerce(other)))
-
-    def __rtruediv__(self, other):
-        return FieldElement(self.field, self.field.div(self._coerce(other), self.value))
-
-    def __neg__(self):
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def inv(self):
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __pow__(self, e):
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    @property
-    def coeffs(self):
-        return self.field.coeffs(self.value)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
-        if isinstance(other, int):
-            try:
-                return self.value == self.field.value(other)
-            except InvalidField:
-                return False
-        return NotImplemented
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __hash__(self):
-        return hash((self.field, self.value))
-
-    def __repr__(self):
-        if self.field.k == 1:
-            return f"GF({self.field.q}).{self.value}"
-        return f"GF({self.field.q}).{list(self.coeffs)}"

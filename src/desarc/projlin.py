@@ -387,12 +387,6 @@ def subspace_in(h: Subspace, s: Subspace) -> Subspace:
     return Subspace(h.field, h.dim, rows)
 
 
-def subspace_from(h: Subspace, s: Subspace) -> Subspace:
-    """Ambient image of a subspace given in h's internal coordinates."""
-    rows = [point_from(h, r).coords for r in s.basis]
-    return Subspace(h.field, h.n, rows)
-
-
 # -- collineations -------------------------------------------------------------
 
 def _mat_mul(field: GF, a, b):
@@ -421,16 +415,6 @@ def _mat_vec(field: GF, m, v):
                 acc = add(acc, mul(x, y))
         out.append(acc)
     return out
-
-
-def _mat_inverse(field: GF, m):
-    size = len(m)
-    aug = [list(row) + [1 if i == j else 0 for j in range(size)]
-           for i, row in enumerate(m)]
-    reduced, pivots = rref(field, aug, 2 * size)
-    if pivots[:size] != list(range(size)) or len(reduced) != size:
-        raise SingularMatrix("matrix is not invertible")
-    return [tuple(row[size:]) for row in reduced]
 
 
 class Collineation:
@@ -477,15 +461,6 @@ class Collineation:
             raise AmbientMismatch("subspace lives in a different space")
         rows = [_mat_vec(self.field, self.matrix, r) for r in s.basis]
         return Subspace(self.field, self.n, rows)
-
-    def inverse(self) -> "Collineation":
-        return Collineation(self.field, _mat_inverse(self.field, self.matrix))
-
-    def compose(self, other: "Collineation") -> "Collineation":
-        """self after other."""
-        if other.field != self.field or other.n != self.n:
-            raise AmbientMismatch("collineations act on different spaces")
-        return Collineation(self.field, _mat_mul(self.field, self.matrix, other.matrix))
 
     def __eq__(self, other):
         return (isinstance(other, Collineation) and self.field == other.field

@@ -50,6 +50,13 @@ def test_demo_byte_identical(runner, tmp_path):
     assert f1.read_bytes() == f2.read_bytes()
 
 
+def test_enumerate_sectioned_configs_n1(runner):
+    result = runner.invoke(main, ["enumerate", "--kind", "sectioned-configs",
+                                  "--n", "1", "--p", "3"])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["raw_count"] == 1296
+
+
 def test_enumerate_frames(runner):
     result = runner.invoke(main, ["enumerate", "--kind", "frames",
                                   "--n", "2", "--p", "3"])

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from desarc import configuration
 from desarc.configuration import (
     SemiSimplexPair,
     replicate,
@@ -19,7 +20,7 @@ from desarc.configuration import (
     vertex_sweep,
 )
 from desarc.desargues import random_sectioned_config, sectioned_config
-from desarc.errors import BadSymbols, TooFewSymbols
+from desarc.errors import BadSymbols, NoCommonVertex, TooFewSymbols
 from desarc.field import GF
 from desarc.projlin import join, rank
 
@@ -96,6 +97,25 @@ def test_vertex_sweep_all_labels_pass(n, q):
     assert report.passed == report.total
     lhs, parts = report.identity
     assert lhs == sum(parts)
+
+
+def test_vertex_sweep_reports_geometry_errors(monkeypatch):
+    def no_vertex(pair):
+        raise NoCommonVertex("lines are not concurrent")
+
+    monkeypatch.setattr(configuration, "find_vertex", no_vertex)
+    report = vertex_sweep(sectioned_config(2, F5))
+    assert report.passed == 0
+    assert {e.detail for e in report.entries} == {"NoCommonVertex"}
+
+
+def test_vertex_sweep_propagates_programming_errors(monkeypatch):
+    def broken(pair):
+        raise TypeError("a bug, not a failed check")
+
+    monkeypatch.setattr(configuration, "find_vertex", broken)
+    with pytest.raises(TypeError):
+        vertex_sweep(sectioned_config(2, F5))
 
 
 def test_sweep_partition_geometric():

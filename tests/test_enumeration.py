@@ -149,6 +149,19 @@ def test_sectioned_count_gf2_is_zero():
     assert count_sectioned_configs(2, f, h).raw == 0
 
 
+def test_sectioned_count_n1_counts_without_sampling():
+    # n = 1: ordered 4-arcs of PG(2, 3) off a line.  A diagonal point of such
+    # a quadrangle can lie on the line, so no arc is sectioned.  The count is
+    # the closed form |PGL(3, q)| * a / theta with q = 3: theta = 13 lines,
+    # a = 3 lines missing a fixed frame, 5616 * 3 / 13 = 1296.
+    f = GF(3)
+    h = coordinate_hyperplane(f, 2, 2)
+    result = count_sectioned_configs(1, f, h)
+    assert result.raw == 1296 == pgl_order(2, 3) * 3 // 13
+    assert result.unordered == 1296 // factorial(4)
+    assert result.samples_checked == 0
+
+
 @pytest.mark.slow
 def test_sectioned_count_pg33_subset_oracle():
     """Dual-route check of the full n=2, q=3 count: unordered 5-subsets of

@@ -1,22 +1,24 @@
 """Field arithmetic: worked examples, exhaustive axioms, typed errors."""
 
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desarc.errors import DivisionByZero, InvalidField, MixedFields
-from desarc.field import GF, enumerate_field
+from desarc.errors import DivisionByZero, InvalidField
+from desarc.field import GF
 
 
 def test_gf5_examples():
     f = GF(5)
-    a, b = f.element(3), f.element(4)
-    assert (a + b).value == 2          # 7 mod 5
-    assert f.element(2).inv().value == 3   # 2*3 = 6 = 1 mod 5
-    assert (a - b).value == 4
-    assert (a * b).value == 2
-    assert (-a).value == 2
-    assert (a / b) * b == a
+    assert f.add(3, 4) == 2            # 7 mod 5
+    assert f.inv(2) == 3               # 2*3 = 6 = 1 mod 5
+    assert f.sub(3, 4) == 4
+    assert f.mul(3, 4) == 2
+    assert f.neg(3) == 2
+    assert f.mul(f.mul(3, f.inv(4)), 4) == 3
 
 
 def test_gf4_alpha_squared():
@@ -25,28 +27,29 @@ def test_gf4_alpha_squared():
     alpha = f.from_coeffs((0, 1))
     alpha_plus_one = f.from_coeffs((1, 1))
     assert f.mul(alpha, alpha) == alpha_plus_one
-    e = f.element(alpha)
-    assert (e * e).coeffs == (1, 1)
+    assert f.coeffs(f.mul(alpha, alpha)) == (1, 1)
 
 
 def test_enumerate_counts():
-    assert len(enumerate_field(GF(5))) == 5
-    assert len(enumerate_field(GF(3, 2))) == 9
-    assert len(enumerate_field(GF(2, 2))) == 4
+    # the codes 0..q-1 are q distinct coefficient vectors of length k
+    for f in (GF(5), GF(3, 2), GF(2, 2)):
+        vectors = {f.coeffs(v) for v in range(f.q)}
+        assert len(vectors) == f.q
+        assert all(len(c) == f.k for c in vectors)
 
 
 def test_enumerate_order_and_distinctness():
     for f in (GF(7), GF(2, 3), GF(5, 2)):
-        elems = enumerate_field(f)
-        assert len(set(elems)) == f.q
-        assert elems[0].value == 0
-        assert elems[1].value == 1
-        assert elems == enumerate_field(f)  # deterministic
+        for v in range(f.q):
+            assert f.add(0, v) == v           # code 0 is the zero
+            assert f.mul(1, v) == v           # code 1 is the one
+            assert f.mul(0, v) == 0
+            assert f.from_coeffs(f.coeffs(v)) == v
 
 
 def test_gf4_element_set():
     f = GF(2, 2)
-    coeff_sets = [e.coeffs for e in enumerate_field(f)]
+    coeff_sets = [f.coeffs(v) for v in range(f.q)]
     assert coeff_sets == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
 
@@ -96,28 +99,14 @@ def test_builtin_moduli_all_work():
         assert f.mul(2, f.inv(2)) == 1
 
 
-def test_mixed_fields_rejected():
-    a = GF(5).element(2)
-    b = GF(7).element(2)
-    with pytest.raises(MixedFields):
-        _ = a + b
-    with pytest.raises(MixedFields):
-        _ = a * b
-    # same order but different construction parameters still differ
-    c = GF(3, 2).element(2)
-    d = GF(3, 2, (2, 1, 1)).element(2)   # x^2 + x + 2, also irreducible
-    with pytest.raises(MixedFields):
-        _ = c + d
-
-
 def test_division_by_zero():
     f = GF(5)
     with pytest.raises(DivisionByZero):
         f.inv(0)
     with pytest.raises(DivisionByZero):
-        _ = f.element(3) / f.element(0)
-    with pytest.raises(DivisionByZero):
         GF(2, 3).inv(0)
+    with pytest.raises(DivisionByZero):
+        GF(3, 2).inv(0)
 
 
 def test_invalid_field_parameters():
@@ -129,6 +118,10 @@ def test_invalid_field_parameters():
         GF(5, 1, (1, 1))           # modulus forbidden for k = 1
     with pytest.raises(InvalidField):
         GF(2, 2, (1, 0, 1))        # x^2 + 1 = (x+1)^2 over GF(2)
+    with pytest.raises(InvalidField):
+        GF(2, 5, (1, 0, 0, 0, 1, 1))          # (x^2+x+1)(x^3+x+1)
+    with pytest.raises(InvalidField):
+        GF(2, 7, (1, 1, 0, 1, 1, 1, 1, 1))    # (x^2+x+1)(x^5+x^2+1)
     with pytest.raises(InvalidField):
         GF(2, 2, (1, 1))           # wrong length
     with pytest.raises(InvalidField):
@@ -147,17 +140,18 @@ def test_custom_modulus_accepted():
 
 def test_element_canonicality_and_hash():
     f = GF(3, 2)
-    e1 = f.element(5)
-    e2 = f.element(2) + f.element(3)
-    assert e1 == e2
-    assert hash(e1) == hash(e2)
-    assert len({f.element(v) for v in range(9)}) == 9
+    assert f.add(2, 3) == 5               # (2, 0) + (0, 1) = (2, 1)
+    assert f.value(5) == 5
+    assert GF(3, 2) == f and hash(GF(3, 2)) == hash(f)
+    # same order but different construction parameters differ
+    assert GF(3, 2, (2, 1, 1)) != f       # x^2 + x + 2, also irreducible
 
 
 def test_element_int_comparison():
-    assert GF(5).element(2) == 7          # residue semantics for k = 1
-    assert GF(2, 2).element(2) != 9       # out-of-range code is just unequal
-    assert GF(2, 2).element(3) == 3
+    assert GF(5).value(7) == 2            # residue semantics for k = 1
+    assert GF(2, 2).value(3) == 3
+    with pytest.raises(InvalidField):
+        GF(2, 2).value(9)                 # out-of-range extension code
 
 
 def test_scalar_embedding():
@@ -165,3 +159,93 @@ def test_scalar_embedding():
     assert f.scalar(4) == 1
     assert f.scalar(3) == 0
     assert GF(7).scalar(10) == 3
+
+
+def _moebius(n):
+    out, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            out = -out
+        d += 1
+    return -out if n > 1 else out
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
+                                 (2, 7), (2, 8), (3, 2), (3, 3), (3, 4), (5, 2)])
+def test_accepted_moduli_match_gauss_count(p, k):
+    """Exactly the irreducible moduli are accepted: their number is
+    Gauss's (1/k) * sum over d | k of mu(d) p^(k/d)."""
+    gauss = sum(_moebius(d) * p ** (k // d) for d in range(1, k + 1) if k % d == 0) // k
+    accepted = 0
+    for tail in product(range(p), repeat=k):
+        try:
+            GF(p, k, tail + (1,))
+        except InvalidField:
+            continue
+        accepted += 1
+    assert accepted == gauss
+
+
+# -- schoolbook reference: polynomial arithmetic on coefficient lists, sharing
+# no code with the field module
+
+def _digits(v, p, k):
+    return [(v // p ** i) % p for i in range(k)]
+
+
+def _undigits(c, p):
+    return sum(x * p ** i for i, x in enumerate(c))
+
+
+def _ref_add(a, b, p, k):
+    return _undigits([(x + y) % p for x, y in zip(_digits(a, p, k), _digits(b, p, k))], p)
+
+
+def _ref_mul(a, b, p, k, modulus):
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(_digits(a, p, k)):
+        for j, y in enumerate(_digits(b, p, k)):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for d in range(2 * k - 2, k - 1, -1):     # reduce by the monic modulus
+        c = prod[d]
+        for i in range(k + 1):
+            prod[d - k + i] = (prod[d - k + i] - c * modulus[i]) % p
+    return _undigits(prod[:k], p)
+
+
+CROSS_CHECK = [
+    (3, 4, (2, 1, 0, 0, 1)),                  # GF(81)
+    (13, 2, (11, 0, 1)),                      # GF(169), x^2 + 11
+    (2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1)),      # GF(256)
+    # no element of degree <= 1 is primitive for these two moduli
+    (2, 8, (1, 0, 0, 0, 1, 1, 0, 1, 1)),
+    (3, 4, (1, 0, 1, 1, 1)),
+    (2, 16, (1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)),   # GF(65536)
+]
+
+
+@pytest.mark.parametrize("p,k,modulus", CROSS_CHECK, ids=[
+    "gf81", "gf169", "gf256", "gf256-no-linear-primitive",
+    "gf81-no-linear-primitive", "gf65536"])
+def test_ops_match_schoolbook_reference(p, k, modulus):
+    """mul/add/sub on every pair below q = 256, else on 2000 seeded pairs;
+    neg/inv on every element up to q = 256, else on a seeded sample."""
+    f = GF(p, k, modulus)
+    q = f.q
+    rng = random.Random(q)
+    if q < 256:
+        pairs = product(range(q), repeat=2)
+    else:
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+    for a, b in pairs:
+        assert f.mul(a, b) == _ref_mul(a, b, p, k, modulus)
+        s = _ref_add(a, b, p, k)
+        assert f.add(a, b) == s
+        assert f.sub(s, b) == a
+    for a in range(q) if q <= 256 else rng.sample(range(q), 2000):
+        assert _ref_add(a, f.neg(a), p, k) == 0
+        if a:
+            assert _ref_mul(a, f.inv(a), p, k, modulus) == 1

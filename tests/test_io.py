@@ -99,7 +99,6 @@ def test_incidence_csv_shape():
         assert sum(int(l.split(",")[col]) for l in lines[1:]) == 3
 
 
-def test_normalize_accepts_field_elements():
+def test_normalize_reduces_prime_field_residues():
     f = GF(5)
-    elems = [f.element(0), f.element(2), f.element(4)]
-    assert normalize(f, elems).coords == (0, 1, 2)
+    assert normalize(f, (5, 7, 14)).coords == (0, 1, 2)
