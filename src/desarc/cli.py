@@ -35,7 +35,7 @@ from .desargues import (
 from .enumeration import EnumJob, run_job
 from .errors import GeometryError
 from .field import GF
-from .projlin import all_points, coordinate_hyperplane, meet
+from .projlin import all_points, coordinate_hyperplane
 from .io import dumps
 
 
@@ -168,83 +168,100 @@ def lift(pair_file, seed, out):
     _emit(dumps(gio.arc_to_json(arc)), out)
 
 
-def _verify_pair(pair, vertex):
-    """Theorem checks for one pair; returns a list of (name, ok) entries.
-    A typed geometry error inside the battery counts as a failed check,
-    not a usage error."""
-    checks = []
-    try:
-        return _pair_battery(pair, vertex, checks)
-    except GeometryError as exc:
-        checks.append((f"pair_battery_{type(exc).__name__}", False))
-        return checks
+def _detail(exc: GeometryError) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
-def _pair_battery(pair, vertex, checks):
+def _pair_battery(pair, vertex):
+    """Theorem checks for one pair, as (name, ok, detail) entries.
+
+    Each check runs on its own: a typed geometry error fails that check,
+    with the error type and message as its detail, and the other checks
+    still run."""
     n = pair.n
-    found = find_vertex(pair)
-    checks.append(("vertex_concurrence", found == vertex))
-
-    meets = edge_intersections(pair)
-    distinct = len(set(meets.values())) == comb(n + 1, 2)
-    outside = all(pt not in pair.a and pt not in pair.b and pt != vertex
-                  for pt in meets.values())
-    checks.append(("edge_intersections_distinct", distinct))
-    checks.append(("edge_intersections_disjoint", outside))
-
-    axis = axis_hyperplane(pair)
-    checks.append(("axis_is_hyperplane", axis.dim == n - 1))
-    checks.append(("axis_carries_intersections",
-                   all(axis.contains_point(pt) for pt in meets.values())))
-
-    ok_t = True
-    for t in range(1, n):
-        for sub in tspace_intersections(pair, t):
-            if sub.dim != t - 1 or not axis.contains(sub):
-                ok_t = False
-    checks.append(("tspace_meets", ok_t))
-
-    face_ok = all(
-        meet(fa, fb).dim == n - 2 and axis.contains(meet(fa, fb))
-        for fa, fb in zip(pair.faces_a, pair.faces_b))
-    checks.append(("face_meets_in_axis", face_ok))
-
-    # lift-and-project agreement
     h = coordinate_hyperplane(pair.field, n + 1, n + 1)
-    w = next(pt for pt in all_points(pair.field, n + 1)
-             if not h.contains_point(pt))
-    checks.append(("lift_project_axis", conway_lift_axis(pair, h, w) == axis))
+    shared = {}
 
-    # round trip through the arc
-    arc = lift_to_arc(pair, vertex, h)
-    config = section_arc(arc, h)
-    round_ok = (all(config.point(1, i + 3) == pair.a[i] for i in range(n + 1))
+    def once(fn):
+        """fn(pair), computed for the first check that needs it; an error is
+        kept too and raised again in every check that needs the value."""
+        if fn not in shared:
+            try:
+                shared[fn] = fn(pair)
+            except GeometryError as exc:
+                shared[fn] = exc
+        if isinstance(shared[fn], GeometryError):
+            raise shared[fn]
+        return shared[fn]
+
+    def meets():
+        return once(edge_intersections).values()
+
+    def axis():
+        return once(axis_hyperplane)
+
+    def tspace_ok():
+        return all(sub.dim == t - 1 and axis().contains(sub)
+                   for t in range(1, n) for sub in tspace_intersections(pair, t))
+
+    def round_trip_ok():
+        arc = lift_to_arc(pair, vertex, h)
+        config = section_arc(arc, h)
+        return (all(config.point(1, i + 3) == pair.a[i] for i in range(n + 1))
                 and all(config.point(2, i + 3) == pair.b[i] for i in range(n + 1))
                 and config.point(1, 2) == vertex)
-    checks.append(("lift_section_round_trip", round_ok))
+
+    w = next(pt for pt in all_points(pair.field, n + 1) if not h.contains_point(pt))
+    battery = [
+        ("vertex_concurrence", lambda: find_vertex(pair) == vertex),
+        ("edge_intersections_distinct",
+         lambda: len(set(meets())) == comb(n + 1, 2)),
+        ("edge_intersections_disjoint",
+         lambda: all(pt not in pair.a and pt not in pair.b and pt != vertex
+                     for pt in meets())),
+        ("axis_is_hyperplane", lambda: axis().dim == n - 1),
+        ("axis_carries_intersections",
+         lambda: all(axis().contains_point(pt) for pt in meets())),
+        ("tspace_meets", tspace_ok),
+        # face k spans the n-subset of indices without k: the (n-1)-space meets
+        ("face_meets_in_axis",
+         lambda: all(x.dim == n - 2 and axis().contains(x)
+                     for x in tspace_intersections(pair, n - 1))),
+        # lift-and-project agreement
+        ("lift_project_axis", lambda: conway_lift_axis(pair, h, w) == axis()),
+        # round trip through the arc
+        ("lift_section_round_trip", round_trip_ok),
+    ]
+    checks = []
+    for name, check in battery:
+        try:
+            checks.append((name, check(), None))
+        except GeometryError as exc:
+            checks.append((name, False, _detail(exc)))
     return checks
 
 
 def _verify_config(config):
-    checks = [("symbol_incidence", verify_symbol_incidence(config))]
+    checks = [("symbol_incidence", verify_symbol_incidence(config), None)]
     counts = substructure_counts(config)
     s = len(config.symbols)
     expected = {k - 2: comb(s, k) for k in range(2, min(config.n + 1, s - 1) + 1)}
-    checks.append(("substructure_counts", counts == expected))
+    checks.append(("substructure_counts", counts == expected, None))
     report = vertex_sweep(config)
-    checks.append(("vertex_sweep", report.all_ok))
+    checks.append(("vertex_sweep", report.all_ok, None))
     if config.n >= 2 and len(config.symbols) >= 5:
         try:
             triple_perspective_axis(config)
-            checks.append(("triple_perspective_axis", True))
-        except GeometryError:
-            checks.append(("triple_perspective_axis", False))
+            checks.append(("triple_perspective_axis", True, None))
+        except GeometryError as exc:
+            checks.append(("triple_perspective_axis", False, _detail(exc)))
     try:
         pair, vertex = extract_perspective_pair(
             config, config.symbols[0], config.symbols[1])
-        checks.extend(_verify_pair(pair, vertex))
     except GeometryError as exc:
-        checks.append((f"pair_extraction_{type(exc).__name__}", False))
+        checks.append((f"pair_extraction_{type(exc).__name__}", False, _detail(exc)))
+    else:
+        checks.extend(_pair_battery(pair, vertex))
     return checks
 
 
@@ -258,16 +275,22 @@ def verify(input_file, out):
         if kind == "config":
             checks = _verify_config(obj)
         elif kind == "pair":
-            checks = _verify_pair(*obj)
+            checks = _pair_battery(*obj)
         else:
             raise click.UsageError("verify expects a configuration or pair file")
     except GeometryError as exc:
         _fail(exc)
-    doc = {"checks": [{"name": name, "ok": ok} for name, ok in checks],
-           "all_ok": all(ok for _, ok in checks)}
+    entries = []
+    for name, ok, detail in checks:
+        entry = {"name": name, "ok": ok}
+        if detail is not None:
+            entry["detail"] = detail
+        entries.append(entry)
+    doc = {"checks": entries, "all_ok": all(ok for _, ok, _ in checks)}
     _emit(dumps(doc), out)
-    for name, ok in checks:
-        click.echo(f"{'PASS' if ok else 'FAIL'}  {name}", err=True)
+    for name, ok, detail in checks:
+        line = f"{'PASS' if ok else 'FAIL'}  {name}"
+        click.echo(line if detail is None else f"{line}  ({detail})", err=True)
     sys.exit(0 if doc["all_ok"] else 1)
 
 

@@ -118,15 +118,22 @@ def substructure_counts(config: LabeledConfiguration):
     by their actual dimension, returned as {dimension: count}.  For a full
     configuration this is C(n+3, k) subspaces of dimension k-2 at every k;
     a degenerate span would land under the wrong dimension and surface as a
-    count mismatch."""
+    count mismatch.
+
+    Spans grow one symbol at a time: the span of a subset is the span of
+    the subset without its last symbol joined with the points that pair
+    the last symbol with each of the others.  That covers the same points
+    as joining every pair of the subset, so the spans are the same."""
     s = len(config.symbols)
     by_dim = {}
+    spans = {(i,): Subspace.empty(config.field, config.n) for i in config.symbols}
     for k in range(2, min(config.n + 1, s - 1) + 1):
-        for subset in combinations(config.symbols, k):
-            pts = [config.point(i, j) for i, j in combinations(subset, 2)]
-            span = join(*pts)
+        spans = {subset: join(spans[subset[:-1]],
+                              *(config.point(i, subset[-1]) for i in subset[:-1]))
+                 for subset in combinations(config.symbols, k)}
+        for span in spans.values():
             by_dim.setdefault(span.dim, set()).add(span)
-    return {dim: len(spans) for dim, spans in sorted(by_dim.items())}
+    return {dim: len(found) for dim, found in sorted(by_dim.items())}
 
 
 # -- vertex sweep ---------------------------------------------------------------

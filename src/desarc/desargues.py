@@ -26,6 +26,7 @@ from .errors import (
     BadT,
     DegenerateLift,
     DegenerateSection,
+    DimensionTooSmall,
     EdgesDisjoint,
     FieldTooSmall,
     NoCommonVertex,
@@ -139,9 +140,13 @@ class PerspectivePair:
     that no face of one equals the corresponding face of the other; the
     perspectivity theorems all assume exactly these hypotheses, so violating
     them fails fast here instead of corrupting downstream geometry.
+
+    `_meets` memoizes, per ascending index tuple, the meet of the spans of
+    the corresponding points of a and b (see `_subset_meet`), so every
+    check on the pair computes each meet once.
     """
 
-    __slots__ = ("field", "n", "a", "b", "_faces_a", "_faces_b")
+    __slots__ = ("field", "n", "a", "b", "_faces_a", "_faces_b", "_meets")
 
     def __init__(self, a, b):
         a = tuple(a)
@@ -168,6 +173,7 @@ class PerspectivePair:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_faces_a", faces_a)
         object.__setattr__(self, "_faces_b", faces_b)
+        object.__setattr__(self, "_meets", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("PerspectivePair is immutable")
@@ -186,6 +192,17 @@ class PerspectivePair:
 
 # -- section -------------------------------------------------------------------
 
+def _check_section_preconditions(n: int, field: GF):
+    """Sections are defined for n >= 2 and q > 2.  At n = 1 the two
+    simplexes of every vertex span the same line, so no perspectivity
+    check can pass; below that there is no arc to section."""
+    if n < 2:
+        raise DimensionTooSmall(
+            f"sectioned configurations need dimension n >= 2, got n = {n}")
+    if field.q == 2:
+        raise FieldTooSmall("sections need a field of order greater than 2")
+
+
 def section_arc(gamma: Arc, h: Subspace) -> LabeledConfiguration:
     """Section the lines of an (n+3)-arc of PG(n+1, q) by the hyperplane h.
 
@@ -197,6 +214,7 @@ def section_arc(gamma: Arc, h: Subspace) -> LabeledConfiguration:
         raise AmbientMismatch("arc and hyperplane live in different spaces")
     if not h.is_hyperplane:
         raise PointOnHyperplane("the sectioning subspace must be a hyperplane")
+    _check_section_preconditions(h.dim, h.field)
     m = len(gamma)
     if m != gamma.n + 2:
         raise WrongCount(f"expected an arc of {gamma.n + 2} points, got {m}")
@@ -218,8 +236,7 @@ def section_arc(gamma: Arc, h: Subspace) -> LabeledConfiguration:
 def sectioned_config(n: int, field: GF, h: Subspace = None) -> LabeledConfiguration:
     """The canonical configuration of PG(n, q): the frame-based (n+3)-arc of
     PG(n+1, q) off h (default: the last-coordinate hyperplane), sectioned."""
-    if field.q == 2:
-        raise FieldTooSmall("sections need a field of order greater than 2")
+    _check_section_preconditions(n, field)
     if h is None:
         h = coordinate_hyperplane(field, n + 1, n + 1)
     gamma = frame_off_hyperplane(h)
@@ -229,8 +246,7 @@ def sectioned_config(n: int, field: GF, h: Subspace = None) -> LabeledConfigurat
 def random_sectioned_config(n: int, field: GF, rng,
                             h: Subspace = None) -> LabeledConfiguration:
     """A seeded random configuration: random (n+3)-arc off h, sectioned."""
-    if field.q == 2:
-        raise FieldTooSmall("sections need a field of order greater than 2")
+    _check_section_preconditions(n, field)
     if h is None:
         h = coordinate_hyperplane(field, n + 1, n + 1)
     gamma = random_arc_off_hyperplane(h, n + 3, rng)
@@ -268,12 +284,26 @@ def extract_perspective_pair(config: LabeledConfiguration, a: int, b: int):
     return PerspectivePair(pa, pb), config.point(a, b)
 
 
+def _subset_meet(pair: PerspectivePair, idxs) -> Subspace:
+    """The meet of the spans of A_i and of B_i for i in idxs, an ascending
+    index tuple; computed once per pair.  An n-subset spans a face, so the
+    pair's face is reused for it."""
+    x = pair._meets.get(idxs)
+    if x is None:
+        if len(idxs) == pair.n:
+            k = (set(range(pair.n + 1)) - set(idxs)).pop()
+            sa, sb = pair.faces_a[k], pair.faces_b[k]
+        else:
+            sa = join(*(pair.a[i] for i in idxs))
+            sb = join(*(pair.b[i] for i in idxs))
+        x = pair._meets[idxs] = meet(sa, sb)
+    return x
+
+
 def _edge_meet(pair: PerspectivePair, i: int, j: int) -> ProjPoint:
-    la = join(pair.a[i], pair.a[j])
-    lb = join(pair.b[i], pair.b[j])
-    if la == lb:
+    x = _subset_meet(pair, (i, j))
+    if x.dim == 1:  # two lines meet in a line only when they coincide
         raise EdgesDisjoint(i, j, f"edges {i},{j} are the same line")
-    x = meet(la, lb)
     if x.dim != 0:
         raise EdgesDisjoint(i, j, f"edges {i},{j} are skew")
     return x.point()
@@ -321,12 +351,8 @@ def tspace_intersections(pair: PerspectivePair, t: int):
     n = pair.n
     if not 1 <= t <= n - 1:
         raise BadT(f"t must lie in 1..{n - 1}, got {t}")
-    out = []
-    for idxs in combinations(range(n + 1), t + 1):
-        sa = join(*(pair.a[i] for i in idxs))
-        sb = join(*(pair.b[i] for i in idxs))
-        out.append(meet(sa, sb))
-    return out
+    return [_subset_meet(pair, idxs)
+            for idxs in combinations(range(n + 1), t + 1)]
 
 
 # -- lifting -------------------------------------------------------------------

@@ -64,6 +64,10 @@ class FieldTooSmall(GeometryError):
     """The construction needs a field of order greater than 2."""
 
 
+class DimensionTooSmall(GeometryError):
+    """The construction needs a larger projective dimension."""
+
+
 # sections and perspectivity
 
 class PointOnHyperplane(GeometryError):

@@ -10,6 +10,13 @@ formula
     dim<E,F> + dim(E meet F) = dim E + dim F
 
 total, with no special cases.
+
+A join is one rref of the stacked bases.  A meet is one rref too: the rows
+of the smaller basis are reduced modulo the other basis, and the linear
+relations among the residues give the combinations that span the meet,
+already in reduced form (see `meet`).  `join` and `meet` build their
+results from codes that are already canonical, so only the public
+`Subspace(...)` constructor and `normalize` coerce their input.
 """
 
 from __future__ import annotations
@@ -183,11 +190,6 @@ class Subspace:
     def empty(cls, field: GF, n: int) -> "Subspace":
         return cls(field, n, (), _canonical=True)
 
-    @classmethod
-    def from_points(cls, points) -> "Subspace":
-        field, n = common_ambient(points)
-        return cls(field, n, [p.coords for p in points])
-
     @property
     def dim(self) -> int:
         return len(self.basis) - 1
@@ -208,14 +210,17 @@ class Subspace:
             return acc == 0
         return self._contains_vector(p.coords)
 
+    def _pivots(self):
+        """Pivot column of each basis row: its first nonzero entry, since
+        the basis is reduced."""
+        return [next(i for i, x in enumerate(row) if x) for row in self.basis]
+
     def _contains_vector(self, vec) -> bool:
         if not self.basis:
             return False
-        reduced, pivots = self.basis, [  # basis is RREF: pivots recoverable
-            next(i for i, x in enumerate(row) if x) for row in self.basis]
         sub, mul = self.field.sub, self.field.mul
         v = list(vec)
-        for row, pc in zip(reduced, pivots):
+        for row, pc in zip(self.basis, self._pivots()):
             f = v[pc]
             if f:
                 v = [sub(x, mul(f, y)) for x, y in zip(v, row)]
@@ -287,6 +292,12 @@ def _check_same_ambient(a, b):
         raise AmbientMismatch("objects live in different ambient spaces")
 
 
+def _span(field: GF, n: int, rows) -> Subspace:
+    """Span of rows whose entries are already canonical codes: one rref,
+    no coercion."""
+    return Subspace(field, n, rref(field, rows, n + 1)[0], _canonical=True)
+
+
 def join(*parts) -> Subspace:
     """Smallest subspace containing every part (points and subspaces mix)."""
     field, n = common_ambient(parts)
@@ -298,19 +309,73 @@ def join(*parts) -> Subspace:
             rows.extend(part.basis)
         else:
             raise TypeError(f"cannot join {type(part).__name__}")
-    return Subspace(field, n, rows)
+    return _span(field, n, rows)
 
 
 def meet(s1: Subspace, s2: Subspace) -> Subspace:
-    """Largest subspace contained in both, computed through the duals:
-    ann(s1 meet s2) = ann(s1) + ann(s2)."""
+    """Largest subspace contained in both, with one small rref.
+
+    Let U be the argument with fewer basis rows u_0..u_{r-1} and W the
+    other.  W's basis is reduced, so the residue of u_i modulo W is u_i
+    minus u_i[p] times the W row with pivot p, summed over W's pivots p:
+    zero in those columns, kept only on W's free columns.  A combination
+    sum c_i u_i lies in W exactly when sum c_i residue_i = 0.
+
+    The residues go in as the columns of a matrix, u_{r-1} first, and one
+    rref picks the pivot columns greedily: u_i is a pivot exactly when its
+    residue is independent of those of u_{i+1}..u_{r-1}, so the pivots
+    after u_i span the residues after it.  Each non-pivot u_i gives one
+    relation c: c_i = 1, c_j = minus the rref entry of u_i's column in the
+    row of pivot u_j, and 0 elsewhere.  Each c has its leading 1 at its own
+    i and 0 at the other relations' i, so the relations are the reduced
+    basis of all such c.  U's basis is reduced too, so sum c_i u_i carries
+    c in U's pivot columns, and the combinations are the canonical basis
+    of U meet W with no second reduction.
+    """
     _check_same_ambient(s1, s2)
-    field, width = s1.field, s1.n + 1
-    a1 = nullspace(field, s1.basis, width)
-    a2 = nullspace(field, s2.basis, width)
-    stacked = rref(field, list(a1) + list(a2), width)[0]
-    rows = nullspace(field, stacked, width)
-    return Subspace(field, s1.n, rows, _canonical=True)
+    u, w = (s1, s2) if len(s1.basis) <= len(s2.basis) else (s2, s1)
+    field, n = s1.field, s1.n
+    if not u.basis or not w.basis:
+        return Subspace.empty(field, n)
+    add, sub, mul, neg = field.add, field.sub, field.mul, field.neg
+    r = len(u.basis)
+    w_pivots = w._pivots()
+    w_free = sorted(set(range(n + 1)) - set(w_pivots))
+    cols = []  # cols[r-1-i] = residue of u_i on W's free columns
+    for urow in reversed(u.basis):
+        res = []
+        for c in w_free:
+            x = urow[c]
+            for p, wrow in zip(w_pivots, w.basis):
+                if urow[p] and wrow[c]:
+                    x = sub(x, mul(urow[p], wrow[c]))
+            res.append(x)
+        cols.append(res)
+    reduced, pivots = rref(field, zip(*cols), r)
+    pivot_set = set(pivots)
+    u_pivots = u._pivots()
+    u_free = sorted(set(range(n + 1)) - set(u_pivots))
+    basis = []
+    for i in range(r):
+        j = r - 1 - i
+        if j in pivot_set:
+            continue
+        coeffs = [0] * r
+        coeffs[i] = 1
+        for row, pc in zip(reduced, pivots):
+            if row[j]:
+                coeffs[r - 1 - pc] = neg(row[j])
+        vec = [0] * (n + 1)
+        for p, ci in zip(u_pivots, coeffs):
+            vec[p] = ci
+        for c in u_free:
+            x = 0
+            for ci, urow in zip(coeffs, u.basis):
+                if ci and urow[c]:
+                    x = add(x, mul(ci, urow[c]))
+            vec[c] = x
+        basis.append(tuple(vec))
+    return Subspace(field, n, basis, _canonical=True)
 
 
 def hyperplane_from_dual(field: GF, coeffs) -> Subspace:
@@ -334,8 +399,7 @@ def coordinate_hyperplane(field: GF, n: int, index: int) -> Subspace:
 
 def _vector_in(h: Subspace, vec):
     """Express a vector of <h> in the RREF basis of h; None if outside."""
-    pivots = [next(i for i, x in enumerate(row) if x) for row in h.basis]
-    c = [vec[pc] for pc in pivots]
+    c = [vec[pc] for pc in h._pivots()]
     # verify reconstruction: vec == sum c_i * row_i
     add, mul = h.field.add, h.field.mul
     recon = [0] * len(vec)
@@ -384,7 +448,7 @@ def subspace_in(h: Subspace, s: Subspace) -> Subspace:
         if c is None:
             raise PointNotInSubspace("subspace is not contained in the carrier")
         rows.append(c)
-    return Subspace(h.field, h.dim, rows)
+    return _span(h.field, h.dim, rows)
 
 
 # -- collineations -------------------------------------------------------------
@@ -460,7 +524,7 @@ class Collineation:
         if s.field != self.field or s.n != self.n:
             raise AmbientMismatch("subspace lives in a different space")
         rows = [_mat_vec(self.field, self.matrix, r) for r in s.basis]
-        return Subspace(self.field, self.n, rows)
+        return _span(self.field, self.n, rows)
 
     def __eq__(self, other):
         return (isinstance(other, Collineation) and self.field == other.field

@@ -1,14 +1,24 @@
 """Command-line interface: exit codes, file artifacts, determinism."""
 
 import json
+import random
+from math import comb
 
 import pytest
 from click.testing import CliRunner
 
 from desarc import io as gio
-from desarc.cli import main
-from desarc.desargues import extract_perspective_pair, sectioned_config
+from desarc.arcs import random_arc_off_hyperplane
+from desarc.cli import _pair_battery, main
+from desarc.desargues import (
+    PerspectivePair,
+    extract_perspective_pair,
+    find_vertex,
+    sectioned_config,
+)
+from desarc.errors import GeometryError, NoCommonVertex
 from desarc.field import GF
+from desarc.projlin import all_points, coordinate_hyperplane
 
 
 @pytest.fixture
@@ -34,6 +44,26 @@ def test_demo_gf2_exits_2(runner):
     result = runner.invoke(main, ["demo", "--n", "2", "--p", "2"])
     assert result.exit_code == 2
     assert "FieldTooSmall" in result.output
+
+
+@pytest.mark.parametrize("n,p", [(1, 3), (-1, 5)])
+def test_demo_dimension_too_small_exits_2(runner, n, p):
+    # at n = 1 both simplexes of every vertex span the same line
+    result = runner.invoke(main, ["demo", "--n", str(n), "--p", str(p)])
+    assert result.exit_code == 2
+    assert "DimensionTooSmall" in result.output
+    assert "n >= 2" in result.output
+
+
+def test_section_of_a_plane_arc_exits_2(runner, tmp_path):
+    # a 4-arc of PG(2, 5) would section to a configuration of PG(1, 5)
+    h = coordinate_hyperplane(GF(5), 2, 2)
+    arc = random_arc_off_hyperplane(h, 4, random.Random(5))
+    arc_file = tmp_path / "arc.json"
+    arc_file.write_text(gio.dumps(gio.arc_to_json(arc)))
+    result = runner.invoke(main, ["section", str(arc_file)])
+    assert result.exit_code == 2
+    assert "DimensionTooSmall" in result.output
 
 
 def test_usage_error_exits_2(runner):
@@ -176,3 +206,78 @@ def test_enumerate_budget_error(runner):
                                   "--p", "3", "--budget", "5"])
     assert result.exit_code == 2
     assert "BudgetExceeded" in result.output
+
+
+BATTERY = ["vertex_concurrence", "edge_intersections_distinct",
+           "edge_intersections_disjoint", "axis_is_hyperplane",
+           "axis_carries_intersections", "tspace_meets", "face_meets_in_axis",
+           "lift_project_axis", "lift_section_round_trip"]
+
+
+def test_verify_reports_each_check_of_a_pair_not_in_perspective(runner, tmp_path):
+    # two random triangles of PG(2, 7) whose connector lines are not concurrent
+    field = GF(7)
+    rng = random.Random(3)
+    pts = list(all_points(field, 2))
+    while True:
+        sample = rng.sample(pts, 7)
+        try:
+            pair = PerspectivePair(sample[:3], sample[3:6])
+            find_vertex(pair)
+        except NoCommonVertex:
+            break
+        except GeometryError:
+            continue
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(gio.dumps(gio.pair_to_json(pair, sample[6])))
+    result = runner.invoke(main, ["verify", str(pair_file)])
+    assert result.exit_code == 1
+    doc = json.loads(result.stdout)
+    assert [c["name"] for c in doc["checks"]] == BATTERY
+    checks = {c["name"]: c for c in doc["checks"]}
+    assert checks["vertex_concurrence"] == {
+        "name": "vertex_concurrence", "ok": False,
+        "detail": "NoCommonVertex: connector line 2 misses the candidate vertex"}
+    assert checks["lift_section_round_trip"]["detail"].startswith("NoCommonVertex: ")
+    # the checks after a failed one still ran, and some of them pass
+    assert checks["edge_intersections_distinct"] == {
+        "name": "edge_intersections_distinct", "ok": True}
+    assert checks["tspace_meets"]["ok"]
+    for check in doc["checks"]:
+        assert set(check) <= {"name", "ok", "detail"}
+        if check["ok"]:
+            assert "detail" not in check
+    assert not doc["all_ok"]
+
+
+def test_verify_passing_report_has_no_detail(runner, tmp_path):
+    pair, vertex = extract_perspective_pair(sectioned_config(3, GF(5)), 1, 2)
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(gio.dumps(gio.pair_to_json(pair, vertex)))
+    result = runner.invoke(main, ["verify", str(pair_file)])
+    assert result.exit_code == 0
+    doc = json.loads(result.stdout)
+    assert doc["checks"] == [{"name": name, "ok": True} for name in BATTERY]
+
+
+@pytest.mark.parametrize("n,q", [(4, 5), (8, 11)])
+def test_pair_battery_meets_once_per_index_subset(monkeypatch, n, q):
+    from desarc import desargues
+    pair, vertex = desargues.random_perspective_pair(n, GF(q), random.Random(n + q))
+    calls = []
+    real = desargues.meet
+
+    def counted(s1, s2):
+        calls.append((s1, s2))
+        return real(s1, s2)
+
+    monkeypatch.setattr(desargues, "meet", counted)
+    checks = _pair_battery(pair, vertex)
+    assert [(name, ok) for name, ok, _ in checks] == [(name, True) for name in BATTERY]
+    subsets = 2 ** (n + 1) - (n + 1) - 2   # index subsets of size 2..n
+    connectors = 2                          # find_vertex, again in the Conway lift
+    lifts = 3 + (n + 1)                     # Conway lift; lift_to_arc, one per point
+    sections = comb(n + 3, 2)               # section of the lifted arc
+    assert len(calls) <= subsets + connectors + lifts + sections
+    if n == 8:
+        assert len(calls) <= 570

@@ -19,10 +19,14 @@ from desarc.configuration import (
     vertex_partition_identity,
     vertex_sweep,
 )
-from desarc.desargues import random_sectioned_config, sectioned_config
+from desarc.desargues import (
+    LabeledConfiguration,
+    random_sectioned_config,
+    sectioned_config,
+)
 from desarc.errors import BadSymbols, NoCommonVertex, TooFewSymbols
 from desarc.field import GF
-from desarc.projlin import join, rank
+from desarc.projlin import all_points, join, rank
 
 F5 = GF(5)
 
@@ -86,6 +90,25 @@ def test_counts_formula_general():
     for n, q in [(2, 3), (3, 3), (4, 3)]:
         counts = substructure_counts(sectioned_config(n, GF(q)))
         assert counts == {k - 2: comb(n + 3, k) for k in range(2, n + 2)}
+
+
+def test_counts_match_all_pairs_join_on_a_corrupted_table():
+    # move (2, 3) off the line of (1, 2) and (1, 3): the span of {1, 2, 3}
+    # and of every subset holding it grows by one dimension
+    config = sectioned_config(3, F5)
+    line = join(config.point(1, 2), config.point(1, 3))
+    taken = set(config.points())
+    fresh = next(p for p in all_points(F5, 3)
+                 if p not in taken and not line.contains_point(p))
+    bad = LabeledConfiguration(F5, 3, {**config.table, (2, 3): fresh})
+    reference = {}
+    for k in range(2, 5):
+        for subset in combinations(bad.symbols, k):
+            span = join(*(bad.point(i, j) for i, j in combinations(subset, 2)))
+            reference.setdefault(span.dim, set()).add(span)
+    counts = substructure_counts(bad)
+    assert counts == {dim: len(spans) for dim, spans in sorted(reference.items())}
+    assert counts != substructure_counts(config)
 
 
 # -- vertex sweep ----------------------------------------------------------------------

@@ -26,6 +26,7 @@ from desarc.desargues import (
 from desarc.errors import (
     BadSymbols,
     BadT,
+    DimensionTooSmall,
     FieldTooSmall,
     GeometryError,
     PointOnHyperplane,
@@ -83,6 +84,14 @@ def test_section_unavailable_over_gf2():
     assert num_points(GF(2), 2) == 7
     with pytest.raises(FieldTooSmall):
         sectioned_config(2, GF(2))
+
+
+@pytest.mark.parametrize("n", [1, 0, -1])
+def test_section_needs_dimension_two(n):
+    with pytest.raises(DimensionTooSmall):
+        sectioned_config(n, F5)
+    with pytest.raises(DimensionTooSmall):
+        random_sectioned_config(n, F5, random.Random(0))
 
 
 # -- pair extraction -----------------------------------------------------------------
@@ -229,6 +238,41 @@ def test_edges_disjoint_detected():
     pair = PerspectivePair(a, b)
     with pytest.raises(EdgesDisjoint):
         find_vertex(pair)
+
+
+def _count_meets(monkeypatch):
+    from desarc import desargues
+    calls = []
+    real = desargues.meet
+
+    def counted(s1, s2):
+        calls.append((s1, s2))
+        return real(s1, s2)
+
+    monkeypatch.setattr(desargues, "meet", counted)
+    return calls
+
+
+def test_edge_meets_computed_once_per_pair(monkeypatch):
+    pair, vertex = random_perspective_pair(4, F5, random.Random(41))
+    calls = _count_meets(monkeypatch)
+    assert find_vertex(pair) == vertex
+    meets = edge_intersections(pair)
+    axis = axis_hyperplane(pair)
+    # the C(5, 2) edge meets once each, plus the meet of two connector lines
+    assert len(calls) == comb(5, 2) + 1
+    assert axis.dim == 3 and len(meets) == comb(5, 2)
+    # t = 1 reads the edge meets; t = n - 1 computes the face meets, once
+    lines = tspace_intersections(pair, 1)
+    assert len(calls) == comb(5, 2) + 1
+    faces = tspace_intersections(pair, 3)
+    assert tspace_intersections(pair, 3) == faces   # read back, not recomputed
+    assert len(calls) == comb(5, 2) + 1 + 5
+    assert lines == [
+        meet(join(pair.a[i], pair.a[j]), join(pair.b[i], pair.b[j]))
+        for i, j in combinations(range(5), 2)]
+    # the 4-subsets in order leave out index 4, 3, ..., 0
+    assert faces[::-1] == [meet(fa, fb) for fa, fb in zip(pair.faces_a, pair.faces_b)]
 
 
 # -- edge intersections ---------------------------------------------------------------

@@ -20,8 +20,11 @@ from desarc.projlin import (
     join,
     meet,
     normalize,
+    nullspace,
     num_points,
     point_from,
+    rank,
+    rref,
 )
 
 F5 = GF(5)
@@ -85,6 +88,37 @@ def test_meet_idempotent_bit_identical():
     s = join(pt(f, 1, 2, 3, 4), pt(f, 0, 1, 1, 1))
     assert meet(s, s) == s
     assert meet(s, s).basis == s.basis
+
+
+def _reference_meet(u, w):
+    """ann(ann U + ann W), built from `nullspace` and `rref` alone."""
+    field, width = u.field, u.n + 1
+    ann = list(nullspace(field, u.basis, width)) + list(nullspace(field, w.basis, width))
+    return tuple(nullspace(field, rref(field, ann, width)[0], width))
+
+
+@pytest.mark.parametrize("p,k,n", [(5, 1, 4), (3, 2, 3)])
+def test_meet_matches_annihilator_oracle(p, k, n):
+    """Every (dim U, dim W) pair, every overlap of their spanning sets:
+    empty, equal, nested and disjoint subspaces, in both argument orders.
+    U and W are spanned by rows of a random invertible matrix, so
+    dim(U meet W) is the number of shared rows minus one."""
+    field = GF(p, k)
+    rng = random.Random(31 * field.q + n)
+    width = n + 1
+    for a in range(width + 1):
+        for b in range(width + 1):
+            for shared in range(max(0, a + b - width), min(a, b) + 1):
+                m = []
+                while rank(field, m, width) < width:
+                    m = [[rng.randrange(field.q) for _ in range(width)]
+                         for _ in range(width)]
+                u = Subspace(field, n, m[:a])
+                w = Subspace(field, n, m[a - shared:a - shared + b])
+                expected = _reference_meet(u, w)
+                assert meet(u, w).basis == expected
+                assert meet(w, u).basis == expected
+                assert meet(u, w).dim == shared - 1
 
 
 def _random_subspace(field, n, rng):
