@@ -17,7 +17,7 @@ points of PG(n, q).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from .arcs import Arc, face, frame_off_hyperplane, is_simplex, random_arc_off_hyperplane
 from .errors import (
@@ -136,10 +136,11 @@ class LabeledConfiguration:
 class PerspectivePair:
     """Two simplexes of PG(n, q) in index-wise correspondence.
 
-    Construction verifies both are simplexes, that they share no point, and
-    that no face of one equals the corresponding face of the other; the
-    perspectivity theorems all assume exactly these hypotheses, so violating
-    them fails fast here instead of corrupting downstream geometry.
+    Construction verifies both are simplexes of PG(n, q) with n >= 2, that
+    they share no point, and that no face of one equals the corresponding
+    face of the other.  The perspectivity theorems all assume exactly these
+    hypotheses, so violating them fails fast here instead of corrupting
+    downstream geometry.
 
     `_meets` memoizes, per ascending index tuple, the meet of the spans of
     the corresponding points of a and b (see `_subset_meet`), so every
@@ -160,6 +161,9 @@ class PerspectivePair:
         field, n = a[0].field, a[0].n
         if b[0].field != field or b[0].n != n:
             raise AmbientMismatch("the simplexes live in different spaces")
+        if n < 2:
+            raise DimensionTooSmall(
+                f"perspective pairs need dimension n >= 2, got n = {n}")
         if set(a) & set(b):
             raise SharedPoint("the simplexes share a point")
         faces_a = tuple(face(a, k) for k in range(n + 1))
@@ -367,6 +371,16 @@ def _first_points_on_line(line: Subspace, h: Subspace, exclude, count: int, rng=
     return candidates[:count]
 
 
+def _anchor_off(h: Subspace, rng=None) -> ProjPoint:
+    """The first point off the hyperplane h in canonical order, or with a
+    seeded rng a random one.  The index is the draw rng.choice would make
+    from the list of all q^n points off h, but the point is taken from the
+    point walk, so the list is never built."""
+    off_h = (p for p in all_points(h.field, h.n) if not h.contains_point(p))
+    index = 0 if rng is None else rng.randrange(h.field.q ** h.n)
+    return next(islice(off_h, index, None))
+
+
 def lift_to_arc(pair: PerspectivePair, vertex: ProjPoint, h: Subspace,
                 rng=None) -> Arc:
     """Rebuild an (n+3)-arc of PG(n+1, q) whose section by h is the pair.
@@ -390,17 +404,11 @@ def lift_to_arc(pair: PerspectivePair, vertex: ProjPoint, h: Subspace,
         if not join(pair.a[i], pair.b[i]).contains_point(vertex):
             raise NoCommonVertex(f"connector line {i} misses the given vertex")
 
-    field = h.field
     v_amb = point_from(h, vertex)
     a_amb = [point_from(h, p) for p in pair.a]
     b_amb = [point_from(h, p) for p in pair.b]
 
-    if rng is None:
-        anchor = next(p for p in all_points(field, h.n) if not h.contains_point(p))
-    else:
-        pool = [p for p in all_points(field, h.n) if not h.contains_point(p)]
-        anchor = rng.choice(pool)
-    line = join(v_amb, anchor)
+    line = join(v_amb, _anchor_off(h, rng))
     p1, p2 = _first_points_on_line(line, h, {v_amb}, 2, rng)
 
     pts = [p1, p2]

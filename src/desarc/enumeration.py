@@ -3,11 +3,14 @@ configurations.
 
 Counts are over ordered point tuples; the unordered figure count is the
 ordered count divided by m!.  The kernel backtracks over points in canonical
-order and prunes with hyperplane point-sets: once the prefix holds at least
-n points, a candidate extends the arc exactly when it avoids the hyperplane
-spanned by every n-subset of the prefix, so the allowed candidate list is
-filtered incrementally with set lookups instead of rank computations.
-"""
+order and prunes with hyperplane point-sets.  Point sets are Python ints, one
+bit per point id.  A candidate extends a prefix of at most n-1 points exactly
+when it avoids the prefix's span, and a longer prefix exactly when it avoids
+the hyperplane through it and every (n-1)-subset of the prefix; so the next
+pool is `pool & ~forbidden`, with `forbidden` the union of those spans.
+Spans are cached by the mask of the spanning subset, and hyperplanes by their
+dual vector.  The level before the last counts each completion pool by
+popcount instead of visiting its leaves."""
 
 from __future__ import annotations
 
@@ -16,11 +19,17 @@ from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb, factorial
 
-from .errors import BudgetExceeded, WrongCount
+from .arcs import Arc
+from .desargues import section_arc
+from .errors import BudgetExceeded, DimensionTooSmall, WrongCount
 from .field import GF
-from .projlin import Subspace
+from .projlin import ProjPoint, Subspace
 
 DEFAULT_BUDGET = 10 ** 9
+# sectioned-config searches section every SAMPLE_EVERY-th arc, at most
+# SAMPLE_CAP of them
+SAMPLE_EVERY = 100
+SAMPLE_CAP = 20
 
 
 def pgl_order(n: int, q: int) -> int:
@@ -89,27 +98,34 @@ def _cofactor_dual(field: GF, rows, width: int):
 
 
 class _ArcSearch:
-    """Backtracking enumerator.  `visit`, when given, is called once per
-    exhausted prefix as visit(prefix_ids, completion_ids, points) so the
-    caller can materialize whichever completions it wants to inspect."""
+    """Backtracking enumerator over int bitmasks of point ids.
 
-    def __init__(self, field: GF, n: int, m: int, avoid_dual, budget: int, visit,
+    A node holds the ordered prefix, the pool of points that keep it an arc
+    and the candidates for the next slot: the pool, or at the root the pool
+    restricted to the allowed first points.  Each node charges one budget
+    node per candidate.  The level before the last counts each child's pool
+    by popcount and charges it, so leaves are never visited.  `visit`, when
+    set, is called there as visit(prefix_ids, completion_count,
+    completion_mask) until it returns False."""
+
+    def __init__(self, field: GF, n: int, m: int, avoid_dual, budget: int,
                  first_points=None):
+        if n < 1:
+            raise DimensionTooSmall(
+                f"enumeration needs dimension n >= 1, the search space is PG({n}, q)")
         self.field = field
         self.n = n
         self.m = m
         self.budget = budget
-        self.visit = visit
-        self.first_points = None if first_points is None else set(first_points)
+        self.visit = None
         self.nodes = 0
         self.count = 0
         self.points = _point_tuples(field, n)
         self.index = {pt: i for i, pt in enumerate(self.points)}
-        self.hyper_sets = {}
+        self.hyper_masks = {}
         # the same unordered point subsets recur across many branches, so
-        # their spans and hyperplane duals are cached by sorted id tuple
-        self.subset_hyper = {}
-        self.span_cache = {}
+        # their spans are cached by the subset's mask
+        self.spans = {}
         add, mul = field.add, field.mul
 
         def dot(u, v):
@@ -120,28 +136,33 @@ class _ArcSearch:
             return acc
 
         self.dot = dot
-        if avoid_dual is not None:
-            self.allowed0 = [i for i, pt in enumerate(self.points)
-                             if dot(avoid_dual, pt) != 0]
+        self.pool0 = _mask(i for i, pt in enumerate(self.points)
+                           if avoid_dual is None or dot(avoid_dual, pt) != 0)
+        if first_points is None:
+            self.first = self.pool0
         else:
-            self.allowed0 = list(range(len(self.points)))
+            allowed = set(first_points)
+            self.first = self.pool0 & _mask(i for i in range(len(self.points))
+                                            if i in allowed)
 
-    def _hyperplane_ids(self, dual):
-        ids = self.hyper_sets.get(dual)
-        if ids is None:
-            dot = self.dot
-            ids = frozenset(i for i, pt in enumerate(self.points)
-                            if dot(dual, pt) == 0)
-            self.hyper_sets[dual] = ids
-        return ids
-
-    def _span_ids(self, prefix_ids):
-        """Point ids of the span of the prefix (prefix size <= n)."""
+    def _span_mask(self, subset):
+        """Points of the span of the independent points of the subset mask
+        (at most n of them); n points span a hyperplane, found from its
+        dual vector and shared by every subset spanning it."""
         field = self.field
+        base = [self.points[i] for i in _ids(subset)]
+        if len(base) == self.n:
+            dual = _cofactor_dual(field, base, self.n + 1)
+            mask = self.hyper_masks.get(dual)
+            if mask is None:
+                dot = self.dot
+                mask = _mask(i for i, pt in enumerate(self.points)
+                             if dot(dual, pt) == 0)
+                self.hyper_masks[dual] = mask
+            return mask
         add, mul = field.add, field.mul
         width = self.n + 1
-        base = [self.points[i] for i in prefix_ids]
-        ids = set()
+        mask = 0
         for lead in range(len(base)):
             for tail in product(range(field.q), repeat=len(base) - lead - 1):
                 coeffs = (0,) * lead + (1,) + tail
@@ -155,61 +176,76 @@ class _ArcSearch:
                 if lead_val != 1:
                     s = field.inv(lead_val)
                     vec = [mul(s, x) for x in vec]
-                ids.add(self.index[tuple(vec)])
-        return ids
+                mask |= 1 << self.index[tuple(vec)]
+        return mask
 
-    def _charge(self, amount=1):
+    def _charge(self, amount):
         self.nodes += amount
         if self.nodes > self.budget:
             raise BudgetExceeded(f"search exceeded {self.budget} nodes")
 
     def run(self):
-        if self.m == 0:
-            self.count = 1
-            return
-        self._recurse((), self.allowed0)
+        if self.m == 1:
+            self._charge(self.first.bit_count())
+            self.count = self.first.bit_count()
+        else:
+            self._recurse((), self.pool0, self.first)
 
-    def _recurse(self, prefix, pool):
-        depth = len(prefix)
-        candidates = pool
-        if depth == 0 and self.first_points is not None:
-            candidates = [i for i in pool if i in self.first_points]
-        if depth == self.m - 1:
-            self._charge(len(candidates))
-            self.count += len(candidates)
-            if self.visit is not None:
-                self.visit(prefix, candidates, self.points)
-            return
-        n = self.n
-        for pid in candidates:
-            self._charge()
-            new_prefix = prefix + (pid,)
-            if len(new_prefix) <= n:
-                key = tuple(sorted(new_prefix))
-                span = self.span_cache.get(key)
+    def _recurse(self, prefix, pool, cand):
+        self._charge(cand.bit_count())
+        # once a candidate joins the prefix, later points must avoid its span
+        # with every n-1 prefix points (with the whole prefix, while shorter)
+        subsets = [_mask(s) for s in
+                   combinations(prefix, min(len(prefix), self.n - 1))]
+        spans = self.spans
+        before_last = len(prefix) == self.m - 2
+        visit = self.visit
+        leaves = 0
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            forbidden = 0
+            for s in subsets:
+                span = spans.get(s | low)
                 if span is None:
-                    span = self._span_ids(new_prefix)
-                    self.span_cache[key] = span
-                nxt = [c for c in pool if c not in span]
+                    span = spans[s | low] = self._span_mask(s | low)
+                forbidden |= span
+            nxt = pool & ~forbidden
+            if not nxt:
+                continue
+            if before_last:
+                size = nxt.bit_count()
+                leaves += size
+                if visit is not None and not visit(
+                        prefix + (low.bit_length() - 1,), size, nxt):
+                    visit = self.visit = None
             else:
-                merged = set()
-                for subset in combinations(prefix, n - 1):
-                    key = tuple(sorted(subset + (pid,)))
-                    ids = self.subset_hyper.get(key)
-                    if ids is None:
-                        rows = [self.points[i] for i in key]
-                        dual = _cofactor_dual(self.field, rows, n + 1)
-                        ids = self._hyperplane_ids(dual)
-                        self.subset_hyper[key] = ids
-                    merged |= ids
-                nxt = [c for c in pool if c not in merged]
-            if nxt:
-                self._recurse(new_prefix, nxt)
+                self._recurse(prefix + (low.bit_length() - 1,), nxt, nxt)
+        if before_last:
+            self.count += leaves
+            self._charge(leaves)
+
+
+def _mask(ids) -> int:
+    """The int with bit i set for each point id i."""
+    mask = 0
+    for i in ids:
+        mask |= 1 << i
+    return mask
+
+
+def _ids(mask: int):
+    """Set bit positions of the mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def count_arcs(n: int, field: GF, m: int, avoid: Subspace = None,
-               budget: int = DEFAULT_BUDGET, visit=None,
-               first_points=None) -> int:
+               budget: int = DEFAULT_BUDGET, first_points=None) -> int:
     """Exact number of ordered m-tuples of points of PG(n, q) in general
     position (every subset of at most n+1 points independent), optionally
     with every point off the avoided hyperplane.
@@ -218,19 +254,15 @@ def count_arcs(n: int, field: GF, m: int, avoid: Subspace = None,
     indices; the search tree partitions by first point, so summing the
     counts of disjoint restrictions reproduces the full count exactly.
     """
-    if m < 1:
-        raise WrongCount("need at least one point")
-    avoid_dual = avoid.dual_vector() if avoid is not None else None
-    search = _ArcSearch(field, n, m, avoid_dual, budget, visit, first_points)
-    search.run()
-    return search.count
+    job = EnumJob("arcs", n, field, m=m, avoid=avoid, budget=budget)
+    return _search(job, first_points)[0].count
 
 
 def count_frames(n: int, field: GF, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of ordered coordinate frames (arcs of n+2 points) of
     PG(n, q); equals the projectivity group order, which serves as an
     independent cross-check and is never assumed."""
-    return count_arcs(n, field, n + 2, budget=budget)
+    return _search(EnumJob("frames", n, field, budget=budget))[0].count
 
 
 @dataclass(frozen=True)
@@ -240,55 +272,48 @@ class SectionedCount:
     samples_checked: int
 
 
-def _sectioned_search(n: int, field: GF, h: Subspace, budget: int,
-                      sample_every: int, sample_cap: int):
-    from .arcs import Arc
-    from .desargues import section_arc
-    from .projlin import ProjPoint
-
-    if h.n != n + 1 or not h.is_hyperplane:
-        raise WrongCount("h must be a hyperplane of PG(n+1, q)")
-
-    state = {"seen": 0, "checked": 0}
-
-    def visit(prefix_ids, completion_ids, points):
-        base = state["seen"]
-        state["seen"] += len(completion_ids)
-        if state["checked"] >= sample_cap:
-            return
-        # pick the completions whose global ordinal hits the sampling stride
-        first = (-base) % sample_every
-        for offset in range(first, len(completion_ids), sample_every):
-            if state["checked"] >= sample_cap:
-                return
-            ids = prefix_ids + (completion_ids[offset],)
-            arc = Arc([ProjPoint(field, points[i]) for i in ids])
-            config = section_arc(arc, h)
-            if len(config) != comb(n + 3, 2):
-                raise WrongCount("sampled arc did not section to a full configuration")
-            state["checked"] += 1
-
-    # at n = 1 a diagonal point of the planar quadrangle can lie on h, so
-    # the arcs there are counted but not sectioned
-    search = _ArcSearch(field, n + 1, n + 3, h.dual_vector(), budget,
-                        visit if n >= 2 else None)
-    search.run()
-    return search, state["checked"]
-
-
 def count_sectioned_configs(n: int, field: GF, h: Subspace,
-                            budget: int = DEFAULT_BUDGET,
-                            sample_every: int = 100,
-                            sample_cap: int = 20) -> SectionedCount:
+                            budget: int = DEFAULT_BUDGET) -> SectionedCount:
     """Exact count of ordered (n+3)-arcs of PG(n+1, q) with no point on h.
 
     For n >= 2 every such arc sections to a valid labeled configuration,
-    which is verified on a deterministic sample of the enumerated arcs.  At
+    which is verified on a deterministic sample of the enumerated arcs: every
+    SAMPLE_EVERY-th arc in search order, at most SAMPLE_CAP of them.  At
     n = 1 that claim fails (a diagonal point of the quadrangle can lie on h),
     so the arcs are only counted and `samples_checked` is 0."""
-    search, checked = _sectioned_search(n, field, h, budget,
-                                        sample_every, sample_cap)
+    job = EnumJob("sectioned-configs", n, field, avoid=h, budget=budget)
+    search, checked = _search(job)
     return SectionedCount(search.count, search.count // factorial(n + 3), checked)
+
+
+class _SectionSampler:
+    """Search visitor that sections every SAMPLE_EVERY-th enumerated arc, at
+    most SAMPLE_CAP of them, and checks each gives a full configuration."""
+
+    def __init__(self, n: int, field: GF, h: Subspace, points):
+        self.n = n
+        self.field = field
+        self.h = h
+        self.points = points
+        self.seen = 0
+        self.checked = 0
+
+    def __call__(self, prefix_ids, count, mask):
+        """Take the next `count` arcs in search order: prefix_ids plus each
+        point of `mask`.  Returns False once no more samples are wanted."""
+        base = self.seen
+        self.seen += count
+        # the completions whose global ordinal hits the sampling stride
+        offsets = range((-base) % SAMPLE_EVERY, count, SAMPLE_EVERY)
+        if offsets:
+            ids = _ids(mask)
+            for offset in offsets[:SAMPLE_CAP - self.checked]:
+                arc = Arc([ProjPoint(self.field, self.points[i])
+                           for i in prefix_ids + (ids[offset],)])
+                if len(section_arc(arc, self.h)) != comb(self.n + 3, 2):
+                    raise WrongCount("sampled arc did not section to a full configuration")
+                self.checked += 1
+        return self.checked < SAMPLE_CAP
 
 
 # -- job records -------------------------------------------------------------------
@@ -312,29 +337,39 @@ class EnumResult:
     wall_seconds: float
 
 
+def _search(job: EnumJob, first_points=None):
+    """Run the search a job describes; returns it with the number of
+    sampled arcs that were sectioned and checked."""
+    n, field = job.n, job.field
+    sampler = None
+    if job.kind == "frames":
+        search = _ArcSearch(field, n, n + 2, None, job.budget)
+    elif job.kind == "arcs":
+        if job.m is None or job.m < 1:
+            raise WrongCount("arc jobs need a tuple size m of at least 1")
+        avoid_dual = job.avoid.dual_vector() if job.avoid is not None else None
+        search = _ArcSearch(field, n, job.m, avoid_dual, job.budget,
+                            first_points=first_points)
+    elif job.kind == "sectioned-configs":
+        h = job.avoid
+        if h is None:
+            raise WrongCount("sectioned-config jobs need the sectioning hyperplane")
+        if h.n != n + 1 or not h.is_hyperplane:
+            raise WrongCount("h must be a hyperplane of PG(n+1, q)")
+        search = _ArcSearch(field, n + 1, n + 3, h.dual_vector(), job.budget)
+        # at n = 1 a diagonal point of the planar quadrangle can lie on h,
+        # so the arcs there are counted but not sectioned
+        if n >= 2:
+            sampler = search.visit = _SectionSampler(n, field, h, search.points)
+    else:
+        raise WrongCount(f"unknown job kind {job.kind!r}")
+    search.run()
+    return search, 0 if sampler is None else sampler.checked
+
+
 def run_job(job: EnumJob) -> EnumResult:
     """Execute an enumeration job and collect node statistics."""
     start = time.perf_counter()
-    if job.kind == "frames":
-        m = job.n + 2
-        avoid_dual = None
-    elif job.kind == "arcs":
-        if job.m is None:
-            raise WrongCount("arc jobs need an explicit tuple size m")
-        m = job.m
-        avoid_dual = job.avoid.dual_vector() if job.avoid is not None else None
-    elif job.kind == "sectioned-configs":
-        if job.avoid is None:
-            raise WrongCount("sectioned-config jobs need the sectioning hyperplane")
-        search, _ = _sectioned_search(job.n, job.field, job.avoid,
-                                      job.budget, 100, 20)
-        return EnumResult(job, search.count,
-                          search.count // factorial(job.n + 3), search.nodes,
-                          time.perf_counter() - start)
-    else:
-        raise WrongCount(f"unknown job kind {job.kind!r}")
-
-    search = _ArcSearch(job.field, job.n, m, avoid_dual, job.budget, None)
-    search.run()
-    return EnumResult(job, search.count, search.count // factorial(m),
+    search, _ = _search(job)
+    return EnumResult(job, search.count, search.count // factorial(search.m),
                       search.nodes, time.perf_counter() - start)

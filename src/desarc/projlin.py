@@ -25,6 +25,7 @@ from itertools import product
 
 from .errors import (
     AmbientMismatch,
+    DimensionTooSmall,
     NotAHyperplane,
     PointNotInSubspace,
     SingularMatrix,
@@ -390,6 +391,8 @@ def hyperplane_from_dual(field: GF, coeffs) -> Subspace:
 
 def coordinate_hyperplane(field: GF, n: int, index: int) -> Subspace:
     """The hyperplane x_{index} = 0 of PG(n, q) (index is 0-based)."""
+    if n < 1:
+        raise DimensionTooSmall(f"a hyperplane needs dimension n >= 1, got n = {n}")
     coeffs = [0] * (n + 1)
     coeffs[index] = 1
     return hyperplane_from_dual(field, coeffs)

@@ -66,6 +66,19 @@ def test_section_of_a_plane_arc_exits_2(runner, tmp_path):
     assert "DimensionTooSmall" in result.output
 
 
+def test_verify_pair_of_a_line_exits_2(runner, tmp_path):
+    # two point pairs of PG(1, 7), written by hand: each is a simplex, they
+    # share no point and no face, but a line has no perspectivity theorems
+    doc = {"n": 1, "field": {"p": 7, "k": 1, "modulus": None},
+           "A": [[1, 0], [0, 1]], "B": [[1, 1], [1, 2]], "vertex": [1, 3]}
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["verify", str(pair_file)])
+    assert result.exit_code == 2
+    assert "DimensionTooSmall" in result.output
+    assert "n >= 2" in result.output
+
+
 def test_usage_error_exits_2(runner):
     result = runner.invoke(main, ["demo", "--p", "5"])  # missing --n
     assert result.exit_code == 2
@@ -85,6 +98,16 @@ def test_enumerate_sectioned_configs_n1(runner):
                                   "--n", "1", "--p", "3"])
     assert result.exit_code == 0
     assert json.loads(result.stdout)["raw_count"] == 1296
+
+
+@pytest.mark.parametrize("args", [("frames", "--n", "0"), ("frames", "--n", "-2"),
+                                  ("arcs", "--n", "-1", "--m", "2"),
+                                  ("sectioned-configs", "--n", "-1"),
+                                  ("sectioned-configs", "--n", "-3")])
+def test_enumerate_below_dimension_one_exits_2(runner, args):
+    result = runner.invoke(main, ["enumerate", "--kind", *args, "--p", "3"])
+    assert result.exit_code == 2
+    assert "DimensionTooSmall" in result.output
 
 
 def test_enumerate_frames(runner):

@@ -94,6 +94,14 @@ def test_section_needs_dimension_two(n):
         random_sectioned_config(n, F5, random.Random(0))
 
 
+def test_pair_needs_dimension_two():
+    f = GF(7)
+    a = [pt(f, 1, 0), pt(f, 0, 1)]
+    b = [pt(f, 1, 1), pt(f, 1, 2)]
+    with pytest.raises(DimensionTooSmall):
+        PerspectivePair(a, b)
+
+
 # -- pair extraction -----------------------------------------------------------------
 
 def test_extract_pair_layout_n3():
@@ -402,6 +410,29 @@ def test_lift_round_trip_seeded(n, q):
         pair, vertex = random_perspective_pair(n, f, rng)
         _round_trip(pair, vertex, h)
         _round_trip(pair, vertex, h, rng)  # randomized free choices too
+
+
+def _anchor_from_list(h, rng=None):
+    """The anchor draw as a choice from the list of every point off h."""
+    pool = [p for p in all_points(h.field, h.n) if not h.contains_point(p)]
+    return pool[0] if rng is None else rng.choice(pool)
+
+
+@pytest.mark.parametrize("n,q,dual", [(2, 5, (0, 0, 0, 1)), (3, 3, (1, 2, 0, 1, 1))])
+def test_seeded_lift_matches_the_list_based_choice(monkeypatch, n, q, dual):
+    from desarc import desargues
+    f = GF(q)
+    h = hyperplane_from_dual(f, dual)
+    pair, vertex = random_perspective_pair(n, f, random.Random(n + q))
+
+    def lifts():
+        rngs = [None] + [random.Random(seed) for seed in range(8)]
+        return [lift_to_arc(pair, vertex, h, rng) for rng in rngs]
+
+    arcs = lifts()
+    assert len(set(arcs)) > 2
+    monkeypatch.setattr(desargues, "_anchor_off", _anchor_from_list)
+    assert lifts() == arcs
 
 
 def test_lift_rejects_vertex_on_face():

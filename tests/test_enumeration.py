@@ -1,11 +1,13 @@
 """Exhaustive counting of arcs and frames, cross-checked against
 independent oracles."""
 
+from dataclasses import replace
 from itertools import combinations
 from math import factorial
 
 import pytest
 
+from desarc import enumeration
 from desarc.enumeration import (
     EnumJob,
     count_arcs,
@@ -14,9 +16,9 @@ from desarc.enumeration import (
     pgl_order,
     run_job,
 )
-from desarc.errors import BudgetExceeded
+from desarc.errors import BudgetExceeded, DimensionTooSmall, WrongCount
 from desarc.field import GF
-from desarc.projlin import coordinate_hyperplane, hyperplane_from_dual
+from desarc.projlin import all_points, coordinate_hyperplane, hyperplane_from_dual
 
 
 # -- independent oracle machinery (no shared code with the search kernel) ----------
@@ -72,6 +74,21 @@ def _oracle_pgl(n, q):
     for i in range(n + 1):
         num *= q ** (n + 1) - q ** i
     return num // (q - 1)
+
+
+def _oracle_sectioned(n, q):
+    """Ordered (n+3)-arcs of PG(n+1, q) off a hyperplane, by counting the
+    pairs (ordered frame, hyperplane missing it) both ways.  PGL(n+2, q)
+    acts regularly on ordered frames and transitively on hyperplanes, so
+    the count is |PGL| * a / theta: theta hyperplanes, and a of them miss
+    the standard frame e_0, ..., e_{n+1}, e_0 + ... + e_{n+1}.  Such a
+    hyperplane has a dual vector with every entry nonzero (A vectors) and a
+    nonzero entry sum; Z of the A vectors sum to zero."""
+    theta = (q ** (n + 2) - 1) // (q - 1)
+    all_nonzero = (q - 1) ** (n + 2)
+    zero_sum = (all_nonzero + (-1) ** (n + 2) * (q - 1)) // q
+    a = (all_nonzero - zero_sum) // (q - 1)
+    return _oracle_pgl(n + 1, q) * a // theta
 
 
 # -- frames --------------------------------------------------------------------------
@@ -221,3 +238,93 @@ def test_run_job_arcs_with_avoid():
     result = run_job(job)
     assert result.raw_count == count_arcs(2, f, 4, avoid=h)
     assert result.nodes > 0
+
+
+def test_run_job_rejects_an_empty_arc_job():
+    for m in (0, -1):
+        with pytest.raises(WrongCount):
+            run_job(EnumJob("arcs", 2, GF(3), m=m))
+    with pytest.raises(WrongCount):
+        count_arcs(2, GF(3), 0)
+
+
+@pytest.mark.parametrize("kind,n", [("frames", 0), ("frames", -2), ("arcs", -1),
+                                    ("sectioned-configs", -1)])
+def test_run_job_needs_a_space_of_dimension_one(kind, n):
+    f = GF(3)
+    # the point set x_0 = 0 of PG(0, 3)
+    h = hyperplane_from_dual(f, (1,)) if kind == "sectioned-configs" else None
+    with pytest.raises(DimensionTooSmall):
+        run_job(EnumJob(kind, n, f, m=2 if kind == "arcs" else None, avoid=h))
+
+
+# -- the bitmask kernel against figures of the list-based search -----------------------
+
+def _job(kind, n, field):
+    h = coordinate_hyperplane(field, n + 1, n + 1) if kind == "sectioned-configs" else None
+    return EnumJob(kind, n, field, avoid=h)
+
+
+# (raw_count, nodes) as the list-and-frozenset search reported them
+@pytest.mark.parametrize("kind,n,field,expected", [
+    ("frames", 2, GF(7), (5630688, 5790345)),
+    ("frames", 2, GF(2, 3), (16482816, 16824529)),
+    ("frames", 1, GF(13, 2, (11, 0, 1)), (4826640, 4855540)),
+    ("sectioned-configs", 2, GF(3), (1516320, 1837161)),
+])
+def test_counts_and_nodes_match_the_list_search(kind, n, field, expected):
+    result = run_job(_job(kind, n, field))
+    assert (result.raw_count, result.nodes) == expected
+
+
+@pytest.mark.parametrize("job", [
+    EnumJob("frames", 2, GF(3)),
+    EnumJob("frames", 1, GF(13, 2, (11, 0, 1))),
+    EnumJob("arcs", 2, GF(3), m=4, avoid=coordinate_hyperplane(GF(3), 2, 2)),
+    EnumJob("arcs", 2, GF(5), m=1),
+    EnumJob("arcs", 2, GF(5), m=2),
+    EnumJob("arcs", 3, GF(2), m=5, avoid=coordinate_hyperplane(GF(2), 3, 3)),
+    _job("sectioned-configs", 1, GF(5)),
+    _job("sectioned-configs", 2, GF(3)),
+], ids=lambda job: f"{job.kind}-{job.n}-{job.field.q}-{job.m}")
+def test_budget_boundary_is_the_node_count(job):
+    nodes = run_job(job).nodes
+    assert nodes > 0
+    passed = run_job(replace(job, budget=nodes))
+    assert passed.nodes == nodes
+    with pytest.raises(BudgetExceeded):
+        run_job(replace(job, budget=nodes - 1))
+
+
+# ids (canonical point order of PG(3, 3)) of the arcs the list-based search
+# sampled: every 100th arc in search order, the first 20
+SAMPLED_ARCS_2_3 = [
+    (1, 2, 4, 10, 14), (1, 2, 5, 13, 11), (1, 2, 7, 16, 14), (1, 2, 8, 19, 13),
+    (1, 2, 10, 22, 5), (1, 2, 11, 25, 4), (1, 2, 13, 28, 4), (1, 2, 14, 34, 5),
+    (1, 2, 16, 37, 10), (1, 2, 19, 4, 17), (1, 2, 20, 7, 13), (1, 2, 22, 10, 5),
+    (1, 2, 23, 13, 4), (1, 2, 25, 19, 17), (1, 2, 26, 22, 4), (1, 2, 28, 31, 16),
+    (1, 2, 29, 34, 4), (1, 2, 31, 37, 17), (1, 2, 34, 4, 10), (1, 2, 35, 7, 10),
+]
+
+
+def test_sectioned_search_samples_the_same_arcs(monkeypatch):
+    f = GF(3)
+    ids = {p.coords: i for i, p in enumerate(all_points(f, 3))}
+    sampled = []
+    section = enumeration.section_arc
+
+    def record(arc, h):
+        sampled.append(tuple(ids[p.coords] for p in arc))
+        return section(arc, h)
+
+    monkeypatch.setattr(enumeration, "section_arc", record)
+    result = count_sectioned_configs(2, f, coordinate_hyperplane(f, 3, 3))
+    assert result.samples_checked == 20
+    assert sampled == SAMPLED_ARCS_2_3
+
+
+@pytest.mark.parametrize("n,q", [(1, 3), (1, 5), (1, 7), (2, 3)])
+def test_sectioned_count_closed_form_oracle(n, q):
+    f = GF(q)
+    h = coordinate_hyperplane(f, n + 1, n + 1)
+    assert count_sectioned_configs(n, f, h).raw == _oracle_sectioned(n, q)
