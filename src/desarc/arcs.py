@@ -165,16 +165,8 @@ def random_arc_off_hyperplane(h: Subspace, m: int, rng, max_tries: int = 10000) 
     field, n = h.field, h.n
     if field.q == 2:
         raise FieldTooSmall("no arc of interest avoids a hyperplane over GF(2)")
-    dual = h.dual_vector()
-    add, mul = field.add, field.mul
-
-    def off_h(coords):
-        acc = 0
-        for x, y in zip(dual, coords):
-            if x and y:
-                acc = add(acc, mul(x, y))
-        return acc != 0
-
+    if not h.is_hyperplane:
+        raise NotAHyperplane(f"dimension {h.dim} in PG({n})")
     tries = 0
     while True:
         prefix = []
@@ -185,7 +177,7 @@ def random_arc_off_hyperplane(h: Subspace, m: int, rng, max_tries: int = 10000) 
                 raise NotAnArc(
                     f"no {m}-point arc off the hyperplane found in {max_tries} samples")
             p = random_point(field, n, rng)
-            if not off_h(p.coords):
+            if h.contains_point(p):
                 continue
             if _extends_arc(field, n, [x.coords for x in prefix], p.coords):
                 prefix.append(p)

@@ -249,7 +249,7 @@ def _verify_config(config):
     checks.append(("substructure_counts", counts == expected, None))
     report = vertex_sweep(config)
     checks.append(("vertex_sweep", report.all_ok, None))
-    if config.n >= 2 and len(config.symbols) >= 5:
+    if len(config.symbols) >= 5:
         try:
             triple_perspective_axis(config)
             checks.append(("triple_perspective_axis", True, None))

@@ -260,8 +260,6 @@ def triple_perspective_axis(config: LabeledConfiguration) -> Subspace:
     perspective from the collinear vertices (1,2), (1,3), (2,3); returns the
     common axis spanned by the remaining-symbol points, after verifying that
     every pairwise corresponding-edge intersection lands on it."""
-    if config.n < 2:
-        raise BadSymbols("triple perspective needs ambient dimension at least 2")
     s1, s2, s3 = config.symbols[:3]
     rest = list(config.symbols[3:])
     if len(rest) < 2:

@@ -17,7 +17,7 @@ points of PG(n, q).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from itertools import combinations
 
 from .arcs import Arc, face, frame_off_hyperplane, is_simplex, random_arc_off_hyperplane
 from .errors import (
@@ -41,7 +41,6 @@ from .field import GF
 from .projlin import (
     ProjPoint,
     Subspace,
-    all_points,
     coordinate_hyperplane,
     coords_in,
     join,
@@ -66,6 +65,9 @@ class LabeledConfiguration:
     __slots__ = ("field", "n", "symbols", "table")
 
     def __init__(self, field: GF, n: int, table):
+        if n < 2:
+            raise DimensionTooSmall(
+                f"labeled configurations need dimension n >= 2, got n = {n}")
         symbols = set()
         for (i, j) in table:
             symbols.add(i)
@@ -374,11 +376,43 @@ def _first_points_on_line(line: Subspace, h: Subspace, exclude, count: int, rng=
 def _anchor_off(h: Subspace, rng=None) -> ProjPoint:
     """The first point off the hyperplane h in canonical order, or with a
     seeded rng a random one.  The index is the draw rng.choice would make
-    from the list of all q^n points off h, but the point is taken from the
-    point walk, so the list is never built."""
-    off_h = (p for p in all_points(h.field, h.n) if not h.contains_point(p))
-    index = 0 if rng is None else rng.randrange(h.field.q ** h.n)
-    return next(islice(off_h, index, None))
+    from the list of all q^n points off h = {u.x != 0}; the point is found
+    by unranking it, lead position first, then coordinate by coordinate.
+
+    The points off h that share a coordinate prefix with partial sum s of
+    u.x, and have f coordinates after it still free, number q^(f-1)(q-1)
+    when some free coordinate has u_i != 0, and otherwise q^f or 0 as s is
+    nonzero or zero."""
+    field, n = h.field, h.n
+    q, add, mul = field.q, field.add, field.mul
+    u = h.dual_vector()
+    last = max(i for i, x in enumerate(u) if x)
+
+    def off_count(s, i):
+        # points off h among the completions of a prefix of i coordinates
+        f = n + 1 - i
+        if i <= last:
+            return q ** (f - 1) * (q - 1)
+        return q ** f if s else 0
+
+    index = 0 if rng is None else rng.randrange(q ** n)
+    for lead in range(n + 1):
+        s = u[lead]
+        count = off_count(s, lead + 1)
+        if index < count:
+            break
+        index -= count
+    coords = [0] * lead + [1]
+    for i in range(lead + 1, n + 1):
+        for x in range(q):
+            t = add(s, mul(u[i], x))
+            count = off_count(t, i + 1)
+            if index < count:
+                break
+            index -= count
+        coords.append(x)
+        s = t
+    return ProjPoint(field, coords)
 
 
 def lift_to_arc(pair: PerspectivePair, vertex: ProjPoint, h: Subspace,

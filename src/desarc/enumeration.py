@@ -3,27 +3,35 @@ configurations.
 
 Counts are over ordered point tuples; the unordered figure count is the
 ordered count divided by m!.  The kernel backtracks over points in canonical
-order and prunes with hyperplane point-sets.  Point sets are Python ints, one
-bit per point id.  A candidate extends a prefix of at most n-1 points exactly
-when it avoids the prefix's span, and a longer prefix exactly when it avoids
-the hyperplane through it and every (n-1)-subset of the prefix; so the next
-pool is `pool & ~forbidden`, with `forbidden` the union of those spans.
-Spans are cached by the mask of the spanning subset, and hyperplanes by their
-dual vector.  The level before the last counts each completion pool by
-popcount instead of visiting its leaves."""
+order and prunes with the point sets of spans.  Point sets are Python ints,
+one bit per point id.  A candidate extends a prefix of at most n-1 points
+exactly when it avoids the prefix's span, and a longer prefix exactly when
+it avoids the hyperplane through it and every (n-1)-subset of the prefix; so
+the next pool is `pool & ~forbidden`, with `forbidden` the union of those
+spans.  A span is the `projlin.join` of the subset's points and its point
+set comes from `Subspace.points`; spans are cached by the mask of the
+spanning subset, and point sets by the canonical span, so every subset
+spanning the same subspace shares one.  The level before the last counts
+each completion pool by popcount instead of visiting its leaves."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from math import comb, factorial
 
 from .arcs import Arc
 from .desargues import section_arc
-from .errors import BudgetExceeded, DimensionTooSmall, WrongCount
+from .errors import (
+    AmbientMismatch,
+    BudgetExceeded,
+    DimensionTooSmall,
+    NotAHyperplane,
+    WrongCount,
+)
 from .field import GF
-from .projlin import ProjPoint, Subspace
+from .projlin import Subspace, all_points, join
 
 DEFAULT_BUDGET = 10 ** 9
 # sectioned-config searches section every SAMPLE_EVERY-th arc, at most
@@ -44,59 +52,6 @@ def pgl_order(n: int, q: int) -> int:
 
 # -- kernel ----------------------------------------------------------------------
 
-def _point_tuples(field: GF, n: int):
-    """Normalized coordinate tuples of PG(n, q), canonical order."""
-    q = field.q
-    out = []
-    for lead in range(n + 1):
-        for tail in product(range(q), repeat=n - lead):
-            out.append((0,) * lead + (1,) + tail)
-    return out
-
-
-def _det(field: GF, rows):
-    """Determinant of a small square matrix by destructive elimination."""
-    mul, sub, inv = field.mul, field.sub, field.inv
-    m = [list(r) for r in rows]
-    size = len(m)
-    det = 1
-    for c in range(size):
-        pr = next((i for i in range(c, size) if m[i][c]), None)
-        if pr is None:
-            return 0
-        if pr != c:
-            m[c], m[pr] = m[pr], m[c]
-            det = field.neg(det)
-        pivot = m[c][c]
-        det = mul(det, pivot)
-        piv_inv = inv(pivot)
-        for i in range(c + 1, size):
-            if m[i][c]:
-                f = mul(m[i][c], piv_inv)
-                m[i] = [sub(x, mul(f, y)) for x, y in zip(m[i], m[c])]
-    return det
-
-
-def _cofactor_dual(field: GF, rows, width: int):
-    """Normalized dual vector of the hyperplane spanned by width-1
-    independent rows: alternating cofactor determinants."""
-    dual = []
-    sign = 1
-    for skip in range(width):
-        minor = [[r[c] for c in range(width) if c != skip] for r in rows]
-        d = _det(field, minor)
-        dual.append(d if sign == 1 else field.neg(d))
-        sign = -sign
-    lead = next((x for x in dual if x), None)
-    if lead is None:
-        return None
-    if lead != 1:
-        s = field.inv(lead)
-        mul = field.mul
-        dual = [mul(s, x) for x in dual]
-    return tuple(dual)
-
-
 class _ArcSearch:
     """Backtracking enumerator over int bitmasks of point ids.
 
@@ -108,76 +63,53 @@ class _ArcSearch:
     set, is called there as visit(prefix_ids, completion_count,
     completion_mask) until it returns False."""
 
-    def __init__(self, field: GF, n: int, m: int, avoid_dual, budget: int,
+    def __init__(self, field: GF, n: int, m: int, avoid: Subspace, budget: int,
                  first_points=None):
         if n < 1:
             raise DimensionTooSmall(
                 f"enumeration needs dimension n >= 1, the search space is PG({n}, q)")
-        self.field = field
+        if avoid is not None:
+            if avoid.field != field or avoid.n != n:
+                raise AmbientMismatch(
+                    f"the avoided hyperplane must lie in the searched PG({n}, {field.q})")
+            if not avoid.is_hyperplane:
+                raise NotAHyperplane(f"dimension {avoid.dim} in PG({n})")
         self.n = n
         self.m = m
         self.budget = budget
         self.visit = None
         self.nodes = 0
         self.count = 0
-        self.points = _point_tuples(field, n)
-        self.index = {pt: i for i, pt in enumerate(self.points)}
-        self.hyper_masks = {}
+        self.points = list(all_points(field, n))
+        self.index = {p.coords: i for i, p in enumerate(self.points)}
         # the same unordered point subsets recur across many branches, so
-        # their spans are cached by the subset's mask
+        # their spans are cached by the subset's mask, and the point masks
+        # of the spans by the canonical span
         self.spans = {}
-        add, mul = field.add, field.mul
-
-        def dot(u, v):
-            acc = 0
-            for x, y in zip(u, v):
-                if x and y:
-                    acc = add(acc, mul(x, y))
-            return acc
-
-        self.dot = dot
-        self.pool0 = _mask(i for i, pt in enumerate(self.points)
-                           if avoid_dual is None or dot(avoid_dual, pt) != 0)
+        self.span_points = {}
+        self.pool0 = (1 << len(self.points)) - 1
+        if avoid is not None:
+            self.pool0 &= ~self._points_mask(avoid)
         if first_points is None:
             self.first = self.pool0
         else:
-            allowed = set(first_points)
-            self.first = self.pool0 & _mask(i for i in range(len(self.points))
-                                            if i in allowed)
+            self.first = self.pool0 & _mask(
+                i for i in first_points if 0 <= i < len(self.points))
 
-    def _span_mask(self, subset):
-        """Points of the span of the independent points of the subset mask
-        (at most n of them); n points span a hyperplane, found from its
-        dual vector and shared by every subset spanning it."""
-        field = self.field
-        base = [self.points[i] for i in _ids(subset)]
-        if len(base) == self.n:
-            dual = _cofactor_dual(field, base, self.n + 1)
-            mask = self.hyper_masks.get(dual)
-            if mask is None:
-                dot = self.dot
-                mask = _mask(i for i, pt in enumerate(self.points)
-                             if dot(dual, pt) == 0)
-                self.hyper_masks[dual] = mask
-            return mask
-        add, mul = field.add, field.mul
-        width = self.n + 1
-        mask = 0
-        for lead in range(len(base)):
-            for tail in product(range(field.q), repeat=len(base) - lead - 1):
-                coeffs = (0,) * lead + (1,) + tail
-                vec = [0] * width
-                for c, row in zip(coeffs, base):
-                    if c:
-                        for i, x in enumerate(row):
-                            if x:
-                                vec[i] = add(vec[i], mul(c, x))
-                lead_val = next(x for x in vec if x)
-                if lead_val != 1:
-                    s = field.inv(lead_val)
-                    vec = [mul(s, x) for x in vec]
-                mask |= 1 << self.index[tuple(vec)]
+    def _points_mask(self, span: Subspace) -> int:
+        """Mask of the points of a subspace, shared by every subset that
+        spans it."""
+        mask = self.span_points.get(span.basis)
+        if mask is None:
+            index = self.index
+            mask = self.span_points[span.basis] = _mask(
+                index[p.coords] for p in span.points())
         return mask
+
+    def _span_mask(self, subset: int) -> int:
+        """Mask of the points of the span of the points in the subset mask."""
+        points = self.points
+        return self._points_mask(join(*(points[i] for i in _ids(subset))))
 
     def _charge(self, amount):
         self.nodes += amount
@@ -290,9 +222,8 @@ class _SectionSampler:
     """Search visitor that sections every SAMPLE_EVERY-th enumerated arc, at
     most SAMPLE_CAP of them, and checks each gives a full configuration."""
 
-    def __init__(self, n: int, field: GF, h: Subspace, points):
+    def __init__(self, n: int, h: Subspace, points):
         self.n = n
-        self.field = field
         self.h = h
         self.points = points
         self.seen = 0
@@ -308,8 +239,7 @@ class _SectionSampler:
         if offsets:
             ids = _ids(mask)
             for offset in offsets[:SAMPLE_CAP - self.checked]:
-                arc = Arc([ProjPoint(self.field, self.points[i])
-                           for i in prefix_ids + (ids[offset],)])
+                arc = Arc([self.points[i] for i in prefix_ids + (ids[offset],)])
                 if len(section_arc(arc, self.h)) != comb(self.n + 3, 2):
                     raise WrongCount("sampled arc did not section to a full configuration")
                 self.checked += 1
@@ -347,8 +277,7 @@ def _search(job: EnumJob, first_points=None):
     elif job.kind == "arcs":
         if job.m is None or job.m < 1:
             raise WrongCount("arc jobs need a tuple size m of at least 1")
-        avoid_dual = job.avoid.dual_vector() if job.avoid is not None else None
-        search = _ArcSearch(field, n, job.m, avoid_dual, job.budget,
+        search = _ArcSearch(field, n, job.m, job.avoid, job.budget,
                             first_points=first_points)
     elif job.kind == "sectioned-configs":
         h = job.avoid
@@ -356,11 +285,11 @@ def _search(job: EnumJob, first_points=None):
             raise WrongCount("sectioned-config jobs need the sectioning hyperplane")
         if h.n != n + 1 or not h.is_hyperplane:
             raise WrongCount("h must be a hyperplane of PG(n+1, q)")
-        search = _ArcSearch(field, n + 1, n + 3, h.dual_vector(), job.budget)
+        search = _ArcSearch(field, n + 1, n + 3, h, job.budget)
         # at n = 1 a diagonal point of the planar quadrangle can lie on h,
         # so the arcs there are counted but not sectioned
         if n >= 2:
-            sampler = search.visit = _SectionSampler(n, field, h, search.points)
+            sampler = search.visit = _SectionSampler(n, h, search.points)
     else:
         raise WrongCount(f"unknown job kind {job.kind!r}")
     search.run()

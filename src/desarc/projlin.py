@@ -207,29 +207,19 @@ class Subspace:
             mul, add = self.field.mul, self.field.add
             acc = 0
             for x, y in zip(d, p.coords):
-                acc = add(acc, mul(x, y))
+                if x and y:
+                    acc = add(acc, mul(x, y))
             return acc == 0
-        return self._contains_vector(p.coords)
+        return _vector_in(self, p.coords) is not None
 
     def _pivots(self):
         """Pivot column of each basis row: its first nonzero entry, since
         the basis is reduced."""
         return [next(i for i, x in enumerate(row) if x) for row in self.basis]
 
-    def _contains_vector(self, vec) -> bool:
-        if not self.basis:
-            return False
-        sub, mul = self.field.sub, self.field.mul
-        v = list(vec)
-        for row, pc in zip(self.basis, self._pivots()):
-            f = v[pc]
-            if f:
-                v = [sub(x, mul(f, y)) for x, y in zip(v, row)]
-        return not any(v)
-
     def contains(self, other: "Subspace") -> bool:
         _check_same_ambient(self, other)
-        return all(self._contains_vector(row) for row in other.basis)
+        return all(_vector_in(self, row) is not None for row in other.basis)
 
     def dual_vector(self) -> tuple:
         """Normalized coefficient vector of the defining equation; only for
@@ -247,19 +237,12 @@ class Subspace:
         return ProjPoint(self.field, self.basis[0])
 
     def points(self):
-        """All points of the subspace, canonical order."""
-        if self.dim < 0:
-            return
-        add, mul = self.field.add, self.field.mul
-        width = self.n + 1
-        for cpt in all_points(self.field, self.dim):
-            vec = [0] * width
-            for c, row in zip(cpt.coords, self.basis):
-                if c:
-                    for i, x in enumerate(row):
-                        if x:
-                            vec[i] = add(vec[i], mul(c, x))
-            yield normalize(self.field, vec)
+        """All points of the subspace, canonical order.  The basis is
+        reduced, so a combination whose first nonzero coefficient is 1 has
+        a 1 at that row's pivot and zeros before it: it is normalized."""
+        field, width = self.field, self.n + 1
+        for cpt in all_points(field, self.dim):
+            yield ProjPoint(field, _combine(field, cpt.coords, self.basis, width))
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
@@ -400,18 +383,24 @@ def coordinate_hyperplane(field: GF, n: int, index: int) -> Subspace:
 
 # -- subspace-relative coordinates -------------------------------------------
 
-def _vector_in(h: Subspace, vec):
-    """Express a vector of <h> in the RREF basis of h; None if outside."""
-    c = [vec[pc] for pc in h._pivots()]
-    # verify reconstruction: vec == sum c_i * row_i
-    add, mul = h.field.add, h.field.mul
-    recon = [0] * len(vec)
-    for ci, row in zip(c, h.basis):
-        if ci:
+def _combine(field: GF, coeffs, rows, width: int):
+    """The vector sum c_i * row_i, as a list."""
+    add, mul = field.add, field.mul
+    vec = [0] * width
+    for c, row in zip(coeffs, rows):
+        if c:
             for i, x in enumerate(row):
                 if x:
-                    recon[i] = add(recon[i], mul(ci, x))
-    if tuple(recon) != tuple(vec):
+                    vec[i] = add(vec[i], mul(c, x))
+    return vec
+
+
+def _vector_in(h: Subspace, vec):
+    """Express a vector of <h> in the RREF basis of h; None if outside.
+    The coefficients are vec's entries in h's pivot columns, and vec lies
+    in h exactly when they rebuild it."""
+    c = [vec[pc] for pc in h._pivots()]
+    if _combine(h.field, c, h.basis, len(vec)) != list(vec):
         return None
     return c
 
@@ -432,14 +421,7 @@ def coords_in(h: Subspace, p: ProjPoint) -> ProjPoint:
 def point_from(h: Subspace, cpoint) -> ProjPoint:
     """Ambient point of h with the given internal coordinates."""
     coords = cpoint.coords if isinstance(cpoint, ProjPoint) else tuple(cpoint)
-    add, mul = h.field.add, h.field.mul
-    vec = [0] * (h.n + 1)
-    for ci, row in zip(coords, h.basis):
-        if ci:
-            for i, x in enumerate(row):
-                if x:
-                    vec[i] = add(vec[i], mul(ci, x))
-    return normalize(h.field, vec)
+    return normalize(h.field, _combine(h.field, coords, h.basis, h.n + 1))
 
 
 def subspace_in(h: Subspace, s: Subspace) -> Subspace:

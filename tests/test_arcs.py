@@ -15,6 +15,7 @@ from desarc.arcs import (
 )
 from desarc.errors import (
     FieldTooSmall,
+    NotAHyperplane,
     NotAnArc,
     TooFew,
     WrongCount,
@@ -22,6 +23,7 @@ from desarc.errors import (
 from desarc.field import GF
 from desarc.projlin import (
     ProjPoint,
+    Subspace,
     all_points,
     hyperplane_from_dual,
     join,
@@ -188,3 +190,21 @@ def test_random_arc_gf2_fails():
     h = hyperplane_from_dual(GF(2), (0, 0, 0, 1))
     with pytest.raises(FieldTooSmall):
         random_arc_off_hyperplane(h, 5, random.Random(1))
+
+
+def test_random_arc_needs_a_hyperplane():
+    line = Subspace(F5, 3, [(1, 0, 0, 0), (0, 1, 0, 0)])
+    with pytest.raises(NotAHyperplane):
+        random_arc_off_hyperplane(line, 5, random.Random(1))
+
+
+@pytest.mark.parametrize("field,dual,m,seed,expected", [
+    (F5, (1, 2, 0, 1), 5, 42,
+     [(0, 0, 1, 3), (1, 1, 0, 4), (0, 1, 2, 0), (0, 0, 1, 1), (1, 3, 4, 0)]),
+    (GF(2, 2), (0, 1, 2), 4, 7, [(1, 0, 3), (0, 0, 1), (0, 1, 0), (1, 2, 0)]),
+])
+def test_random_arc_off_hyperplane_pinned(field, dual, m, seed, expected):
+    # the arcs these seeds gave when the sampler had its own dot product
+    h = hyperplane_from_dual(field, dual)
+    arc = random_arc_off_hyperplane(h, m, random.Random(seed))
+    assert [p.coords for p in arc] == expected

@@ -79,6 +79,21 @@ def test_verify_pair_of_a_line_exits_2(runner, tmp_path):
     assert "n >= 2" in result.output
 
 
+def test_verify_config_of_a_line_exits_2(runner, tmp_path):
+    # six distinct points of PG(1, 7) labeled by the pairs of 4 symbols,
+    # written by hand: a line carries no sectioned configuration
+    coords = [[1, 0], [0, 1], [1, 1], [1, 2], [1, 3], [1, 4]]
+    labels = [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]
+    doc = {"n": 1, "field": {"p": 7, "k": 1, "modulus": None},
+           "points": [{"label": lab, "coords": c} for lab, c in zip(labels, coords)]}
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["verify", str(config_file)])
+    assert result.exit_code == 2
+    assert "DimensionTooSmall" in result.output
+    assert "n >= 2" in result.output
+
+
 def test_usage_error_exits_2(runner):
     result = runner.invoke(main, ["demo", "--p", "5"])  # missing --n
     assert result.exit_code == 2

@@ -9,6 +9,7 @@ import pytest
 
 from desarc.arcs import face, frame_off_hyperplane
 from desarc.desargues import (
+    LabeledConfiguration,
     PerspectivePair,
     axis_hyperplane,
     conway_lift,
@@ -100,6 +101,14 @@ def test_pair_needs_dimension_two():
     b = [pt(f, 1, 1), pt(f, 1, 2)]
     with pytest.raises(DimensionTooSmall):
         PerspectivePair(a, b)
+
+
+def test_configuration_needs_dimension_two():
+    f = GF(7)
+    pts = [pt(f, 1, x) for x in range(6)]
+    table = dict(zip(combinations((1, 2, 3, 4), 2), pts))
+    with pytest.raises(DimensionTooSmall):
+        LabeledConfiguration(f, 1, table)
 
 
 # -- pair extraction -----------------------------------------------------------------
@@ -433,6 +442,45 @@ def test_seeded_lift_matches_the_list_based_choice(monkeypatch, n, q, dual):
     assert len(set(arcs)) > 2
     monkeypatch.setattr(desargues, "_anchor_off", _anchor_from_list)
     assert lifts() == arcs
+
+
+class _FixedDraw:
+    """Stands in for a seeded rng whose anchor draw is the given index."""
+
+    def __init__(self, index, stop):
+        self.index = index
+        self.stop = stop
+
+    def randrange(self, stop):
+        assert stop == self.stop
+        return self.index
+
+
+@pytest.mark.parametrize("n,field,dual", [
+    (3, GF(3), (0, 0, 0, 1)),
+    (3, GF(3), (1, 0, 0, 0)),
+    (3, GF(3), (1, 2, 0, 1)),
+    (3, GF(3), (0, 1, 1, 0)),
+    (2, GF(2, 2), (0, 0, 1)),
+    (2, GF(2, 2), (1, 3, 2)),
+    (2, GF(2, 2), (0, 1, 2)),
+])
+def test_anchor_unranks_every_index_of_the_list(n, field, dual):
+    from desarc.desargues import _anchor_off
+    h = hyperplane_from_dual(field, dual)
+    pool = [p for p in all_points(field, n) if not h.contains_point(p)]
+    assert len(pool) == field.q ** n
+    assert _anchor_off(h) == pool[0]
+    assert [_anchor_off(h, _FixedDraw(i, len(pool)))
+            for i in range(len(pool))] == pool
+
+
+def test_seeded_lift_round_trips_at_8_11():
+    f = GF(11)
+    h = coordinate_hyperplane(f, 9, 9)
+    pair, vertex = random_perspective_pair(8, f, random.Random(3))
+    arc = _round_trip(pair, vertex, h, random.Random(5))
+    assert len(arc) == 11 and not any(h.contains_point(p) for p in arc)
 
 
 def test_lift_rejects_vertex_on_face():

@@ -16,9 +16,20 @@ from desarc.enumeration import (
     pgl_order,
     run_job,
 )
-from desarc.errors import BudgetExceeded, DimensionTooSmall, WrongCount
+from desarc.errors import (
+    AmbientMismatch,
+    BudgetExceeded,
+    DimensionTooSmall,
+    NotAHyperplane,
+    WrongCount,
+)
 from desarc.field import GF
-from desarc.projlin import all_points, coordinate_hyperplane, hyperplane_from_dual
+from desarc.projlin import (
+    Subspace,
+    all_points,
+    coordinate_hyperplane,
+    hyperplane_from_dual,
+)
 
 
 # -- independent oracle machinery (no shared code with the search kernel) ----------
@@ -146,16 +157,34 @@ def test_avoidance_monotonicity():
 
 
 def test_avoided_counts_with_subset_oracle():
-    # ordered 4-arcs of PG(2,3) off x3 = 0, re-counted independently
+    # ordered 4-arcs of PG(2,3) off x3 = 0 and off x1 + x2 + x3 = 0,
+    # re-counted independently; the second line is not a coordinate one
     mul, add = _prime_ops(3)
-    pts = [p for p in _oracle_points(3, 3, mul, add) if p[2] % 3 != 0]
     from itertools import permutations
-    count = 0
-    for quad in permutations(pts, 4):
-        if all(_oracle_rank(list(t), 3) == 3 for t in combinations(quad, 3)):
-            count += 1
-    h = coordinate_hyperplane(GF(3), 2, 2)
-    assert count_arcs(2, GF(3), 4, avoid=h) == count
+    for dual in ((0, 0, 1), (1, 1, 1)):
+        pts = [p for p in _oracle_points(3, 3, mul, add)
+               if sum(u * x for u, x in zip(dual, p)) % 3 != 0]
+        assert len(pts) == 9
+        count = 0
+        for quad in permutations(pts, 4):
+            if all(_oracle_rank(list(t), 3) == 3 for t in combinations(quad, 3)):
+                count += 1
+        h = hyperplane_from_dual(GF(3), dual)
+        assert count_arcs(2, GF(3), 4, avoid=h) == count
+
+
+def test_avoided_hyperplane_must_be_one_of_the_searched_space():
+    f = GF(3)
+    # a plane of PG(3, 3), a line over GF(5), and a point, each against PG(2, 3)
+    with pytest.raises(AmbientMismatch):
+        count_arcs(2, f, 4, avoid=coordinate_hyperplane(f, 3, 3))
+    with pytest.raises(AmbientMismatch):
+        count_arcs(2, f, 4, avoid=coordinate_hyperplane(GF(5), 2, 2))
+    with pytest.raises(NotAHyperplane):
+        count_arcs(2, f, 4, avoid=Subspace(f, 2, [(0, 0, 1)]))
+    # the sectioning hyperplane of PG(3, 3), but over GF(5)
+    with pytest.raises(AmbientMismatch):
+        count_sectioned_configs(2, f, coordinate_hyperplane(GF(5), 3, 3))
 
 
 # -- sectioned configurations ----------------------------------------------------------
