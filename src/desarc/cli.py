@@ -242,27 +242,32 @@ def _pair_battery(pair, vertex):
 
 
 def _verify_config(config):
+    # the pair battery runs first, so its pair is freed before the checks
+    # below fill the configuration's span map
+    try:
+        pair, vertex = extract_perspective_pair(
+            config, config.symbols[0], config.symbols[1])
+    except GeometryError as exc:
+        battery = [(f"pair_extraction_{type(exc).__name__}", False, _detail(exc))]
+    else:
+        battery = _pair_battery(pair, vertex)
+        del pair
     checks = [("symbol_incidence", verify_symbol_incidence(config), None)]
     counts = substructure_counts(config)
     s = len(config.symbols)
     expected = {k - 2: comb(s, k) for k in range(2, min(config.n + 1, s - 1) + 1)}
     checks.append(("substructure_counts", counts == expected, None))
     report = vertex_sweep(config)
-    checks.append(("vertex_sweep", report.all_ok, None))
+    failed = [e for e in report.entries if not e.ok]
+    checks.append(("vertex_sweep", not failed, f"{len(failed)} of {report.total} labels "
+                   f"fail, first {failed[0].label}: {failed[0].detail}" if failed else None))
     if len(config.symbols) >= 5:
         try:
             triple_perspective_axis(config)
             checks.append(("triple_perspective_axis", True, None))
         except GeometryError as exc:
             checks.append(("triple_perspective_axis", False, _detail(exc)))
-    try:
-        pair, vertex = extract_perspective_pair(
-            config, config.symbols[0], config.symbols[1])
-    except GeometryError as exc:
-        checks.append((f"pair_extraction_{type(exc).__name__}", False, _detail(exc)))
-    else:
-        checks.extend(_pair_battery(pair, vertex))
-    return checks
+    return checks + battery
 
 
 @main.command()

@@ -10,29 +10,33 @@ and the edge-intersection sub-table replays the same split one dimension
 down, with
 
     C(n+1, 2) = 2(n-1) + 1 + C(n-1, 2).
+
+Every check reads the geometry through `LabeledConfiguration.span`, one
+span per symbol set.  At a vertex label (a, b) with remaining symbols R,
+the edge A_iA_j is span{a,i,j}, the connector A_iB_i is span{a,b,i}, and
+face k of A is span({a} | R - {k}).  The vertex sweep passes (a, b) iff
+
+  1. span{a,b,i} is a line for every i in R;
+  2. for i < j in R, span{a,i,j} and span{b,i,j} are distinct lines;
+  3. span({a} | R) and span({b} | R) have dimension n;
+  4. span({a} | R - {k}) != span({b} | R - {k}) for every k in R.
+
+None needs a meet.  By 2 the edges are distinct lines through (i, j), so
+they meet there, and the span of {a} | T is that of the points A_T, so 3
+and 4 say A and B are simplexes with no common face.  By 1 (a, b) is on
+every connector, and connectors 0 and 1 differ as edges 0,1 do.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 from math import comb
 
-from .desargues import (
-    LabeledConfiguration,
-    edge_intersections,
-    extract_perspective_pair,
-    find_vertex,
-)
-from .desargues import _label
-from .errors import (
-    BadSymbols,
-    DegenerateConfiguration,
-    GeometryError,
-    TooFewSymbols,
-    WrongCount,
-)
-from .projlin import ProjPoint, Subspace, join, meet, rank
+from .desargues import LabeledConfiguration, edge_intersections, extract_perspective_pair
+from .errors import BadSymbols, DegenerateConfiguration, TooFewSymbols, WrongCount
+from .projlin import ProjPoint, Subspace, rank
 
 
 # -- integer partition identities ---------------------------------------------
@@ -81,34 +85,17 @@ class SemiSimplexPair:
 # -- symbol incidence ------------------------------------------------------------
 
 def verify_symbol_incidence(config: LabeledConfiguration) -> bool:
-    """Check the label law of the table against the actual geometry.
-
-    Verified, for every symbol triple {i,j,k}: the points (i,j), (i,k),
-    (j,k) are pairwise distinct and collinear; and for every symbol i, no
-    three of the points hanging off i are collinear, so each triple line
-    carries exactly its three points among all labels meeting the triple.
-    A fully disjoint label can land on a triple line by accident over a
-    small field; that is an incidence of the ambient space, not of the
-    configuration's line system, and is not an error.
+    """Check the label law of the table against the actual geometry: the
+    points are distinct, every symbol triple spans a line and every
+    4-subset a plane.  Given the lines, three points off i in {i,j,k,l}
+    are collinear iff all six are, so each triple line carries exactly its
+    three points among the labels meeting the triple.  A disjoint label on
+    a triple line over a small field is an ambient incidence, not an error.
     """
-    labels = config.labels()
-    pts = {lab: config.point(*lab) for lab in labels}
-    if len(set(pts.values())) != len(labels):
+    if len(set(config.table.values())) != len(config):
         return False
-    field, width = config.field, config.n + 1
-    for i, j, k in combinations(config.symbols, 3):
-        rows = [pts[_label(i, j)].coords, pts[_label(i, k)].coords,
-                pts[_label(j, k)].coords]
-        if rank(field, rows, width) != 2:
-            return False
-    for i in config.symbols:
-        partners = [s for s in config.symbols if s != i]
-        for j, k, l in combinations(partners, 3):
-            rows = [pts[_label(i, j)].coords, pts[_label(i, k)].coords,
-                    pts[_label(i, l)].coords]
-            if rank(field, rows, width) == 2:
-                return False
-    return True
+    return (all(config.span(t).dim == 1 for t in combinations(config.symbols, 3))
+            and all(config.span(s).dim == 2 for s in combinations(config.symbols, 4)))
 
 
 # -- substructure counts ----------------------------------------------------------
@@ -118,22 +105,11 @@ def substructure_counts(config: LabeledConfiguration):
     by their actual dimension, returned as {dimension: count}.  For a full
     configuration this is C(n+3, k) subspaces of dimension k-2 at every k;
     a degenerate span would land under the wrong dimension and surface as a
-    count mismatch.
-
-    Spans grow one symbol at a time: the span of a subset is the span of
-    the subset without its last symbol joined with the points that pair
-    the last symbol with each of the others.  That covers the same points
-    as joining every pair of the subset, so the spans are the same."""
+    count mismatch."""
     s = len(config.symbols)
-    by_dim = {}
-    spans = {(i,): Subspace.empty(config.field, config.n) for i in config.symbols}
-    for k in range(2, min(config.n + 1, s - 1) + 1):
-        spans = {subset: join(spans[subset[:-1]],
-                              *(config.point(i, subset[-1]) for i in subset[:-1]))
-                 for subset in combinations(config.symbols, k)}
-        for span in spans.values():
-            by_dim.setdefault(span.dim, set()).add(span)
-    return {dim: len(found) for dim, found in sorted(by_dim.items())}
+    spans = {config.span(subset) for k in range(2, min(config.n + 1, s - 1) + 1)
+             for subset in combinations(config.symbols, k)}
+    return dict(sorted(Counter(span.dim for span in spans).items()))
 
 
 # -- vertex sweep ---------------------------------------------------------------
@@ -169,34 +145,50 @@ class SweepReport:
         return vertex_partition_identity(self.dimension)
 
 
-def vertex_sweep(config: LabeledConfiguration) -> SweepReport:
-    """Try every label as a perspectivity vertex.
+def _edge_fault(config: LabeledConfiguration, a: int, b: int, i: int, j: int):
+    """Condition 2 at the rest pair i < j: None when span{a,i,j} and
+    span{b,i,j} are distinct lines, else (s,) for the first symbol s whose
+    span is no line, or (a, b) when both are one line."""
+    ea, eb = config.span((a, i, j)), config.span((b, i, j))
+    if ea.dim != 1:
+        return (a,)
+    if eb.dim != 1:
+        return (b,)
+    return (a, b) if ea == eb else None
 
-    A label (a, b) passes when the pair extraction succeeds, the
-    reconstructed vertex is the point labeled (a, b), and the corresponding-
-    edge intersections are exactly the table points whose labels avoid a
-    and b.
-    """
-    entries = []
-    for a, b in config.labels():
-        try:
-            pair, vertex = extract_perspective_pair(config, a, b)
-            found = find_vertex(pair)
-            if found != vertex:
-                entries.append(SweepEntry((a, b), False, "vertex mismatch"))
-                continue
-            rest = [s for s in config.symbols if s not in (a, b)]
-            meets = edge_intersections(pair)
-            ok = True
-            for (i, j), pt in meets.items():
-                if pt != config.point(rest[i], rest[j]):
-                    ok = False
-                    break
-            entries.append(SweepEntry((a, b), ok,
-                                      "" if ok else "edge intersections mismatch"))
-        except GeometryError as exc:  # a failed check; a bug propagates
-            entries.append(SweepEntry((a, b), False, type(exc).__name__))
-    return SweepReport(config.n, config.field.q, len(config), tuple(entries))
+
+def _vertex_fault(config: LabeledConfiguration, a: int, b: int):
+    """The first sweep condition the label (a, b) breaks, as a message
+    naming its symbols, or None."""
+    rest = [s for s in config.symbols if s not in (a, b)]
+    if len(rest) != config.n + 1:  # sub-tables carry semi-simplex pairs; see replicate
+        return f"a full table over {config.n + 3} symbols is required, got {len(rest) + 2}"
+    for i in rest:
+        if config.span((a, b, i)).dim != 1:
+            return f"connector {(a, b, i)} is not a line"
+    for i, j in combinations(rest, 2):
+        fault = _edge_fault(config, a, b, i, j)
+        if fault == (a, b):
+            return f"edges {(a, i, j)} and {(b, i, j)} coincide"
+        if fault is not None:
+            return f"edge {(*fault, i, j)} is not a line"
+    for s in (a, b):
+        dim = config.span((s, *rest)).dim
+        if dim != config.n:
+            return f"simplex {(s, *rest)} spans dimension {dim}, not {config.n}"
+    for k in rest:
+        face = [i for i in rest if i != k]
+        if config.span((a, *face)) == config.span((b, *face)):
+            return f"faces {(a, *face)} and {(b, *face)} coincide"
+    return None
+
+
+def vertex_sweep(config: LabeledConfiguration) -> SweepReport:
+    """Try every label as a perspectivity vertex by the four conditions of
+    the module docstring; a failing entry names the first one it breaks."""
+    faults = [(label, _vertex_fault(config, *label)) for label in config.labels()]
+    return SweepReport(config.n, config.field.q, len(config), tuple(
+        SweepEntry(label, fault is None, fault or "") for label, fault in faults))
 
 
 # -- self replication ---------------------------------------------------------
@@ -248,41 +240,27 @@ def replication_trace(config: LabeledConfiguration):
 
 # -- triple perspective ----------------------------------------------------------
 
-def _meet_point(l1: Subspace, l2: Subspace) -> ProjPoint:
-    x = meet(l1, l2)
-    if x.dim != 0:
-        raise DegenerateConfiguration("lines do not meet in a single point")
-    return x.point()
-
-
 def triple_perspective_axis(config: LabeledConfiguration) -> Subspace:
     """Three semi-simplexes hung off the first three symbols, pairwise in
     perspective from the collinear vertices (1,2), (1,3), (2,3); returns the
-    common axis spanned by the remaining-symbol points, after verifying that
-    every pairwise corresponding-edge intersection lands on it."""
+    common axis, the span of the remaining symbols, after verifying that
+    every pairwise corresponding-edge intersection is the labeled point,
+    which lies on that span by construction."""
     s1, s2, s3 = config.symbols[:3]
-    rest = list(config.symbols[3:])
+    rest = config.symbols[3:]
     if len(rest) < 2:
         raise TooFewSymbols("need at least two more symbols beyond the vertices")
-
-    vertices = [config.point(s1, s2), config.point(s1, s3), config.point(s2, s3)]
-    if rank(config.field, [v.coords for v in vertices], config.n + 1) > 2:
+    if config.span((s1, s2, s3)).dim != 1:
         raise DegenerateConfiguration("the three vertices are not collinear")
-
-    axis = join(*(config.point(i, j) for i, j in combinations(rest, 2)))
-
     for sa, sb in ((s1, s2), (s1, s3), (s2, s3)):
         for i, j in combinations(rest, 2):
-            la = join(config.point(sa, i), config.point(sa, j))
-            lb = join(config.point(sb, i), config.point(sb, j))
-            x = _meet_point(la, lb)
-            if x != config.point(i, j):
+            fault = _edge_fault(config, sa, sb, i, j)
+            if fault == (sa, sb):
+                raise DegenerateConfiguration("lines do not meet in a single point")
+            if fault is not None:
                 raise DegenerateConfiguration(
                     f"edges {i},{j} of pair ({sa},{sb}) miss the labeled point")
-            if not axis.contains_point(x):
-                raise DegenerateConfiguration(
-                    f"edge intersection {i},{j} escapes the common axis")
-    return axis
+    return config.span(rest)
 
 
 # -- geometric partition check ----------------------------------------------------
@@ -291,11 +269,5 @@ def verify_vertex_partition(config: LabeledConfiguration, a: int, b: int) -> boo
     """The actual point sets of the split at (a, b) are pairwise disjoint and
     together exhaust the table."""
     pair, vertex = extract_perspective_pair(config, a, b)
-    meets = edge_intersections(pair)
-    sets = [set(pair.a), set(pair.b), {vertex}, set(meets.values())]
-    total = set()
-    for part in sets:
-        if total & part:
-            return False
-        total |= part
-    return total == set(config.points())
+    parts = [*pair.a, *pair.b, vertex, *edge_intersections(pair).values()]
+    return len(set(parts)) == len(parts) and set(parts) == set(config.points())

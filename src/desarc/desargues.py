@@ -62,7 +62,7 @@ class LabeledConfiguration:
     objects, so identity across recursion levels is label-exact.
     """
 
-    __slots__ = ("field", "n", "symbols", "table")
+    __slots__ = ("field", "n", "symbols", "table", "_spans")
 
     def __init__(self, field: GF, n: int, table):
         if n < 2:
@@ -89,9 +89,30 @@ class LabeledConfiguration:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "table", clean)
+        object.__setattr__(self, "_spans", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledConfiguration is immutable")
+
+    def span(self, symbols) -> Subspace:
+        """The join of the points labeled by pairs of the symbols, kept per
+        symbol set and built from the span without the last symbol.  The
+        vertex sweep reads only these: (a, b) with the other symbols R
+        passes iff (1) each span{a,b,i} is a line, (2) span{a,i,j} and
+        span{b,i,j} are distinct lines, (3) span({a} | R) and span({b} | R)
+        have dimension n, and (4) span({a} | R - {k}) != span({b} | R - {k}).
+        No meet is needed, as two distinct lines through (i, j) meet there;
+        the configuration module gives the whole argument."""
+        key = tuple(sorted(symbols))
+        found = self._spans.get(key)
+        if found is None:
+            if len(key) < 2:
+                found = Subspace.empty(self.field, self.n)
+            else:
+                *head, last = key
+                found = join(self.span(head), *(self.point(i, last) for i in head))
+            self._spans[key] = found
+        return found
 
     def point(self, i: int, j: int) -> ProjPoint:
         try:

@@ -283,8 +283,6 @@ def _search(job: EnumJob, first_points=None):
         h = job.avoid
         if h is None:
             raise WrongCount("sectioned-config jobs need the sectioning hyperplane")
-        if h.n != n + 1 or not h.is_hyperplane:
-            raise WrongCount("h must be a hyperplane of PG(n+1, q)")
         search = _ArcSearch(field, n + 1, n + 3, h, job.budget)
         # at n = 1 a diagonal point of the planar quadrangle can lie on h,
         # so the arcs there are counted but not sectioned

@@ -19,7 +19,7 @@ modulus is accepted only when Rabin's test proves it irreducible.
 from __future__ import annotations
 
 from array import array
-from operator import xor
+from operator import mul, xor
 
 from .errors import DivisionByZero, InvalidField
 
@@ -72,18 +72,44 @@ def _prime_factors(n: int):
     return out
 
 
-def _axpy(a, b, s, p):
-    """Code of a + s*b for element codes a, b and an integer s: the
-    coefficient vectors combined digit by digit mod p."""
-    if p == 2:
-        return a ^ b if s & 1 else a
-    out, place = 0, 1
-    while a or b:
-        a, x = divmod(a, p)
-        b, y = divmod(b, p)
-        out += (x + s * y) % p * place
-        place *= p
-    return out
+def _times(a, b, modulus, p):
+    """The product of two coefficient lists modulo the monic modulus."""
+    k = len(modulus) - 1
+    prod = [0] * (2 * k - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b, i):
+                prod[j] += c * d
+    for top in range(2 * k - 2, k - 1, -1):   # fold x^top back, highest first
+        c = prod[top] % p
+        if c:
+            for i, m in enumerate(modulus[:-1], top - k):
+                prod[i] -= c * m
+    return [c % p for c in prod[:k]]
+
+
+def _power_codes(g, modulus, p, count):
+    """Codes of g^0, ..., g^(count-1) in GF(p)[x] / (modulus), with g given
+    by its coefficient list.  Multiplying by g is GF(p)-linear, so for the
+    code c = lo + p^h hi, g c has the coefficients low[lo] + high[hi] mod p,
+    where `low` and `high` tabulate g times the polynomials of degree below
+    h and g x^h times those of degree below k - h: about sqrt(q) each."""
+    k = len(modulus) - 1
+    h = (k + 1) // 2
+    split = p ** h
+
+    def times_g(code):
+        return _times(g, [code // p ** i % p for i in range(k)], modulus, p)
+
+    low = [times_g(c) for c in range(split)]
+    high = [times_g(c * split) for c in range(p ** (k - h))]
+    places = [p ** i for i in range(k)]
+    codes, code = [], 1
+    for _ in range(count):
+        codes.append(code)
+        hi, lo = divmod(code, split)
+        code = sum(map(mul, [(a + b) % p for a, b in zip(low[lo], high[hi])], places))
+    return codes
 
 
 class GF:
@@ -147,41 +173,14 @@ class GF:
     def _init_ext_ops(self):
         p, k, q, modulus = self.p, self.k, self.q, self.modulus
         n = q - 1                 # order of the multiplicative group
-        # x^k = -(m_0 + m_1 x + ... + m_{k-1} x^{k-1}) modulo the modulus
-        fold = _axpy(0, self.from_coeffs(modulus[:-1]), p - 1, p)
-        x = p                     # the code of the polynomial x
+        one, x = [1] + [0] * (k - 1), [0, 1] + [0] * (k - 2)
 
-        if p == 2:
-            full = q | fold       # the modulus as a code; XOR clears x^k
-
-            def times_x(v):
-                v <<= 1
-                return v ^ full if v & q else v
-        else:
-            top = q // p          # place value of the leading digit
-
-            def times_x(v):
-                hi, lo = divmod(v, top)
-                return _axpy(lo * p, fold, hi, p)
-
-        # products and powers of codes modulo the modulus, valid before it
-        # is known to be irreducible.  times(a, b) runs Horner's rule over
-        # the digits of a: O(k * deg a) digit operations.
-        def times(a, b):
-            acc = 0
-            for d in reversed(self.coeffs(a)):
-                if acc:
-                    acc = times_x(acc)
-                if d:
-                    acc = _axpy(acc, b, d, p)
-            return acc
-
-        def power(a, e):
-            out = 1
+        def power(a, e):   # valid before the modulus is known to be irreducible
+            out = one
             while e:
                 if e & 1:
-                    out = times(out, a)
-                a = times(a, a)
+                    out = _times(out, a, modulus, p)
+                a = _times(a, a, modulus, p)
                 e >>= 1
             return out
 
@@ -191,23 +190,30 @@ class GF:
         frobenius = [x]           # frobenius[i] = x^(p^i)
         for _ in range(k):
             frobenius.append(power(frobenius[-1], p))
-        gcds = [_poly_gcd(modulus, self.coeffs(_axpy(frobenius[k // r], x, -1, p)),
-                          p) for r in _prime_factors(k)]
+        gcds = [_poly_gcd(modulus, [(a - b) % p for a, b in zip(frobenius[k // r], x)], p)
+                for r in _prime_factors(k)]
         if frobenius[k] != x or any(len(d) > 1 for d in gcds):
             raise InvalidField("modulus is reducible over the prime field")
 
         # g is primitive iff g^(n/r) != 1 for every prime r dividing n; no
-        # element of the prime field is, so the search starts at x
+        # element of the prime field is, so the search starts at x, code p
         factors = _prime_factors(n)
-        g = next(g for g in range(x, q)
-                 if all(power(g, n // r) != 1 for r in factors))
-        step = times_x if g == x else (lambda v: times(g, v))
+        g = next(g for g in range(p, q)
+                 if all(power(self.coeffs(g), n // r) != one for r in factors))
         exp, log = array("H"), array("H", [0]) * q
-        v = 1
-        for i in range(n):
-            exp.append(v)
-            log[v] = i
-            v = step(v)
+        if p == 2 and g == p:
+            # times x shifts the code; XOR with the modulus clears x^k
+            full, v = q | self.from_coeffs(modulus[:-1]), 1
+            for i in range(n):
+                exp.append(v)
+                log[v] = i
+                v <<= 1
+                if v & q:
+                    v ^= full
+        else:
+            exp.extend(_power_codes(self.coeffs(g), modulus, p, n))
+            for i, v in enumerate(exp):
+                log[v] = i
         exp += exp                # exp[log a + log b] needs no reduction
 
         def mul(a, b):

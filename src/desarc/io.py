@@ -18,7 +18,7 @@ from .arcs import Arc
 from .desargues import LabeledConfiguration, PerspectivePair
 from .errors import BadSymbols
 from .field import GF
-from .projlin import ProjPoint, Subspace, join, normalize
+from .projlin import ProjPoint, Subspace, normalize
 
 
 # -- fields -----------------------------------------------------------------
@@ -134,18 +134,13 @@ def incidence_rows(config: LabeledConfiguration):
     labeled "i-j", one column per shared-symbol line labeled "i-j-k",
     entries 1 when the point lies on the line (verified geometrically)."""
     triples = list(combinations(config.symbols, 3))
-    lines = {}
-    for t in triples:
-        pts = [config.point(i, j) for i, j in combinations(t, 2)]
-        lines[t] = join(*pts)
+    lines = [config.span(t) for t in triples]
     header = ["point"] + ["-".join(str(x) for x in t) for t in triples]
     rows = [header]
     for lab in config.labels():
         p = config.point(*lab)
-        row = ["-".join(str(x) for x in lab)]
-        for t in triples:
-            row.append(1 if lines[t].contains_point(p) else 0)
-        rows.append(row)
+        rows.append(["-".join(str(x) for x in lab)]
+                    + [1 if line.contains_point(p) else 0 for line in lines])
     return rows
 
 

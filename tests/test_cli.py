@@ -175,6 +175,26 @@ def test_verify_detects_corruption(runner, tmp_path):
     bad.write_text(gio.dumps(doc))
     result = runner.invoke(main, ["verify", str(bad)])
     assert result.exit_code == 1
+    # the sweep check names the first failing label and the condition it breaks
+    checks = {c["name"]: c for c in json.loads(result.stdout)["checks"]}
+    assert checks["vertex_sweep"] == {
+        "name": "vertex_sweep", "ok": False,
+        "detail": "10 of 10 labels fail, first (1, 2): connector (1, 2, 3) is not a line"}
+    assert ("FAIL  vertex_sweep  (10 of 10 labels fail, first (1, 2): "
+            "connector (1, 2, 3) is not a line)") in result.stderr
+
+
+def test_verify_config_without_a_full_table_fails_the_sweep(runner, tmp_path):
+    sub = sectioned_config(3, GF(5)).restrict((1, 2, 3, 4, 5))
+    cfg = tmp_path / "sub.json"
+    cfg.write_text(gio.dumps(gio.config_to_json(sub)))
+    result = runner.invoke(main, ["verify", str(cfg)])
+    assert result.exit_code == 1
+    checks = {c["name"]: c for c in json.loads(result.stdout)["checks"]}
+    assert checks["vertex_sweep"] == {
+        "name": "vertex_sweep", "ok": False,
+        "detail": "10 of 10 labels fail, first (1, 2): "
+                  "a full table over 6 symbols is required, got 5"}
 
 
 def test_verify_rejects_invalid_table(runner, tmp_path):

@@ -1,12 +1,12 @@
 """Symbol incidence, counting, vertex sweep, replication, triple perspective."""
 
 import random
+import re
 from itertools import combinations
 from math import comb
 
 import pytest
 
-from desarc import configuration
 from desarc.configuration import (
     SemiSimplexPair,
     replicate,
@@ -21,12 +21,29 @@ from desarc.configuration import (
 )
 from desarc.desargues import (
     LabeledConfiguration,
+    edge_intersections,
+    extract_perspective_pair,
+    find_vertex,
     random_sectioned_config,
     sectioned_config,
 )
-from desarc.errors import BadSymbols, NoCommonVertex, TooFewSymbols
+from desarc.errors import (
+    BadSymbols,
+    DegenerateConfiguration,
+    GeometryError,
+    TooFewSymbols,
+)
 from desarc.field import GF
-from desarc.projlin import all_points, join, rank
+from desarc.arcs import random_arc_off_hyperplane
+from desarc.projlin import (
+    ProjPoint,
+    all_points,
+    coordinate_hyperplane,
+    coords_in,
+    join,
+    meet,
+    rank,
+)
 
 F5 = GF(5)
 
@@ -67,6 +84,15 @@ def test_symbol_incidence_detects_corruption():
     from desarc.desargues import LabeledConfiguration
     broken = LabeledConfiguration(F5, 2, table)
     assert not verify_symbol_incidence(broken)
+
+
+def test_symbol_incidence_rejects_ten_points_on_a_line():
+    # every triple spans a line, but so does every 4-subset
+    line = coordinate_hyperplane(GF(11), 2, 2)
+    labels = list(combinations(range(1, 6), 2))
+    config = LabeledConfiguration(GF(11), 2, dict(zip(labels, line.points())))
+    assert all(config.span(t).dim == 1 for t in combinations(config.symbols, 3))
+    assert not verify_symbol_incidence(config)
 
 
 # -- substructure counts ----------------------------------------------------------------
@@ -122,23 +148,209 @@ def test_vertex_sweep_all_labels_pass(n, q):
     assert lhs == sum(parts)
 
 
-def test_vertex_sweep_reports_geometry_errors(monkeypatch):
-    def no_vertex(pair):
-        raise NoCommonVertex("lines are not concurrent")
+def _pair_path_flags(config):
+    """Per-label sweep flags the pair way: extract the simplex pair, find
+    its vertex, intersect its edges; a geometry error fails the label."""
+    flags = []
+    for a, b in config.labels():
+        rest = [s for s in config.symbols if s not in (a, b)]
+        try:
+            pair, vertex = extract_perspective_pair(config, a, b)
+            ok = find_vertex(pair) == vertex and all(
+                pt == config.point(rest[i], rest[j])
+                for (i, j), pt in edge_intersections(pair).items())
+        except GeometryError:
+            ok = False
+        flags.append(ok)
+    return flags
 
-    monkeypatch.setattr(configuration, "find_vertex", no_vertex)
-    report = vertex_sweep(sectioned_config(2, F5))
-    assert report.passed == 0
-    assert {e.detail for e in report.entries} == {"NoCommonVertex"}
+
+def _moved_along_triple_line(config, label, third):
+    # a fresh point on the line of `label` and `third`: that triple stays
+    # collinear, every other line through the label breaks
+    line = config.span((*label, third))
+    taken = set(config.points())
+    fresh = next(p for p in line.points() if p not in taken)
+    return LabeledConfiguration(config.field, config.n, {**config.table, label: fresh})
+
+
+def _swapped(config, lab1, lab2):
+    table = dict(config.table)
+    table[lab1], table[lab2] = table[lab2], table[lab1]
+    return LabeledConfiguration(config.field, config.n, table)
+
+
+def _random_table(n, field, rng):
+    symbols = range(1, n + 4)
+    labels = list(combinations(symbols, 2))
+    pts = rng.sample(list(all_points(field, n)), len(labels))
+    return LabeledConfiguration(field, n, dict(zip(labels, pts)))
+
+
+def _embedded(point):
+    # a point of PG(n, q) as a point of the hyperplane x_{n+1} = 0 of PG(n+1, q)
+    return ProjPoint(point.field, point.coords + (0,))
+
+
+def _flat_table(field, rng):
+    """Six symbols in PG(3, q) whose points all lie in a plane: the section
+    of a 6-arc of PG(3, q) by a plane.  Every connector and edge is a line,
+    but no simplex spans PG(3)."""
+    h = coordinate_hyperplane(field, 3, 3)
+    while True:
+        arc = random_arc_off_hyperplane(h, 6, rng)
+        pts = {(i + 1, j + 1): coords_in(h, meet(join(arc[i], arc[j]), h).point())
+               for i, j in combinations(range(6), 2)}
+        if len(set(pts.values())) == len(pts):
+            return LabeledConfiguration(
+                field, 3, {lab: _embedded(p) for lab, p in pts.items()})
+
+
+def _shared_face_table(field, rng):
+    """A table of PG(3, q) whose label (1, 2) breaks only the face
+    condition: the planar configuration on symbols 1..5 inside F = {x3 = 0},
+    and a symbol 6 whose points (1,6), (2,6) lie off F on a line through
+    (1,2).  Face 6 of both simplexes is then F."""
+    table = {lab: _embedded(p) for lab, p in sectioned_config(2, field).table.items()}
+    v = table[(1, 2)]
+    off = [p for p in all_points(field, 3) if p.coords[3]]
+    while True:
+        a6 = rng.choice(off)
+        b6 = rng.choice([p for p in join(v, a6).points() if p not in (v, a6)])
+        full = {**table, (1, 6): a6, (2, 6): b6}
+        for i in (3, 4, 5):
+            full[(i, 6)] = meet(join(table[(1, i)], a6), join(table[(2, i)], b6)).point()
+        if len(set(full.values())) == len(full):
+            return LabeledConfiguration(field, 3, full)
+
+
+def _coincident_edges_table(field, rng):
+    """A table of PG(2, q), q >= 5, whose label (1, 2) has edges 3,4 of
+    both simplexes on one line L: the points (1,2), (1,3), (1,4), (2,3),
+    (2,4), (3,4) lie on L, (1,5) off it, and (2,5) on the line of (1,2)
+    and (1,5).  Every connector through (1,2) is then a line."""
+    line = coordinate_hyperplane(field, 2, 2)
+    labels = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
+    off = [p for p in all_points(field, 2) if not line.contains_point(p)]
+    while True:
+        table = dict(zip(labels, rng.sample(list(line.points()), 6)))
+        a5 = rng.choice(off)
+        b5 = rng.choice([p for p in join(table[(1, 2)], a5).points()
+                         if p not in (table[(1, 2)], a5)])
+        table[(1, 5)], table[(2, 5)] = a5, b5
+        for i in (3, 4):
+            table[(i, 5)] = meet(join(table[(1, i)], a5), join(table[(2, i)], b5)).point()
+        if len(set(table.values())) == len(table):
+            return LabeledConfiguration(field, 2, table)
+
+
+def _not_concurrent_table(field, rng):
+    """A table of PG(2, q) whose label (1, 2) breaks only the connector
+    condition: triangles (1,i) and (2,i), i = 3, 4, 5, with (1,2) the meet
+    of connectors 3 and 4, (2,5) off the line of (1,2) and (1,5), and each
+    (i,j) the meet of the edges."""
+    pts = list(all_points(field, 2))
+    while True:
+        a3, a4, a5, b3, b4, b5 = rng.sample(pts, 6)
+        v = meet(join(a3, b3), join(a4, b4)).point()
+        if join(v, a5).contains_point(b5):
+            continue
+        a, b = {3: a3, 4: a4, 5: a5}, {3: b3, 4: b4, 5: b5}
+        table = {(1, 2): v, **{(1, i): a[i] for i in a}, **{(2, i): b[i] for i in b}}
+        for i, j in combinations((3, 4, 5), 2):
+            edges = meet(join(a[i], a[j]), join(b[i], b[j]))
+            if edges.dim == 0:
+                table[(i, j)] = edges.point()
+        if len(table) == 10 and len(set(table.values())) == 10 and rank(
+                field, [p.coords for p in (a3, a4, a5)], 3) == rank(
+                field, [p.coords for p in (b3, b4, b5)], 3) == 3:
+            return LabeledConfiguration(field, 2, table)
+
+
+def _sweep_cases():
+    rng = random.Random(11)
+    valid = [sectioned_config(2, F5), sectioned_config(3, GF(3)),
+             random_sectioned_config(4, F5, rng),
+             random_sectioned_config(2, GF(2, 2), rng),
+             random_sectioned_config(3, GF(2, 2), rng),
+             random_sectioned_config(2, GF(3, 2), rng),
+             random_sectioned_config(3, GF(3, 2), rng)]
+    corrupted = [_swapped(sectioned_config(2, F5), (1, 2), (3, 4)),
+                 _swapped(valid[2], (1, 5), (2, 7)),
+                 _moved_along_triple_line(sectioned_config(3, F5), (1, 2), 3),
+                 _moved_along_triple_line(valid[6], (2, 4), 5),
+                 _random_table(2, F5, rng), _random_table(3, GF(3), rng),
+                 _random_table(2, GF(2, 2), rng),
+                 _flat_table(GF(7), rng), _shared_face_table(GF(7), rng),
+                 _coincident_edges_table(GF(7), rng),
+                 _not_concurrent_table(GF(7), rng)]
+    return [(c, True) for c in valid] + [(c, False) for c in corrupted]
+
+
+@pytest.mark.parametrize("config,valid", _sweep_cases())
+def test_vertex_sweep_matches_the_pair_path(config, valid):
+    flags = [e.ok for e in vertex_sweep(config).entries]
+    assert flags == _pair_path_flags(config)
+    assert all(flags) if valid else not any(flags)
+
+
+def test_vertex_sweep_names_the_failing_condition():
+    bad = _moved_along_triple_line(sectioned_config(3, F5), (1, 2), 3)
+    entries = {e.label: e for e in vertex_sweep(bad).entries}
+    assert entries[(1, 2)].detail == "connector (1, 2, 4) is not a line"
+    assert entries[(1, 3)].detail == "edge (1, 2, 4) is not a line"
+    flat = vertex_sweep(_flat_table(GF(7), random.Random(1))).entries
+    assert flat[0].detail == "simplex (1, 3, 4, 5, 6) spans dimension 2, not 3"
+    shared = vertex_sweep(_shared_face_table(GF(7), random.Random(1))).entries
+    assert shared[0].detail == "faces (1, 3, 4, 5) and (2, 3, 4, 5) coincide"
+    coincident = vertex_sweep(_coincident_edges_table(GF(7), random.Random(1))).entries
+    assert coincident[0].detail == "edges (1, 3, 4) and (2, 3, 4) coincide"
+    skew = vertex_sweep(_not_concurrent_table(GF(7), random.Random(1))).entries
+    assert skew[0].detail == "connector (1, 2, 5) is not a line"
+    pattern = re.compile(r"(connector|edge|edges|simplex|faces) \((\d+(, \d+)*)\)")
+    for (a, b), entry in entries.items():
+        assert not entry.ok
+        found = pattern.match(entry.detail)
+        assert found, entry.detail
+        assert {a, b} & {int(x) for x in found.group(2).split(",")}
 
 
 def test_vertex_sweep_propagates_programming_errors(monkeypatch):
-    def broken(pair):
+    def broken(config, symbols):
         raise TypeError("a bug, not a failed check")
 
-    monkeypatch.setattr(configuration, "find_vertex", broken)
+    monkeypatch.setattr(LabeledConfiguration, "span", broken)
     with pytest.raises(TypeError):
         vertex_sweep(sectioned_config(2, F5))
+
+
+def test_vertex_sweep_needs_a_full_table():
+    report = vertex_sweep(sectioned_config(3, F5).restrict((1, 2, 3, 4, 5)))
+    assert report.total == 10 and report.passed == 0
+    assert {e.detail for e in report.entries} == {
+        "a full table over 6 symbols is required, got 5"}
+
+
+def test_vertex_sweep_joins_each_span_once(monkeypatch):
+    from desarc import desargues
+    config = random_sectioned_config(8, GF(11), random.Random(3))
+    calls = []
+    real = desargues.join
+
+    def counted(*parts):
+        calls.append(parts)
+        return real(*parts)
+
+    def no_pair(*args):
+        raise AssertionError("the sweep builds no PerspectivePair")
+
+    monkeypatch.setattr(desargues, "join", counted)
+    monkeypatch.setattr(desargues.PerspectivePair, "__init__", no_pair)
+    assert vertex_sweep(config).all_ok
+    assert len(calls) <= 450
+    joins = len(calls)
+    assert vertex_sweep(config).all_ok
+    assert len(calls) == joins
 
 
 def test_sweep_partition_geometric():
@@ -254,7 +466,6 @@ def test_semi_simplex_pair_validation():
     good = [config.point(1, i) for i in (3, 4, 5)]
     SemiSimplexPair(good, [config.point(2, i) for i in (3, 4, 5)],
                     config.point(1, 2))
-    from desarc.errors import DegenerateConfiguration
     bad = [config.point(1, 2), config.point(1, 3), config.point(2, 3)]  # collinear
     with pytest.raises(DegenerateConfiguration):
         SemiSimplexPair(bad, good, config.point(1, 2))
@@ -289,6 +500,25 @@ def test_triple_perspective_random_configs():
         assert z.dim == 1   # span of the 3 collinear residual points
 
 
+def test_triple_perspective_axis_names_the_fault():
+    config = sectioned_config(3, F5)
+    faults = {
+        "the three vertices are not collinear":
+            _moved_along_triple_line(config, (2, 3), 4),
+        "edges 4,5 of pair (1,2) miss the labeled point":
+            _moved_along_triple_line(config, (4, 5), 6),
+        # edges 3,4 of the pair (1,2) are one line; relabeled so that
+        # 3 and 4 are remaining symbols
+        "lines do not meet in a single point":
+            _coincident_edges_table(GF(7), random.Random(1)).relabel(
+                {1: 1, 2: 2, 3: 4, 4: 5, 5: 3}),
+    }
+    for message, bad in faults.items():
+        with pytest.raises(DegenerateConfiguration) as caught:
+            triple_perspective_axis(bad)
+        assert str(caught.value) == message
+
+
 def test_complete_quadrilateral_from_four_symbols():
     # four symbols of the n=3 configuration cut out 6 points and 4 lines in
     # a plane; any two lines meet, no three are concurrent
@@ -301,7 +531,6 @@ def test_complete_quadrilateral_from_four_symbols():
     lines = [join(*(config.point(i, j) for i, j in combinations(t, 2)))
              for t in combinations((1, 2, 3, 4), 3)]
     assert all(l.dim == 1 for l in lines)
-    from desarc.projlin import meet
     meet_pts = []
     for la, lb in combinations(lines, 2):
         x = meet(la, lb)

@@ -185,6 +185,11 @@ def test_avoided_hyperplane_must_be_one_of_the_searched_space():
     # the sectioning hyperplane of PG(3, 3), but over GF(5)
     with pytest.raises(AmbientMismatch):
         count_sectioned_configs(2, f, coordinate_hyperplane(GF(5), 3, 3))
+    # a plane of PG(4, 3) and a line of PG(3, 3), against the searched PG(3, 3)
+    with pytest.raises(AmbientMismatch):
+        count_sectioned_configs(2, f, coordinate_hyperplane(f, 4, 4))
+    with pytest.raises(NotAHyperplane):
+        count_sectioned_configs(2, f, Subspace(f, 3, [(0, 0, 1, 0), (0, 0, 0, 1)]))
 
 
 # -- sectioned configurations ----------------------------------------------------------

@@ -1,6 +1,8 @@
 """Field arithmetic: worked examples, exhaustive axioms, typed errors."""
 
+import hashlib
 import random
+import time
 from itertools import product
 
 import pytest
@@ -216,6 +218,8 @@ def _ref_mul(a, b, p, k, modulus):
     return _undigits(prod[:k], p)
 
 
+GF3_10 = (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1)   # x^10 + 2x^8 + 1
+
 CROSS_CHECK = [
     (3, 4, (2, 1, 0, 0, 1)),                  # GF(81)
     (13, 2, (11, 0, 1)),                      # GF(169), x^2 + 11
@@ -224,12 +228,13 @@ CROSS_CHECK = [
     (2, 8, (1, 0, 0, 0, 1, 1, 0, 1, 1)),
     (3, 4, (1, 0, 1, 1, 1)),
     (2, 16, (1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1)),   # GF(65536)
+    (3, 10, GF3_10),                          # primitive element 1 + 2x + x^3
 ]
 
 
 @pytest.mark.parametrize("p,k,modulus", CROSS_CHECK, ids=[
     "gf81", "gf169", "gf256", "gf256-no-linear-primitive",
-    "gf81-no-linear-primitive", "gf65536"])
+    "gf81-no-linear-primitive", "gf65536", "gf59049"])
 def test_ops_match_schoolbook_reference(p, k, modulus):
     """mul/add/sub on every pair below q = 256, else on 2000 seeded pairs;
     neg/inv on every element up to q = 256, else on a seeded sample."""
@@ -249,3 +254,32 @@ def test_ops_match_schoolbook_reference(p, k, modulus):
         assert _ref_add(a, f.neg(a), p, k) == 0
         if a:
             assert _ref_mul(a, f.inv(a), p, k, modulus) == 1
+
+
+def _tables(f):
+    # the exp and log tables that mul reads
+    cells = dict(zip(f.mul.__code__.co_freevars, f.mul.__closure__))
+    return list(cells["exp"].cell_contents), list(cells["log"].cell_contents)
+
+
+@pytest.mark.parametrize("p,k,modulus,digest", [
+    (3, 2, None, "59ea00c7d3f5146d1e83eb054580fc7177b68986be5bfc50089c24ce8547ca9c"),
+    (3, 3, None, "9a727f81a2b82159538a88f38cd35801f9c2aa72799de251e22e587faa867a29"),
+    (3, 4, (2, 1, 0, 0, 1),
+     "765b3480fc3ba93e9c12a0f4046cd387a1128fb4ee67b38938fa6f4e51ff0b03"),
+    (13, 2, (11, 0, 1),
+     "11feb16742c2fe4b568919d2f4d5cef17ca3e806fb67918a1519d62353ab85cc"),
+])
+def test_power_tables_are_the_recorded_ones(p, k, modulus, digest):
+    """sha256 of repr((exp, log)) as lists, recorded from the digit-wise
+    walk that built these tables before the coefficient-list walk."""
+    text = repr(_tables(GF(p, k, modulus)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_gf3_10_builds_in_half_a_second():
+    start = time.perf_counter()
+    f = GF(3, 10, GF3_10)
+    assert time.perf_counter() - start < 0.5
+    exp, log = _tables(f)
+    assert exp[1] == 34 and sorted(exp[:f.q - 1]) == list(range(1, f.q))
