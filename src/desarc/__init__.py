@@ -31,7 +31,6 @@ from .desargues import (
     LabeledConfiguration,
     PerspectivePair,
     axis_hyperplane,
-    conway_lift,
     conway_lift_axis,
     edge_intersections,
     extract_perspective_pair,
@@ -54,12 +53,9 @@ from .enumeration import (
 )
 from .field import GF
 from .projlin import (
-    Collineation,
     ProjPoint,
     Subspace,
     all_points,
-    apply_collineation,
-    collineation_to_hyperplane,
     coordinate_hyperplane,
     coords_in,
     hyperplane_from_dual,

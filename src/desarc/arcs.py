@@ -19,9 +19,7 @@ from .field import GF
 from .projlin import (
     ProjPoint,
     Subspace,
-    collineation_to_hyperplane,
     common_ambient,
-    hyperplane_from_dual,
     join,
     normalize,
     rank,
@@ -109,11 +107,18 @@ def frame_off_hyperplane(h: Subspace) -> Arc:
     """A coordinate frame (arc of n+2 points) with no point on the
     hyperplane h.
 
-    Starts from the standard simplex together with (1,...,1,z) against the
-    reference hyperplane K: x_1 + ... + x_{n+1} = 0, then transports the
-    frame onto h by the canonical collineation K -> h.  z is the smallest
-    nonzero element keeping the last point off K, i.e. with n + z != 0 in
-    the field; such a z exists exactly when q > 2.
+    The standard frame e_0, ..., e_n, (1,...,1,z) avoids the hyperplane
+    K: x_0 + ... + x_n = 0, where z is the smallest nonzero element with
+    n + z != 0 in the field; such a z exists exactly when q > 2.  One
+    coordinate rule carries it off h.  Let u be the normalized dual vector
+    of h, t the position of its first nonzero entry, v the vector u with
+    entries 0 and t swapped, and w = 1 - v entrywise.  Each frame point x
+    goes to x + (w.x) e_0 with coordinates 0 and t then swapped, normalized.
+
+    The rule is linear, and invertible because w_0 = 1 - u_t = 0.  The dot
+    product of u with an image is v.x + (w.x) v_0 = (v + w).x, as v_0 = 1,
+    which is the dot product of x with (1,...,1).  So the map takes K onto
+    h, and the frame off K onto a frame off h.  For h = K it is the identity.
     """
     field = h.field
     n = h.n
@@ -122,21 +127,27 @@ def frame_off_hyperplane(h: Subspace) -> Arc:
     if not h.is_hyperplane:
         raise NotAHyperplane(f"dimension {h.dim} in PG({n})")
 
-    k_plane = hyperplane_from_dual(field, (1,) * (n + 1))
+    add, mul, sub = field.add, field.mul, field.sub
     n_in_field = field.scalar(n)
-    z = next(v for v in range(1, field.q) if field.add(n_in_field, v) != 0)
+    z = next(c for c in range(1, field.q) if add(n_in_field, c) != 0)
+    frame = [[1 if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
+    frame.append([1] * n + [z])
 
+    u = h.dual_vector()
+    t = next(i for i, x in enumerate(u) if x)
+    v = list(u)
+    v[0], v[t] = v[t], v[0]
+    w = [sub(1, x) for x in v]
     pts = []
-    for i in range(n + 1):
-        coords = [0] * (n + 1)
-        coords[i] = 1
-        pts.append(ProjPoint(field, coords))
-    pts.append(ProjPoint(field, (1,) * n + (z,)))
-
-    if h == k_plane:
-        return Arc(pts)
-    move = collineation_to_hyperplane(k_plane, h)
-    return Arc([move.apply_point(p) for p in pts])
+    for x in frame:
+        dot = 0
+        for wi, xi in zip(w, x):
+            if wi and xi:
+                dot = add(dot, mul(wi, xi))
+        x[0] = add(x[0], dot)
+        x[0], x[t] = x[t], x[0]
+        pts.append(normalize(field, x))
+    return Arc(pts)
 
 
 # -- seeded random constructions ------------------------------------------------

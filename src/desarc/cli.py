@@ -177,32 +177,25 @@ def _pair_battery(pair, vertex):
 
     Each check runs on its own: a typed geometry error fails that check,
     with the error type and message as its detail, and the other checks
-    still run."""
+    still run.  The pair memoizes its edge meets, so a check that needs
+    them raises the same error as every other such check."""
     n = pair.n
     h = coordinate_hyperplane(pair.field, n + 1, n + 1)
-    shared = {}
 
-    def once(fn):
-        """fn(pair), computed for the first check that needs it; an error is
-        kept too and raised again in every check that needs the value."""
-        if fn not in shared:
-            try:
-                shared[fn] = fn(pair)
-            except GeometryError as exc:
-                shared[fn] = exc
-        if isinstance(shared[fn], GeometryError):
-            raise shared[fn]
-        return shared[fn]
-
-    def meets():
-        return once(edge_intersections).values()
-
-    def axis():
-        return once(axis_hyperplane)
+    def carries_ok():
+        axis = axis_hyperplane(pair)
+        return all(axis.contains_point(pt) for pt in edge_intersections(pair).values())
 
     def tspace_ok():
-        return all(sub.dim == t - 1 and axis().contains(sub)
+        axis = axis_hyperplane(pair)
+        return all(sub.dim == t - 1 and axis.contains(sub)
                    for t in range(1, n) for sub in tspace_intersections(pair, t))
+
+    def face_meets_ok():
+        # face k spans the n-subset of indices without k: the (n-1)-space meets
+        axis = axis_hyperplane(pair)
+        return all(x.dim == n - 2 and axis.contains(x)
+                   for x in tspace_intersections(pair, n - 1))
 
     def round_trip_ok():
         arc = lift_to_arc(pair, vertex, h)
@@ -215,20 +208,17 @@ def _pair_battery(pair, vertex):
     battery = [
         ("vertex_concurrence", lambda: find_vertex(pair) == vertex),
         ("edge_intersections_distinct",
-         lambda: len(set(meets())) == comb(n + 1, 2)),
+         lambda: len(set(edge_intersections(pair).values())) == comb(n + 1, 2)),
         ("edge_intersections_disjoint",
          lambda: all(pt not in pair.a and pt not in pair.b and pt != vertex
-                     for pt in meets())),
-        ("axis_is_hyperplane", lambda: axis().dim == n - 1),
-        ("axis_carries_intersections",
-         lambda: all(axis().contains_point(pt) for pt in meets())),
+                     for pt in edge_intersections(pair).values())),
+        ("axis_is_hyperplane", lambda: axis_hyperplane(pair).dim == n - 1),
+        ("axis_carries_intersections", carries_ok),
         ("tspace_meets", tspace_ok),
-        # face k spans the n-subset of indices without k: the (n-1)-space meets
-        ("face_meets_in_axis",
-         lambda: all(x.dim == n - 2 and axis().contains(x)
-                     for x in tspace_intersections(pair, n - 1))),
+        ("face_meets_in_axis", face_meets_ok),
         # lift-and-project agreement
-        ("lift_project_axis", lambda: conway_lift_axis(pair, h, w) == axis()),
+        ("lift_project_axis",
+         lambda: conway_lift_axis(pair, h, w) == axis_hyperplane(pair)),
         # round trip through the arc
         ("lift_section_round_trip", round_trip_ok),
     ]

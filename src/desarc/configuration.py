@@ -35,7 +35,13 @@ from itertools import combinations
 from math import comb
 
 from .desargues import LabeledConfiguration, edge_intersections, extract_perspective_pair
-from .errors import BadSymbols, DegenerateConfiguration, TooFewSymbols, WrongCount
+from .errors import (
+    BadSymbols,
+    DegenerateConfiguration,
+    GeometryError,
+    TooFewSymbols,
+    WrongCount,
+)
 from .projlin import ProjPoint, Subspace, rank
 
 
@@ -267,7 +273,16 @@ def triple_perspective_axis(config: LabeledConfiguration) -> Subspace:
 
 def verify_vertex_partition(config: LabeledConfiguration, a: int, b: int) -> bool:
     """The actual point sets of the split at (a, b) are pairwise disjoint and
-    together exhaust the table."""
-    pair, vertex = extract_perspective_pair(config, a, b)
-    parts = [*pair.a, *pair.b, vertex, *edge_intersections(pair).values()]
+    together exhaust the table.  False when the points at (a, b) are no
+    perspective pair or two of its corresponding edges do not meet in a
+    point; `BadSymbols` when a or b is not a distinct symbol of a full
+    table."""
+    try:
+        pair, vertex = extract_perspective_pair(config, a, b)
+        meets = edge_intersections(pair).values()
+    except BadSymbols:
+        raise
+    except GeometryError:
+        return False
+    parts = [*pair.a, *pair.b, vertex, *meets]
     return len(set(parts)) == len(parts) and set(parts) == set(config.points())

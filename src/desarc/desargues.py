@@ -16,7 +16,6 @@ points of PG(n, q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .arcs import Arc, face, frame_off_hyperplane, is_simplex, random_arc_off_hyperplane
@@ -384,14 +383,22 @@ def tspace_intersections(pair: PerspectivePair, t: int):
 
 # -- lifting -------------------------------------------------------------------
 
-def _first_points_on_line(line: Subspace, h: Subspace, exclude, count: int, rng=None):
-    """Points of the line off h and outside `exclude`, canonical order, or a
-    seeded random sample when rng is given."""
-    candidates = [p for p in line.points()
-                  if not h.contains_point(p) and p not in exclude]
-    if rng is not None:
-        return rng.sample(candidates, count)
-    return candidates[:count]
+def _line_points_but(line: Subspace, v: ProjPoint, picks):
+    """Points of the line other than v, by their indices 0..q-1 in
+    canonical order.  The line's points in canonical order have internal
+    coordinates (1, c) for the codes c = 0..q-1, then (0, 1).  So v is point
+    q if its first internal coordinate is 0 and point c otherwise, and
+    index i among the other q points is point i below v's index and point
+    i + 1 from it on."""
+    q = line.field.q
+    x = coords_in(line, v).coords
+    at = q if x[0] == 0 else x[1]
+    out = []
+    for i in picks:
+        if i >= at:
+            i += 1
+        out.append(point_from(line, (1, i) if i < q else (0, 1)))
+    return out
 
 
 def _anchor_off(h: Subspace, rng=None) -> ProjPoint:
@@ -442,10 +449,13 @@ def lift_to_arc(pair: PerspectivePair, vertex: ProjPoint, h: Subspace,
 
     h is a hyperplane of PG(n+1, q) serving as the embedded copy of
     PG(n, q); the pair and vertex are given in internal coordinates of h.
-    Points 1 and 2 are placed on a line through the vertex leaving h; point
-    i (for i = 3..n+3) is the meet of lines 1-A_i and 2-B_i.  The default
-    choice of the line and of points 1, 2 is the canonical first valid one;
-    passing a seeded rng randomizes it.
+    Points 1 and 2 lie on the line joining the vertex to an anchor off h
+    (see `_anchor_off`); point i (for i = 3..n+3) is the meet of lines
+    1-A_i and 2-B_i.  The line meets h only at the vertex, so its other q
+    points are the candidates for points 1 and 2: the first two in
+    canonical order, or with a seeded rng the two indices
+    rng.sample(range(q), 2), which is the draw rng.sample would make from
+    their list.  Both are unranked, so the line's points are never listed.
     """
     if not h.is_hyperplane:
         raise AmbientMismatch("the embedding must be a hyperplane of PG(n+1, q)")
@@ -464,7 +474,8 @@ def lift_to_arc(pair: PerspectivePair, vertex: ProjPoint, h: Subspace,
     b_amb = [point_from(h, p) for p in pair.b]
 
     line = join(v_amb, _anchor_off(h, rng))
-    p1, p2 = _first_points_on_line(line, h, {v_amb}, 2, rng)
+    picks = [0, 1] if rng is None else rng.sample(range(h.field.q), 2)
+    p1, p2 = _line_points_but(line, v_amb, picks)
 
     pts = [p1, p2]
     for i in range(pair.n + 1):
@@ -475,23 +486,15 @@ def lift_to_arc(pair: PerspectivePair, vertex: ProjPoint, h: Subspace,
     return Arc(pts)
 
 
-@dataclass(frozen=True)
-class ConwayLift:
-    """Intermediate data of the lift-and-project axis construction."""
-    a2_star: ProjPoint
-    b2_star: ProjPoint
-    h1: Subspace
-    h2: Subspace
-    axis: Subspace  # in the internal coordinates of the embedding hyperplane
+def conway_lift_axis(pair: PerspectivePair, h: Subspace, w: ProjPoint) -> Subspace:
+    """The axis recovered by lifting and projecting, in the internal
+    coordinates of h: lift the second corresponding point pair out of h
+    through w, span the two lifted simplexes, and project their meet back
+    into h from w.
 
-
-def conway_lift(pair: PerspectivePair, h: Subspace, w: ProjPoint) -> ConwayLift:
-    """Lift the second corresponding point pair out of h through w, span the
-    two lifted simplexes, and project their meet back into h from w.
-
-    The projected subspace equals the axis hyperplane of the pair; the
-    lifted simplexes are required to span distinct hyperplanes of
-    PG(n+1, q), which is checked at runtime.
+    The result equals axis_hyperplane(pair) in canonical form; the lifted
+    simplexes are required to span distinct hyperplanes of PG(n+1, q),
+    which is checked at runtime.
     """
     if not h.is_hyperplane or h.dim != pair.n:
         raise AmbientMismatch("the embedding must be a hyperplane of PG(n+1, q)")
@@ -500,7 +503,6 @@ def conway_lift(pair: PerspectivePair, h: Subspace, w: ProjPoint) -> ConwayLift:
     if h.contains_point(w):
         raise WInH("the projection centre must lie off the hyperplane")
 
-    field = h.field
     v = find_vertex(pair)
     v_amb = point_from(h, v)
     a_amb = [point_from(h, p) for p in pair.a]
@@ -522,12 +524,5 @@ def conway_lift(pair: PerspectivePair, h: Subspace, w: ProjPoint) -> ConwayLift:
     if h1.dim != pair.n or h2.dim != pair.n or h1 == h2:
         raise DegenerateLift("the lifted simplexes do not span distinct hyperplanes")
 
-    l_star = meet(h1, h2)
-    projected = meet(join(w, l_star), h)
-    return ConwayLift(a2_star, b2_star, h1, h2, subspace_in(h, projected))
-
-
-def conway_lift_axis(pair: PerspectivePair, h: Subspace, w: ProjPoint) -> Subspace:
-    """The axis recovered by lifting and projecting; equals
-    axis_hyperplane(pair) in canonical form."""
-    return conway_lift(pair, h, w).axis
+    projected = meet(join(w, meet(h1, h2)), h)
+    return subspace_in(h, projected)

@@ -33,10 +33,6 @@ class NotAHyperplane(GeometryError):
     """A hyperplane (codimension-1 subspace) was required."""
 
 
-class SingularMatrix(GeometryError):
-    """A collineation matrix must be invertible."""
-
-
 class PointNotInSubspace(GeometryError):
     """Tried to express a point in the internal coordinates of a subspace
     that does not contain it."""

@@ -3,8 +3,7 @@ configurations.
 
 Field specs serialize as {"p": ..., "k": ..., "modulus": [...]}; prime-field
 coordinates as residue integers, extension-field coordinates as coefficient
-arrays (constant term first).  Subspaces serialize as their canonical RREF
-basis matrices, so equal subspaces always serialize identically.
+arrays (constant term first).
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from .arcs import Arc
 from .desargues import LabeledConfiguration, PerspectivePair
 from .errors import BadSymbols
 from .field import GF
-from .projlin import ProjPoint, Subspace, normalize
+from .projlin import ProjPoint, normalize
 
 
 # -- fields -----------------------------------------------------------------
@@ -55,19 +54,6 @@ def point_to_json(p: ProjPoint):
 
 def point_from_json(field: GF, data) -> ProjPoint:
     return normalize(field, coords_from_json(field, data))
-
-
-def subspace_to_json(s: Subspace) -> dict:
-    return {
-        "n": s.n,
-        "d": s.dim,
-        "basis": [coords_to_json(s.field, row) for row in s.basis],
-    }
-
-
-def subspace_from_json(field: GF, data) -> Subspace:
-    rows = [coords_from_json(field, row) for row in data["basis"]]
-    return Subspace(field, data["n"], rows)
 
 
 # -- arcs ---------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .errors import (
     DimensionTooSmall,
     NotAHyperplane,
     PointNotInSubspace,
-    SingularMatrix,
     ZeroVector,
 )
 from .field import GF
@@ -435,134 +434,3 @@ def subspace_in(h: Subspace, s: Subspace) -> Subspace:
         rows.append(c)
     return _span(h.field, h.dim, rows)
 
-
-# -- collineations -------------------------------------------------------------
-
-def _mat_mul(field: GF, a, b):
-    add, mul = field.add, field.mul
-    size = len(a)
-    out = []
-    for i in range(size):
-        row = []
-        for j in range(size):
-            acc = 0
-            for t in range(size):
-                if a[i][t] and b[t][j]:
-                    acc = add(acc, mul(a[i][t], b[t][j]))
-            row.append(acc)
-        out.append(tuple(row))
-    return out
-
-
-def _mat_vec(field: GF, m, v):
-    add, mul = field.add, field.mul
-    out = []
-    for row in m:
-        acc = 0
-        for x, y in zip(row, v):
-            if x and y:
-                acc = add(acc, mul(x, y))
-        out.append(acc)
-    return out
-
-
-class Collineation:
-    """A projectivity of PG(n, q): an invertible matrix acting on column
-    coordinate vectors, stored canonically up to scalar (the first nonzero
-    entry of the first row is 1)."""
-
-    __slots__ = ("field", "matrix")
-
-    def __init__(self, field: GF, matrix):
-        rows = [_coerce_coords(field, r) for r in matrix]
-        size = len(rows)
-        if any(len(r) != size for r in rows):
-            raise SingularMatrix("collineation matrix must be square")
-        if rank(field, rows, size) != size:
-            raise SingularMatrix("collineation matrix must be invertible")
-        lead = next(x for x in rows[0] if x)
-        if lead != 1:
-            s = field.inv(lead)
-            mul = field.mul
-            rows = [tuple(mul(s, x) for x in r) for r in rows]
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "matrix", tuple(tuple(r) for r in rows))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Collineation is immutable")
-
-    @classmethod
-    def identity(cls, field: GF, n: int) -> "Collineation":
-        return cls(field, [[1 if i == j else 0 for j in range(n + 1)]
-                           for i in range(n + 1)])
-
-    @property
-    def n(self) -> int:
-        return len(self.matrix) - 1
-
-    def apply_point(self, p: ProjPoint) -> ProjPoint:
-        if p.field != self.field or p.n != self.n:
-            raise AmbientMismatch("point lives in a different space")
-        return normalize(self.field, _mat_vec(self.field, self.matrix, p.coords))
-
-    def apply_subspace(self, s: Subspace) -> Subspace:
-        if s.field != self.field or s.n != self.n:
-            raise AmbientMismatch("subspace lives in a different space")
-        rows = [_mat_vec(self.field, self.matrix, r) for r in s.basis]
-        return _span(self.field, self.n, rows)
-
-    def __eq__(self, other):
-        return (isinstance(other, Collineation) and self.field == other.field
-                and self.matrix == other.matrix)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
-    def __hash__(self):
-        return hash((self.field, self.matrix))
-
-    def __repr__(self):
-        return f"Collineation(n={self.n})"
-
-
-def apply_collineation(c: Collineation, x):
-    """Image of a point or subspace, renormalized to canonical form."""
-    if isinstance(x, ProjPoint):
-        return c.apply_point(x)
-    if isinstance(x, Subspace):
-        return c.apply_subspace(x)
-    raise TypeError(f"cannot apply a collineation to {type(x).__name__}")
-
-
-def collineation_to_hyperplane(source: Subspace, target: Subspace) -> Collineation:
-    """A deterministic collineation mapping the source hyperplane onto the
-    target hyperplane set-wise.
-
-    Built as a transposition of the two leading coordinates followed by a
-    single elementary row update, so equal inputs always give the same
-    matrix.  Identity when source == target.
-    """
-    _check_same_ambient(source, target)
-    if not source.is_hyperplane:
-        raise NotAHyperplane("source must be a hyperplane")
-    if not target.is_hyperplane:
-        raise NotAHyperplane("target must be a hyperplane")
-    field = source.field
-    size = source.n + 1
-    u_s = source.dual_vector()
-    u_t = target.dual_vector()
-    j = next(i for i, x in enumerate(u_s) if x)
-    i_t = next(i for i, x in enumerate(u_t) if x)
-
-    perm = [[1 if r == c else 0 for c in range(size)] for r in range(size)]
-    if i_t != j:
-        perm[i_t][i_t] = perm[j][j] = 0
-        perm[i_t][j] = perm[j][i_t] = 1
-    # v = u_t * perm has a 1 in position j
-    v = _mat_vec(field, list(zip(*perm)), u_t)  # row vector times matrix
-    sub = field.sub
-    w = [sub(a, b) for a, b in zip(u_s, v)]
-    elem = [[1 if r == c else 0 for c in range(size)] for r in range(size)]
-    add = field.add
-    elem[j] = [add(x, y) for x, y in zip(elem[j], w)]
-    return Collineation(field, _mat_mul(field, perm, elem))

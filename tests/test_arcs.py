@@ -1,5 +1,6 @@
 """Simplexes, arcs, and frames avoiding a hyperplane."""
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -163,6 +164,22 @@ def test_frame_z_choice_keeps_point_off_k():
         k = hyperplane_from_dual(field, (1,) * (n + 1))
         arc = frame_off_hyperplane(k)
         assert all(not k.contains_point(p) for p in arc)
+
+
+@pytest.mark.parametrize("field,n,digest", [
+    (GF(5), 2, "5947e73d7e8acfd7d6c025c76272b8213b7c06f6767128f2f34646875d6793ae"),
+    (GF(3), 3, "6aeb40daa44e69ed6c4dd96112c91b218588c494e747c470703eabd88eb8ffb2"),
+    (GF(2, 2), 2, "f348a44c72c1b753fd35b6de8340cba3259db24caf3febaed61cedc0ff230185"),
+    (GF(3, 2), 2, "9f02fac3fc0b0ea40bde22b14b6c0b0491df8d588f2e292094ba6c3927b20851"),
+])
+def test_frames_are_the_recorded_ones(field, n, digest):
+    """sha256 of repr(frames), one frame per hyperplane of PG(n, q) in the
+    order of its dual vector among all_points, recorded when the frame was
+    moved onto h by an explicit matrix (transposition times elementary
+    row update) built from K's and h's dual vectors."""
+    frames = [[p.coords for p in frame_off_hyperplane(hyperplane_from_dual(field, u.coords))]
+              for u in all_points(field, n)]
+    assert hashlib.sha256(repr(frames).encode()).hexdigest() == digest
 
 
 def test_face_of_simplex():

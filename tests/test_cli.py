@@ -12,11 +12,12 @@ from desarc.arcs import random_arc_off_hyperplane
 from desarc.cli import _pair_battery, main
 from desarc.desargues import (
     PerspectivePair,
+    edge_intersections,
     extract_perspective_pair,
     find_vertex,
     sectioned_config,
 )
-from desarc.errors import GeometryError, NoCommonVertex
+from desarc.errors import EdgesDisjoint, GeometryError, NoCommonVertex
 from desarc.field import GF
 from desarc.projlin import all_points, coordinate_hyperplane
 
@@ -306,6 +307,34 @@ def test_verify_reports_each_check_of_a_pair_not_in_perspective(runner, tmp_path
         if check["ok"]:
             assert "detail" not in check
     assert not doc["all_ok"]
+
+
+def test_verify_gives_every_check_on_skew_edges_one_detail(runner, tmp_path):
+    # two random tetrahedra of PG(3, 5) with skew edges 0,1: every check
+    # that needs the edge meets fails with the one memoized error
+    field = GF(5)
+    rng = random.Random(3)
+    pts = list(all_points(field, 3))
+    while True:
+        sample = rng.sample(pts, 9)
+        try:
+            pair = PerspectivePair(sample[:4], sample[4:8])
+            edge_intersections(pair)
+        except EdgesDisjoint:
+            break
+        except GeometryError:
+            continue
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(gio.dumps(gio.pair_to_json(pair, sample[8])))
+    result = runner.invoke(main, ["verify", str(pair_file)])
+    assert result.exit_code == 1
+    checks = {c["name"]: c for c in json.loads(result.stdout)["checks"]}
+    skew = "EdgesDisjoint: edges 0,1 are skew"
+    for name in BATTERY[:-1]:
+        assert checks[name] == {"name": name, "ok": False, "detail": skew}
+    assert checks["lift_section_round_trip"] == {
+        "name": "lift_section_round_trip", "ok": False,
+        "detail": "NoCommonVertex: connector line 0 misses the given vertex"}
 
 
 def test_verify_passing_report_has_no_detail(runner, tmp_path):

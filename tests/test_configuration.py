@@ -359,6 +359,29 @@ def test_sweep_partition_geometric():
         assert verify_vertex_partition(config, a, b)
 
 
+def test_vertex_partition_is_false_on_a_random_table(monkeypatch):
+    # at (1, 2) and (1, 3) two edges of the pair are skew (EdgesDisjoint),
+    # at (1, 4) a side is no simplex (NotASimplex); the check says False
+    table = _random_table(3, F5, random.Random(1))
+    assert [verify_vertex_partition(table, a, b) for a, b in table.labels()] == [False] * 15
+    assert not any(e.ok for e in vertex_sweep(table).entries)
+    config = sectioned_config(3, F5)
+    for a, b in [(1, 1), (1, 9)]:
+        with pytest.raises(BadSymbols):
+            verify_vertex_partition(config, a, b)
+    with pytest.raises(BadSymbols):
+        verify_vertex_partition(config.restrict((1, 2, 3, 4, 5)), 1, 2)
+
+    from desarc import configuration
+
+    def broken(pair):
+        raise TypeError("a programming error")
+
+    monkeypatch.setattr(configuration, "edge_intersections", broken)
+    with pytest.raises(TypeError):
+        verify_vertex_partition(config, 1, 2)
+
+
 def test_sweep_equivariant_under_relabeling():
     config = sectioned_config(3, F5)
     rng = random.Random(3)

@@ -12,7 +12,6 @@ from desarc.desargues import (
     LabeledConfiguration,
     PerspectivePair,
     axis_hyperplane,
-    conway_lift,
     conway_lift_axis,
     edge_intersections,
     extract_perspective_pair,
@@ -38,6 +37,7 @@ from desarc.errors import (
 )
 from desarc.field import GF
 from desarc.projlin import (
+    Subspace,
     all_points,
     coordinate_hyperplane,
     hyperplane_from_dual,
@@ -45,6 +45,7 @@ from desarc.projlin import (
     meet,
     normalize,
     num_points,
+    point_from,
 )
 
 F5 = GF(5)
@@ -483,6 +484,55 @@ def test_seeded_lift_round_trips_at_8_11():
     assert len(arc) == 11 and not any(h.contains_point(p) for p in arc)
 
 
+def _reference_lift(pair, vertex, h, rng=None):
+    """lift_to_arc's points written with lists: the anchor is the choice
+    from every point off h, and points 1, 2 the sample from the points of
+    the anchor's line through the vertex that lie off h."""
+    v = point_from(h, vertex)
+    line = [p for p in join(v, _anchor_from_list(h, rng)).points()
+            if not h.contains_point(p)]
+    p1, p2 = line[:2] if rng is None else rng.sample(line, 2)
+    pts = [p1, p2]
+    for a, b in zip(pair.a, pair.b):
+        pts.append(meet(join(p1, point_from(h, a)), join(p2, point_from(h, b))).point())
+    return pts
+
+
+@pytest.mark.parametrize("n,field", [
+    (2, GF(3)), (2, GF(5)), (2, GF(7)), (2, GF(2, 2)), (2, GF(3, 2)), (2, GF(2, 3)),
+    (3, GF(3)), (3, GF(5)), (3, GF(2, 2)),
+])
+def test_lift_matches_the_list_based_reference(n, field):
+    rng = random.Random(10 * n + field.q)
+    duals = [(0,) * (n + 1) + (1,), (1,) + (0,) * (n + 1),
+             rng.choice(list(all_points(field, n + 1))).coords]
+    for dual in duals:
+        h = hyperplane_from_dual(field, dual)
+        pair, vertex = random_perspective_pair(n, field, rng)
+        assert list(lift_to_arc(pair, vertex, h)) == _reference_lift(pair, vertex, h)
+        for seed in range(4):
+            got = lift_to_arc(pair, vertex, h, random.Random(seed))
+            assert list(got) == _reference_lift(pair, vertex, h, random.Random(seed))
+
+
+def test_lift_lists_no_line_at_4096(monkeypatch):
+    f = GF(2, 12, (1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1))
+    h = coordinate_hyperplane(f, 4, 4)
+    pair, vertex = random_perspective_pair(3, f, random.Random(1))
+    walked = []
+    real = Subspace.points
+
+    def counted(self):
+        for p in real(self):
+            walked.append(p)
+            yield p
+
+    monkeypatch.setattr(Subspace, "points", counted)
+    for rng in (None, random.Random(1), random.Random(2)):
+        _round_trip(pair, vertex, h, rng)
+    assert len(walked) <= 4
+
+
 def test_lift_rejects_vertex_on_face():
     # a valid pair whose vertex never lies on a face; move the vertex onto one
     config = sectioned_config(2, F5)
@@ -505,18 +555,6 @@ def test_conway_axis_matches_seeded(q):
         pair, _ = random_perspective_pair(2, f, rng)
         w = rng.choice(off_h)
         assert conway_lift_axis(pair, h, w) == axis_hyperplane(pair)
-
-
-def test_conway_lifted_triangles_not_coplanar():
-    f = GF(5)
-    h = coordinate_hyperplane(f, 3, 3)
-    pair, _ = extract_perspective_pair(sectioned_config(2, f), 1, 2)
-    w = next(p for p in all_points(f, 3) if not h.contains_point(p))
-    details = conway_lift(pair, h, w)
-    assert details.h1.dim == 2 and details.h2.dim == 2
-    assert details.h1 != details.h2
-    assert not h.contains_point(details.a2_star)
-    assert not h.contains_point(details.b2_star)
 
 
 def test_conway_w_in_h_rejected():

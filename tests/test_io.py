@@ -8,7 +8,7 @@ from desarc import io as gio
 from desarc.arcs import frame_off_hyperplane
 from desarc.desargues import extract_perspective_pair, sectioned_config
 from desarc.field import GF
-from desarc.projlin import hyperplane_from_dual, join, normalize
+from desarc.projlin import hyperplane_from_dual, normalize
 
 
 @pytest.mark.parametrize("field", [GF(5), GF(7), GF(2, 2), GF(3, 2)])
@@ -58,14 +58,6 @@ def test_pair_round_trip():
     doc = gio.pair_to_json(pair, vertex)
     pair2, vertex2 = gio.pair_from_json(doc)
     assert pair2.a == pair.a and pair2.b == pair.b and vertex2 == vertex
-
-
-def test_subspace_round_trip():
-    f = GF(5)
-    s = join(normalize(f, (1, 2, 3, 4)), normalize(f, (0, 1, 1, 1)))
-    doc = gio.subspace_to_json(s)
-    assert gio.subspace_from_json(f, doc) == s
-    assert doc["d"] == 1
 
 
 def test_load_geometry_dispatch():

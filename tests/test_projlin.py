@@ -1,4 +1,4 @@
-"""Points, subspaces, join/meet, and collineations of PG(n, q)."""
+"""Points, subspaces, join/meet and internal coordinates of PG(n, q)."""
 
 import random
 
@@ -9,11 +9,8 @@ from hypothesis import strategies as st
 from desarc.errors import AmbientMismatch, NotAHyperplane, ZeroVector
 from desarc.field import GF
 from desarc.projlin import (
-    Collineation,
     Subspace,
     all_points,
-    apply_collineation,
-    collineation_to_hyperplane,
     coordinate_hyperplane,
     coords_in,
     hyperplane_from_dual,
@@ -193,61 +190,6 @@ def test_dual_vector_round_trip():
     with pytest.raises(NotAHyperplane):
         join(pt(F5, 1, 0, 0, 0), pt(F5, 0, 1, 0, 0)).dual_vector()
     assert join(pt(F5, 1, 0, 0), pt(F5, 0, 1, 0)).dual_vector() == (0, 0, 1)
-
-
-# -- collineations ------------------------------------------------------------------
-
-def test_collineation_identity_case():
-    h = hyperplane_from_dual(F5, (1, 1, 1))
-    c = collineation_to_hyperplane(h, h)
-    assert c == Collineation.identity(F5, 2)
-
-
-def test_collineation_coordinate_swap():
-    src = hyperplane_from_dual(F5, (1, 0, 0))
-    dst = hyperplane_from_dual(F5, (0, 1, 0))
-    c = collineation_to_hyperplane(src, dst)
-    assert c.matrix == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
-
-
-def test_collineation_maps_source_onto_target():
-    # independent oracle: exhaustively check all q+1 points of the source
-    src = hyperplane_from_dual(F5, (1, 1, 1))
-    dst = hyperplane_from_dual(F5, (1, 0, 0))
-    c = collineation_to_hyperplane(src, dst)
-    images = {c.apply_point(p) for p in src.points()}
-    assert images == set(dst.points())
-
-
-@pytest.mark.parametrize("q", [3, 4, 5, 7])
-def test_collineation_between_random_hyperplanes(q):
-    field = GF(2, 2) if q == 4 else GF(q)
-    rng = random.Random(q)
-    pts = list(all_points(field, 3))
-    for _ in range(10):
-        u = rng.choice(pts).coords
-        v = rng.choice(pts).coords
-        src = hyperplane_from_dual(field, u)
-        dst = hyperplane_from_dual(field, v)
-        c = collineation_to_hyperplane(src, dst)
-        assert {c.apply_point(p) for p in src.points()} == set(dst.points())
-
-
-def test_apply_collineation_round_trip():
-    f = GF(7)
-    c = Collineation(f, [[1, 2, 0], [0, 1, 3], [0, 0, 1]])
-    points = list(all_points(f, 2))
-    assert len(points) == 57
-    # a collineation permutes the points of PG(2, 7)
-    assert {apply_collineation(c, p) for p in points} == set(points)
-    s = join(pt(f, 1, 2, 3), pt(f, 0, 1, 5))
-    assert apply_collineation(c, s).dim == s.dim
-
-
-def test_identity_collineation_fixes_everything():
-    c = Collineation.identity(F5, 2)
-    for p in all_points(F5, 2):
-        assert apply_collineation(c, p) == p
 
 
 # -- internal coordinates --------------------------------------------------------------
