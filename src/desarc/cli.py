@@ -301,6 +301,10 @@ def verify(input_file, out):
 @click.option("--out", default=None, help="write the counts to this path")
 def enumerate_cmd(n, p, k, modulus, kind, m, avoid, budget, out):
     """Count arcs, frames, or sectioned configurations exactly."""
+    if kind != "arcs":
+        for flag, given in (("--m", m is not None), ("--avoid", avoid)):
+            if given:
+                raise click.UsageError(f"{flag} applies to --kind arcs only, not {kind}")
     try:
         field = _field_from_flags(p, k, modulus)
         if kind == "sectioned-configs":
@@ -321,8 +325,9 @@ def enumerate_cmd(n, p, k, modulus, kind, m, avoid, budget, out):
         "nodes": result.nodes,
     }
     _emit(dumps(doc), out)
-    click.echo(f"count {result.raw_count} ({result.nodes} nodes, "
-               f"{result.wall_seconds:.3f}s)", err=True)
+    click.echo(f"count {result.raw_count} ({result.nodes} nodes, {result.joins} spans "
+               f"joined, {result.memo_hits} memo hits, {result.wall_seconds:.3f}s)",
+               err=True)
 
 
 @main.command()

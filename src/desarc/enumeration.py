@@ -8,11 +8,27 @@ one bit per point id.  A candidate extends a prefix of at most n-1 points
 exactly when it avoids the prefix's span, and a longer prefix exactly when
 it avoids the hyperplane through it and every (n-1)-subset of the prefix; so
 the next pool is `pool & ~forbidden`, with `forbidden` the union of those
-spans.  A span is the `projlin.join` of the subset's points and its point
-set comes from `Subspace.points`; spans are cached by the mask of the
-spanning subset, and point sets by the canonical span, so every subset
-spanning the same subspace shares one.  The level before the last counts
-each completion pool by popcount instead of visiting its leaves."""
+spans.  The level before the last counts each completion pool by popcount
+instead of visiting its leaves.
+
+Span rows.  Each prefix subset s of at most n-1 points has one row, a list
+indexed by point id: entry j is the point set of span(s + j).  The subset s
+is independent and every candidate j lies off span(s), so span(s + j) has
+dimension |s|, and any point i of it off span(s) spans the same subspace
+with s.  One `projlin.join` therefore fills the row at every such i.  The
+row's own span(s) is the entry of s's highest point in the row of the rest
+of s, and a point spans itself, so rows of the empty subset need no join.
+Point sets come from `Subspace.points` and are shared by canonical span.
+
+Prefix-set memo.  The pool below a prefix P is the set of points off
+span(T) for every T in P with |T| = min(|P|, n), so the pool, the leaves
+below P and the nodes charged there depend on the set of P only.  At the
+level before the last, a prefix of at least two points is keyed by its
+point mask: the first ordering counts its leaves and stores them, and every
+other ordering charges its pool size plus the stored leaves and counts
+them.  The count, the node count and the budget boundary are those of the
+search that walks every ordering.  While the sectioned-config sampler is
+active every ordering is walked, so it samples the same arcs."""
 
 from __future__ import annotations
 
@@ -55,13 +71,16 @@ def pgl_order(n: int, q: int) -> int:
 class _ArcSearch:
     """Backtracking enumerator over int bitmasks of point ids.
 
-    A node holds the ordered prefix, the pool of points that keep it an arc
-    and the candidates for the next slot: the pool, or at the root the pool
-    restricted to the allowed first points.  Each node charges one budget
-    node per candidate.  The level before the last counts each child's pool
-    by popcount and charges it, so leaves are never visited.  `visit`, when
-    set, is called there as visit(prefix_ids, completion_count,
-    completion_mask) until it returns False."""
+    A node holds the ordered prefix, the mask of its point set, the pool of
+    points that keep it an arc and the candidates for the next slot: the
+    pool, or at the root the pool restricted to the allowed first points.
+    Each node charges one budget node per candidate.  The level before the
+    last counts each child's pool by popcount and charges it, so leaves are
+    never visited; there, a prefix of at least two points whose set was
+    counted before charges and counts the stored leaves instead.  `visit`,
+    when set, is called at that level as visit(prefix_ids,
+    completion_count, completion_mask) until it returns False; while it is
+    set the stored leaves are not used, so it sees every ordering."""
 
     def __init__(self, field: GF, n: int, m: int, avoid: Subspace, budget: int,
                  first_points=None):
@@ -80,13 +99,17 @@ class _ArcSearch:
         self.visit = None
         self.nodes = 0
         self.count = 0
+        self.joins = 0
+        self.memo_hits = 0
         self.points = list(all_points(field, n))
         self.index = {p.coords: i for i, p in enumerate(self.points)}
-        # the same unordered point subsets recur across many branches, so
-        # their spans are cached by the subset's mask, and the point masks
-        # of the spans by the canonical span
-        self.spans = {}
+        # rows[s][j] is the point mask of span(s + j), for a prefix subset
+        # mask s and a point id j off span(s); span_points maps a canonical
+        # span to its point mask, shared by every subset that spans it
+        self.rows = {}
         self.span_points = {}
+        # leaves below each prefix point set at the level before the last
+        self.memo = {}
         self.pool0 = (1 << len(self.points)) - 1
         if avoid is not None:
             self.pool0 &= ~self._points_mask(avoid)
@@ -106,10 +129,33 @@ class _ArcSearch:
                 index[p.coords] for p in span.points())
         return mask
 
-    def _span_mask(self, subset: int) -> int:
-        """Mask of the points of the span of the points in the subset mask."""
-        points = self.points
-        return self._points_mask(join(*(points[i] for i in _ids(subset))))
+    def _row(self, s: int) -> list:
+        row = self.rows.get(s)
+        if row is None:
+            row = self.rows[s] = [None] * len(self.points)
+        return row
+
+    def _fill(self, s: int, row: list, j: int) -> int:
+        """Join span(s + j) and enter it in the row of s at every point that
+        spans it with s: the points of span(s + j) off span(s).  The row's
+        own span(s) is the entry of s's highest point in the row of the
+        rest of s."""
+        if s:
+            top = s.bit_length() - 1
+            rest = s ^ (1 << top)
+            parent = self._row(rest)
+            own = parent[top]
+            if own is None:
+                own = self._fill(rest, parent, top)
+            points = self.points
+            self.joins += 1
+            span = self._points_mask(join(*(points[i] for i in _ids(s | 1 << j))))
+        else:
+            # a point spans itself
+            own, span = 0, 1 << j
+        for i in _ids(span & ~own):
+            row[i] = span
+        return span
 
     def _charge(self, amount):
         self.nodes += amount
@@ -121,26 +167,35 @@ class _ArcSearch:
             self._charge(self.first.bit_count())
             self.count = self.first.bit_count()
         else:
-            self._recurse((), self.pool0, self.first)
+            self._recurse((), 0, self.pool0, self.first)
 
-    def _recurse(self, prefix, pool, cand):
+    def _recurse(self, prefix, key, pool, cand):
+        before_last = len(prefix) == self.m - 2
+        # one ordering of a prefix of at most one point: nothing to share
+        keyed = before_last and len(prefix) >= 2
+        if keyed and self.visit is None:
+            leaves = self.memo.get(key)
+            if leaves is not None:
+                self.memo_hits += 1
+                self._charge(cand.bit_count() + leaves)
+                self.count += leaves
+                return
         self._charge(cand.bit_count())
         # once a candidate joins the prefix, later points must avoid its span
         # with every n-1 prefix points (with the whole prefix, while shorter)
-        subsets = [_mask(s) for s in
-                   combinations(prefix, min(len(prefix), self.n - 1))]
-        spans = self.spans
-        before_last = len(prefix) == self.m - 2
+        rows = [(s, self._row(s)) for s in map(
+            _mask, combinations(prefix, min(len(prefix), self.n - 1)))]
         visit = self.visit
         leaves = 0
         while cand:
             low = cand & -cand
             cand ^= low
+            j = low.bit_length() - 1
             forbidden = 0
-            for s in subsets:
-                span = spans.get(s | low)
+            for s, row in rows:
+                span = row[j]
                 if span is None:
-                    span = spans[s | low] = self._span_mask(s | low)
+                    span = self._fill(s, row, j)
                 forbidden |= span
             nxt = pool & ~forbidden
             if not nxt:
@@ -148,14 +203,15 @@ class _ArcSearch:
             if before_last:
                 size = nxt.bit_count()
                 leaves += size
-                if visit is not None and not visit(
-                        prefix + (low.bit_length() - 1,), size, nxt):
+                if visit is not None and not visit(prefix + (j,), size, nxt):
                     visit = self.visit = None
             else:
-                self._recurse(prefix + (low.bit_length() - 1,), nxt, nxt)
+                self._recurse(prefix + (j,), key | low, nxt, nxt)
         if before_last:
             self.count += leaves
             self._charge(leaves)
+            if keyed:
+                self.memo[key] = leaves
 
 
 def _mask(ids) -> int:
@@ -265,12 +321,18 @@ class EnumResult:
     unordered_count: int
     nodes: int
     wall_seconds: float
+    joins: int       # spans the kernel joined
+    memo_hits: int   # prefixes that reused the stored leaves of their set
 
 
 def _search(job: EnumJob, first_points=None):
     """Run the search a job describes; returns it with the number of
     sampled arcs that were sectioned and checked."""
     n, field = job.n, job.field
+    if job.kind != "arcs" and job.m is not None:
+        raise WrongCount(f"{job.kind} jobs fix their tuple size; m applies to arc jobs only")
+    if job.kind == "frames" and job.avoid is not None:
+        raise WrongCount("frame jobs count every frame; avoid applies to arc jobs only")
     sampler = None
     if job.kind == "frames":
         search = _ArcSearch(field, n, n + 2, None, job.budget)
@@ -299,4 +361,5 @@ def run_job(job: EnumJob) -> EnumResult:
     start = time.perf_counter()
     search, _ = _search(job)
     return EnumResult(job, search.count, search.count // factorial(search.m),
-                      search.nodes, time.perf_counter() - start)
+                      search.nodes, time.perf_counter() - start,
+                      search.joins, search.memo_hits)

@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, file artifacts, determinism."""
 
+import hashlib
 import json
 import random
+import re
 from math import comb
 
 import pytest
@@ -132,6 +134,33 @@ def test_enumerate_frames(runner):
     assert result.exit_code == 0
     doc = json.loads(result.stdout)
     assert doc["raw_count"] == 5616
+
+
+def test_enumerate_frames_out_bytes(runner, tmp_path):
+    # the digest of the file before the prefix-set memo and the span rows
+    out = tmp_path / "frames.json"
+    result = runner.invoke(main, ["enumerate", "--kind", "frames", "--n", "2",
+                                  "--p", "3", "--out", str(out)])
+    assert result.exit_code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "93fe26b205eb5454d877f601512d5343d5fd204e0ec47f0a45e4e439d89ea4f6")
+    assert re.fullmatch(r"count 5616 \(7189 nodes, \d+ spans joined, \d+ memo hits, "
+                        r"\d+\.\d{3}s\)\n", result.stderr)
+
+
+@pytest.mark.parametrize("args,flag", [
+    (("frames", "--avoid"), "--avoid"),
+    (("frames", "--m", "7"), "--m"),
+    (("sectioned-configs", "--m", "7"), "--m"),
+    (("sectioned-configs", "--avoid"), "--avoid"),
+])
+def test_enumerate_rejects_arc_flags_for_other_kinds(runner, tmp_path, args, flag):
+    out = tmp_path / "counts.json"
+    result = runner.invoke(main, ["enumerate", "--kind", *args, "--n", "2",
+                                  "--p", "3", "--out", str(out)])
+    assert result.exit_code == 2
+    assert f"{flag} applies to --kind arcs only" in result.stderr
+    assert not out.exists()
 
 
 def test_enumerate_arcs_avoid(runner):

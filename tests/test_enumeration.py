@@ -29,6 +29,7 @@ from desarc.projlin import (
     all_points,
     coordinate_hyperplane,
     hyperplane_from_dual,
+    join,
 )
 
 
@@ -274,6 +275,16 @@ def test_run_job_arcs_with_avoid():
     assert result.nodes > 0
 
 
+def test_run_job_rejects_flags_its_kind_ignores():
+    f = GF(3)
+    h = coordinate_hyperplane(f, 2, 2)
+    for job in (EnumJob("frames", 2, f, m=7), EnumJob("frames", 2, f, avoid=h),
+                EnumJob("sectioned-configs", 2, f, m=5,
+                        avoid=coordinate_hyperplane(f, 3, 3))):
+        with pytest.raises(WrongCount):
+            run_job(job)
+
+
 def test_run_job_rejects_an_empty_arc_job():
     for m in (0, -1):
         with pytest.raises(WrongCount):
@@ -320,6 +331,7 @@ def test_counts_and_nodes_match_the_list_search(kind, n, field, expected):
     EnumJob("arcs", 3, GF(2), m=5, avoid=coordinate_hyperplane(GF(2), 3, 3)),
     _job("sectioned-configs", 1, GF(5)),
     _job("sectioned-configs", 2, GF(3)),
+    EnumJob("arcs", 2, GF(2, 2), m=6),
 ], ids=lambda job: f"{job.kind}-{job.n}-{job.field.q}-{job.m}")
 def test_budget_boundary_is_the_node_count(job):
     nodes = run_job(job).nodes
@@ -362,3 +374,80 @@ def test_sectioned_count_closed_form_oracle(n, q):
     f = GF(q)
     h = coordinate_hyperplane(f, n + 1, n + 1)
     assert count_sectioned_configs(n, f, h).raw == _oracle_sectioned(n, q)
+
+
+# -- prefixes longer than n: the level before the last is reached by many orderings --
+
+def _conics(q):
+    # nondegenerate conics of PG(2, q): |PGL(3, q)| / |PGL(2, q)| = q^5 - q^2
+    return q ** 5 - q ** 2
+
+
+# hyperovals of PG(2, 4): |PGL(3, 4)| / |A_6| = 60480 / 360 = 168; every
+# 5-arc lies on exactly one.  For q = 5 every 6-arc is a conic (Segre).
+# Node counts are the figures of the search that walked every ordering.
+@pytest.mark.parametrize("job,count,nodes", [
+    (EnumJob("arcs", 2, GF(2, 2), m=6), 168 * factorial(6), 309561),
+    (EnumJob("arcs", 2, GF(2, 2), m=5), 168 * factorial(6), 188601),
+    (EnumJob("arcs", 2, GF(5), m=6), _conics(5) * factorial(6), 4860211),
+    (EnumJob("frames", 3, GF(3)), _oracle_pgl(3, 3), 13704640),
+], ids=["hyperovals-pg24-m6", "hyperovals-pg24-m5", "conics-pg25-m6", "frames-pg33"])
+def test_counts_and_nodes_beyond_the_dimension(job, count, nodes):
+    result = run_job(job)
+    assert (result.raw_count, result.nodes) == (count, nodes)
+    assert result.memo_hits > 0
+
+
+def test_each_point_set_is_counted_once_and_each_span_joined_once_per_row():
+    # frames of PG(2, 7): the 57 * 56 ordered point pairs before the last
+    # level are C(57, 2) sets, each counted once and reused once; each point's
+    # row joins the 8 lines through it and no more
+    result = run_job(EnumJob("frames", 2, GF(7)))
+    assert result.memo_hits == 57 * 56 // 2
+    assert result.joins == 57 * 8
+    # a line of PG(1, q) needs no join: its row entries are single points
+    assert run_job(EnumJob("frames", 1, GF(5))).joins == 0
+    sectioned = run_job(_job("sectioned-configs", 2, GF(3)))
+    assert sectioned.joins <= 2200
+    # every non-collinear triple of the 27 points is reached in 3! orders
+    # and counted once: 5 hits per triple
+    assert sectioned.memo_hits % 5 == 0
+    assert sectioned.memo_hits // 5 == sum(
+        1 for t in combinations(
+            [p for p in _oracle_points(3, 4, *_prime_ops(3)) if p[3]], 3)
+        if _oracle_rank(list(t), 3) == 3)
+
+
+def test_a_visitor_that_keeps_going_sees_every_ordering():
+    # stored leaves are not used while a visitor is set, so the sectioned
+    # sampler's arcs do not depend on them
+    search = enumeration._ArcSearch(GF(2, 2), 2, 6, None, enumeration.DEFAULT_BUDGET)
+    counts = []
+    search.visit = lambda prefix_ids, count, mask: counts.append(count) or True
+    search.run()
+    assert sum(counts) == search.count == 168 * factorial(6)
+    assert (search.nodes, search.memo_hits) == (309561, 0)
+
+
+@pytest.mark.parametrize("n,field,m", [(3, GF(2), 5), (2, GF(2, 2), 6), (2, GF(3), 4)])
+def test_span_rows_hold_the_span_of_their_subset_and_point(n, field, m):
+    # every filled entry j of the row of s is the point set of span(s + j),
+    # and j lies off span(s)
+    search = enumeration._ArcSearch(field, n, m, None, enumeration.DEFAULT_BUDGET)
+    search.run()
+    points = search.points
+
+    def mask(ids):
+        return sum(1 << search.index[p.coords]
+                   for p in join(*(points[i] for i in ids)).points()) if ids else 0
+
+    filled = 0
+    for s, row in search.rows.items():
+        subset = [i for i in range(len(points)) if s >> i & 1]
+        own = mask(subset)
+        for j, span in enumerate(row):
+            if span is not None:
+                assert not own >> j & 1
+                assert span == mask(subset + [j])
+                filled += 1
+    assert filled > len(points)
