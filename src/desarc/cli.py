@@ -296,7 +296,7 @@ def verify(input_file, out):
 @click.option("--m", "m", type=int, default=None, help="tuple size for arc jobs")
 @click.option("--avoid", is_flag=True, default=False,
               help="only points off the last-coordinate hyperplane (arc jobs)")
-@click.option("--budget", type=int, default=10 ** 9, show_default=True,
+@click.option("--budget", type=click.IntRange(min=0), default=10 ** 9, show_default=True,
               help="node budget for the search")
 @click.option("--out", default=None, help="write the counts to this path")
 def enumerate_cmd(n, p, k, modulus, kind, m, avoid, budget, out):

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .arcs import Arc, face, frame_off_hyperplane, is_simplex, random_arc_off_hyperplane
+from .arcs import Arc, frame_off_hyperplane, is_simplex, random_arc_off_hyperplane
 from .errors import (
     AmbientMismatch,
     BadSymbols,
@@ -164,12 +164,17 @@ class PerspectivePair:
     hypotheses, so violating them fails fast here instead of corrupting
     downstream geometry.
 
-    `_meets` memoizes, per ascending index tuple, the meet of the spans of
-    the corresponding points of a and b (see `_subset_meet`), so every
-    check on the pair computes each meet once.
+    Every check on the pair computes each of its objects once.  `span_a`
+    and `span_b` keep the span of the points at each ascending index tuple;
+    each is joined from the span of the tuple without its last index and
+    that index's point, the rule of `LabeledConfiguration.span`.  The faces
+    are read from these spans.  `_meets` keeps the meet of the two spans
+    per index tuple (see `_subset_meet`), and `_axis` keeps the axis
+    hyperplane once it is found.
     """
 
-    __slots__ = ("field", "n", "a", "b", "_faces_a", "_faces_b", "_meets")
+    __slots__ = ("field", "n", "a", "b", "_faces_a", "_faces_b",
+                 "_spans_a", "_spans_b", "_meets", "_axis")
 
     def __init__(self, a, b):
         a = tuple(a)
@@ -188,21 +193,34 @@ class PerspectivePair:
                 f"perspective pairs need dimension n >= 2, got n = {n}")
         if set(a) & set(b):
             raise SharedPoint("the simplexes share a point")
-        faces_a = tuple(face(a, k) for k in range(n + 1))
-        faces_b = tuple(face(b, k) for k in range(n + 1))
-        for k in range(n + 1):
-            if faces_a[k] == faces_b[k]:
-                raise SharedFace(f"corresponding faces {k} coincide")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
+        object.__setattr__(self, "_spans_a", {(): Subspace.empty(field, n)})
+        object.__setattr__(self, "_spans_b", {(): Subspace.empty(field, n)})
+        object.__setattr__(self, "_meets", {})
+        object.__setattr__(self, "_axis", None)
+        # face k spans every index but k
+        others = [tuple(i for i in range(n + 1) if i != k) for k in range(n + 1)]
+        faces_a = tuple(self.span_a(idxs) for idxs in others)
+        faces_b = tuple(self.span_b(idxs) for idxs in others)
+        for k in range(n + 1):
+            if faces_a[k] == faces_b[k]:
+                raise SharedFace(f"corresponding faces {k} coincide")
         object.__setattr__(self, "_faces_a", faces_a)
         object.__setattr__(self, "_faces_b", faces_b)
-        object.__setattr__(self, "_meets", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("PerspectivePair is immutable")
+
+    def span_a(self, idxs) -> Subspace:
+        """The span of A_i for i in idxs, an ascending index tuple."""
+        return _prefix_span(self._spans_a, self.a, idxs)
+
+    def span_b(self, idxs) -> Subspace:
+        """The span of B_i for i in idxs, an ascending index tuple."""
+        return _prefix_span(self._spans_b, self.b, idxs)
 
     @property
     def faces_a(self):
@@ -214,6 +232,16 @@ class PerspectivePair:
 
     def __repr__(self):
         return f"PerspectivePair(n={self.n}, q={self.field.q})"
+
+
+def _prefix_span(spans, points, idxs) -> Subspace:
+    """spans[idxs], joined from the span of idxs[:-1] and the last point
+    when it is not there yet; spans holds the empty tuple's span."""
+    found = spans.get(idxs)
+    if found is None:
+        found = spans[idxs] = join(_prefix_span(spans, points, idxs[:-1]),
+                                   points[idxs[-1]])
+    return found
 
 
 # -- section -------------------------------------------------------------------
@@ -312,17 +340,10 @@ def extract_perspective_pair(config: LabeledConfiguration, a: int, b: int):
 
 def _subset_meet(pair: PerspectivePair, idxs) -> Subspace:
     """The meet of the spans of A_i and of B_i for i in idxs, an ascending
-    index tuple; computed once per pair.  An n-subset spans a face, so the
-    pair's face is reused for it."""
+    index tuple; computed once per pair from the pair's spans."""
     x = pair._meets.get(idxs)
     if x is None:
-        if len(idxs) == pair.n:
-            k = (set(range(pair.n + 1)) - set(idxs)).pop()
-            sa, sb = pair.faces_a[k], pair.faces_b[k]
-        else:
-            sa = join(*(pair.a[i] for i in idxs))
-            sb = join(*(pair.b[i] for i in idxs))
-        x = pair._meets[idxs] = meet(sa, sb)
+        x = pair._meets[idxs] = meet(pair.span_a(idxs), pair.span_b(idxs))
     return x
 
 
@@ -366,9 +387,11 @@ def edge_intersections(pair: PerspectivePair):
 
 def axis_hyperplane(pair: PerspectivePair) -> Subspace:
     """The hyperplane spanned by the corresponding-edge intersections; it
-    carries every face-pair meet as well."""
-    pts = edge_intersections(pair)
-    return join(*pts.values())
+    carries every face-pair meet as well.  Joined once per pair; an edge
+    meet that fails raises its error on every call."""
+    if pair._axis is None:
+        object.__setattr__(pair, "_axis", join(*edge_intersections(pair).values()))
+    return pair._axis
 
 
 def tspace_intersections(pair: PerspectivePair, t: int):

@@ -41,6 +41,7 @@ from .arcs import Arc
 from .desargues import section_arc
 from .errors import (
     AmbientMismatch,
+    BadPointId,
     BudgetExceeded,
     DimensionTooSmall,
     NotAHyperplane,
@@ -116,8 +117,12 @@ class _ArcSearch:
         if first_points is None:
             self.first = self.pool0
         else:
-            self.first = self.pool0 & _mask(
-                i for i in first_points if 0 <= i < len(self.points))
+            first_points = list(first_points)
+            for i in first_points:
+                if not 0 <= i < len(self.points):
+                    raise BadPointId(
+                        f"first point id {i} is outside 0..{len(self.points) - 1}")
+            self.first = self.pool0 & _mask(first_points)
 
     def _points_mask(self, span: Subspace) -> int:
         """Mask of the points of a subspace, shared by every subset that
@@ -240,7 +245,8 @@ def count_arcs(n: int, field: GF, m: int, avoid: Subspace = None,
 
     `first_points` restricts the first tuple slot to the given point
     indices; the search tree partitions by first point, so summing the
-    counts of disjoint restrictions reproduces the full count exactly.
+    counts of disjoint restrictions reproduces the full count exactly.  An
+    id outside 0..#points-1 raises `BadPointId`.
     """
     job = EnumJob("arcs", n, field, m=m, avoid=avoid, budget=budget)
     return _search(job, first_points)[0].count

@@ -125,3 +125,7 @@ class DegenerateConfiguration(GeometryError):
 
 class BudgetExceeded(GeometryError):
     """The search walked more nodes than the configured budget."""
+
+
+class BadPointId(GeometryError):
+    """A point id outside 0..#points-1 of the searched space."""

@@ -14,6 +14,12 @@ log[g^i] = i give mul and inv.  add, sub and neg act on the coefficient
 vectors: in characteristic 2 that is XOR of the codes, in odd
 characteristic it goes through the Zech table zech[i] = log(1 + g^i).  A
 modulus is accepted only when Rabin's test proves it irreducible.
+
+Each design also supplies the row kernels that row reduction runs on,
+sub_row(f, xs, ys) = xs - f*ys and scale_row(s, xs) = s*xs, so the work
+per entry is inline arithmetic or table lookups, not a call to mul and
+sub: modulo p for a prime field, x ^ exp[log f + log y] in characteristic
+2, and a Zech lookup in odd characteristic.
 """
 
 from __future__ import annotations
@@ -117,10 +123,13 @@ class GF:
 
     Instances are immutable and compare equal when (p, k, modulus) agree.
     The callable attributes add/sub/mul/neg/inv work on integer element
-    codes.
+    codes; the row kernels sub_row(f, xs, ys) = xs - f*ys and
+    scale_row(s, xs) = s*xs work on equal-length lists of codes and return
+    a new list.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "add", "sub", "mul", "neg", "inv")
+    __slots__ = ("p", "k", "q", "modulus", "add", "sub", "mul", "neg", "inv",
+                 "sub_row", "scale_row")
 
     def __init__(self, p: int, k: int = 1, modulus=None):
         if _prime_factors(p) != [p]:
@@ -164,11 +173,19 @@ class GF:
                 raise DivisionByZero("inverse of zero")
             return pow(a, _p - 2, _p)
 
+        def sub_row(f, xs, ys, _p=p):
+            return [(x - f * y) % _p for x, y in zip(xs, ys)]
+
+        def scale_row(s, xs, _p=p):
+            return [s * x % _p for x in xs]
+
         object.__setattr__(self, "add", lambda a, b, _p=p: (a + b) % _p)
         object.__setattr__(self, "sub", lambda a, b, _p=p: (a - b) % _p)
         object.__setattr__(self, "mul", lambda a, b, _p=p: (a * b) % _p)
         object.__setattr__(self, "neg", lambda a, _p=p: (-a) % _p)
         object.__setattr__(self, "inv", inv)
+        object.__setattr__(self, "sub_row", sub_row)
+        object.__setattr__(self, "scale_row", scale_row)
 
     def _init_ext_ops(self):
         p, k, q, modulus = self.p, self.k, self.q, self.modulus
@@ -224,6 +241,12 @@ class GF:
                 raise DivisionByZero("inverse of zero")
             return exp[n - log[a]]
 
+        def scale_row(s, xs):     # one log lookup for s, not one per entry
+            if not s:
+                return [0] * len(xs)
+            ls = log[s]
+            return [exp[ls + log[x]] if x else 0 for x in xs]
+
         if p == 2:
             # coefficient vectors add by XOR, and every element is its own
             # negative
@@ -231,6 +254,12 @@ class GF:
 
             def neg(a):
                 return a
+
+            def sub_row(f, xs, ys):
+                if not f:
+                    return list(xs)
+                lf = log[f]
+                return [x ^ exp[lf + log[y]] if y else x for x, y in zip(xs, ys)]
         else:
             half = n // 2         # g^half = -1
             no_log = _NO_LOG
@@ -262,11 +291,34 @@ class GF:
             def neg(a):
                 return exp[log[a] + half] if a else 0
 
+            def sub_row(f, xs, ys):
+                # x - f y = x + g^m with m = log f + half + log y; m is kept
+                # below 2n by reducing log f + half first, so exp[m] and
+                # zech[m - log x] (down to -n, which wraps to the table's
+                # second copy) stay in range
+                if not f:
+                    return list(xs)
+                lfh = (log[f] + half) % n
+                out = []
+                for x, y in zip(xs, ys):
+                    if y:
+                        m = lfh + log[y]
+                        if x:
+                            la = log[x]
+                            z = zech[m - la]
+                            x = 0 if z == no_log else exp[la + z]
+                        else:
+                            x = exp[m]
+                    out.append(x)
+                return out
+
         object.__setattr__(self, "add", add)
         object.__setattr__(self, "sub", sub)
         object.__setattr__(self, "mul", mul)
         object.__setattr__(self, "neg", neg)
         object.__setattr__(self, "inv", inv)
+        object.__setattr__(self, "sub_row", sub_row)
+        object.__setattr__(self, "scale_row", scale_row)
 
     def scalar(self, m: int) -> int:
         """The image of the rational integer m under the natural map into

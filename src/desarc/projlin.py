@@ -14,9 +14,12 @@ total, with no special cases.
 A join is one rref of the stacked bases.  A meet is one rref too: the rows
 of the smaller basis are reduced modulo the other basis, and the linear
 relations among the residues give the combinations that span the meet,
-already in reduced form (see `meet`).  `join` and `meet` build their
-results from codes that are already canonical, so only the public
-`Subspace(...)` constructor and `normalize` coerce their input.
+already in reduced form (see `meet`).  The row operations of `rref`, `meet`
+and the coordinate helpers are the field's row kernels `sub_row` and
+`scale_row`, and every subspace keeps the pivot columns of its basis.
+`join` and `meet` build their results from codes that are already
+canonical, so only the public `Subspace(...)` constructor and `normalize`
+coerce their input.
 """
 
 from __future__ import annotations
@@ -37,9 +40,11 @@ from .field import GF
 
 def rref(field: GF, rows, width: int):
     """Reduced row echelon form. Returns (rows, pivot_columns) with zero
-    rows dropped; the output rows are tuples and canonical for the span."""
-    mul, sub, inv = field.mul, field.sub, field.inv
-    mat = [list(r) for r in rows]
+    rows dropped; the output rows are tuples and canonical for the span.
+    Row operations are the field's own kernels, and each makes a new row,
+    so the input rows are never modified."""
+    sub_row, scale_row, inv = field.sub_row, field.scale_row, field.inv
+    mat = list(rows)
     pivots = []
     r = 0
     for c in range(width):
@@ -53,13 +58,12 @@ def rref(field: GF, rows, width: int):
         mat[r], mat[pr] = mat[pr], mat[r]
         pv = mat[r][c]
         if pv != 1:
-            piv_inv = inv(pv)
-            mat[r] = [mul(piv_inv, x) for x in mat[r]]
+            mat[r] = scale_row(inv(pv), mat[r])
         row_r = mat[r]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [sub(x, mul(f, y)) for x, y in zip(mat[i], row_r)]
+        for i, row in enumerate(mat):
+            f = row[c]
+            if f and i != r:
+                mat[i] = sub_row(f, row, row_r)
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -167,20 +171,22 @@ def num_points(field: GF, n: int) -> int:
 class Subspace:
     """A projective subspace of PG(n, q) as a canonical RREF row basis.
 
-    dim == -1 encodes the empty subspace (empty basis).
+    dim == -1 encodes the empty subspace (empty basis).  `_pivots` keeps the
+    pivot column of each basis row.  Internal callers that already hold a
+    reduced basis pass its row tuples with their pivot columns as
+    `_pivots`, which skips coercion and reduction.
     """
 
-    __slots__ = ("field", "n", "basis", "_dual")
+    __slots__ = ("field", "n", "basis", "_pivots", "_dual")
 
-    def __init__(self, field: GF, n: int, rows, *, _canonical=False):
-        if _canonical:
-            basis = tuple(tuple(r) for r in rows)
-        else:
-            basis = tuple(rref(field, [_coerce_coords(field, r) for r in rows],
-                                n + 1)[0])
+    def __init__(self, field: GF, n: int, rows, *, _pivots=None):
+        if _pivots is None:
+            rows, _pivots = rref(field, [_coerce_coords(field, r) for r in rows],
+                                 n + 1)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "basis", tuple(rows))
+        object.__setattr__(self, "_pivots", tuple(_pivots))
         object.__setattr__(self, "_dual", None)
 
     def __setattr__(self, name, value):
@@ -188,7 +194,7 @@ class Subspace:
 
     @classmethod
     def empty(cls, field: GF, n: int) -> "Subspace":
-        return cls(field, n, (), _canonical=True)
+        return cls(field, n, (), _pivots=())
 
     @property
     def dim(self) -> int:
@@ -202,23 +208,24 @@ class Subspace:
         if p.field != self.field or p.n != self.n:
             raise AmbientMismatch("point lives in a different space")
         if self.is_hyperplane:
-            d = self.dual_vector()
-            mul, add = self.field.mul, self.field.add
-            acc = 0
-            for x, y in zip(d, p.coords):
-                if x and y:
-                    acc = add(acc, mul(x, y))
-            return acc == 0
+            return self._on_hyperplane(p.coords)
         return _vector_in(self, p.coords) is not None
-
-    def _pivots(self):
-        """Pivot column of each basis row: its first nonzero entry, since
-        the basis is reduced."""
-        return [next(i for i, x in enumerate(row) if x) for row in self.basis]
 
     def contains(self, other: "Subspace") -> bool:
         _check_same_ambient(self, other)
+        if self.is_hyperplane:
+            return all(self._on_hyperplane(row) for row in other.basis)
         return all(_vector_in(self, row) is not None for row in other.basis)
+
+    def _on_hyperplane(self, vec) -> bool:
+        """Whether vec satisfies this hyperplane's equation, by one dot
+        product with the cached dual vector."""
+        mul, add = self.field.mul, self.field.add
+        acc = 0
+        for x, y in zip(self.dual_vector(), vec):
+            if x and y:
+                acc = add(acc, mul(x, y))
+        return acc == 0
 
     def dual_vector(self) -> tuple:
         """Normalized coefficient vector of the defining equation; only for
@@ -278,7 +285,8 @@ def _check_same_ambient(a, b):
 def _span(field: GF, n: int, rows) -> Subspace:
     """Span of rows whose entries are already canonical codes: one rref,
     no coercion."""
-    return Subspace(field, n, rref(field, rows, n + 1)[0], _canonical=True)
+    basis, pivots = rref(field, rows, n + 1)
+    return Subspace(field, n, basis, _pivots=pivots)
 
 
 def join(*parts) -> Subspace:
@@ -313,52 +321,38 @@ def meet(s1: Subspace, s2: Subspace) -> Subspace:
     i and 0 at the other relations' i, so the relations are the reduced
     basis of all such c.  U's basis is reduced too, so sum c_i u_i carries
     c in U's pivot columns, and the combinations are the canonical basis
-    of U meet W with no second reduction.
+    of U meet W with no second reduction; each leads at U's pivot column
+    of its own i.
     """
     _check_same_ambient(s1, s2)
     u, w = (s1, s2) if len(s1.basis) <= len(s2.basis) else (s2, s1)
     field, n = s1.field, s1.n
     if not u.basis or not w.basis:
         return Subspace.empty(field, n)
-    add, sub, mul, neg = field.add, field.sub, field.mul, field.neg
+    sub_row = field.sub_row
     r = len(u.basis)
-    w_pivots = w._pivots()
-    w_free = sorted(set(range(n + 1)) - set(w_pivots))
+    w_free = [c for c in range(n + 1) if c not in w._pivots]
     cols = []  # cols[r-1-i] = residue of u_i on W's free columns
     for urow in reversed(u.basis):
-        res = []
-        for c in w_free:
-            x = urow[c]
-            for p, wrow in zip(w_pivots, w.basis):
-                if urow[p] and wrow[c]:
-                    x = sub(x, mul(urow[p], wrow[c]))
-            res.append(x)
-        cols.append(res)
+        res = urow
+        for p, wrow in zip(w._pivots, w.basis):
+            if urow[p]:
+                res = sub_row(urow[p], res, wrow)
+        cols.append([res[c] for c in w_free])
     reduced, pivots = rref(field, zip(*cols), r)
     pivot_set = set(pivots)
-    u_pivots = u._pivots()
-    u_free = sorted(set(range(n + 1)) - set(u_pivots))
-    basis = []
+    basis, leads = [], []
     for i in range(r):
         j = r - 1 - i
         if j in pivot_set:
             continue
-        coeffs = [0] * r
-        coeffs[i] = 1
+        vec = u.basis[i]
         for row, pc in zip(reduced, pivots):
             if row[j]:
-                coeffs[r - 1 - pc] = neg(row[j])
-        vec = [0] * (n + 1)
-        for p, ci in zip(u_pivots, coeffs):
-            vec[p] = ci
-        for c in u_free:
-            x = 0
-            for ci, urow in zip(coeffs, u.basis):
-                if ci and urow[c]:
-                    x = add(x, mul(ci, urow[c]))
-            vec[c] = x
+                vec = sub_row(row[j], vec, u.basis[r - 1 - pc])
         basis.append(tuple(vec))
-    return Subspace(field, n, basis, _canonical=True)
+        leads.append(u._pivots[i])
+    return Subspace(field, n, basis, _pivots=leads)
 
 
 def hyperplane_from_dual(field: GF, coeffs) -> Subspace:
@@ -368,7 +362,8 @@ def hyperplane_from_dual(field: GF, coeffs) -> Subspace:
         raise ZeroVector("hyperplane coefficients cannot all be zero")
     n = len(coeffs) - 1
     rows = nullspace(field, [coeffs], n + 1)
-    return Subspace(field, n, rows, _canonical=True)
+    # a reduced row has only zeros before its leading 1
+    return Subspace(field, n, rows, _pivots=[row.index(1) for row in rows])
 
 
 def coordinate_hyperplane(field: GF, n: int, index: int) -> Subspace:
@@ -384,24 +379,24 @@ def coordinate_hyperplane(field: GF, n: int, index: int) -> Subspace:
 
 def _combine(field: GF, coeffs, rows, width: int):
     """The vector sum c_i * row_i, as a list."""
-    add, mul = field.add, field.mul
+    sub_row, neg = field.sub_row, field.neg
     vec = [0] * width
     for c, row in zip(coeffs, rows):
         if c:
-            for i, x in enumerate(row):
-                if x:
-                    vec[i] = add(vec[i], mul(c, x))
+            vec = sub_row(neg(c), vec, row)
     return vec
 
 
 def _vector_in(h: Subspace, vec):
     """Express a vector of <h> in the RREF basis of h; None if outside.
     The coefficients are vec's entries in h's pivot columns, and vec lies
-    in h exactly when they rebuild it."""
-    c = [vec[pc] for pc in h._pivots()]
-    if _combine(h.field, c, h.basis, len(vec)) != list(vec):
-        return None
-    return c
+    in h exactly when subtracting their combination leaves zero."""
+    c = [vec[pc] for pc in h._pivots]
+    sub_row = h.field.sub_row
+    for ci, row in zip(c, h.basis):
+        if ci:
+            vec = sub_row(ci, vec, row)
+    return None if any(vec) else c
 
 
 def coords_in(h: Subspace, p: ProjPoint) -> ProjPoint:

@@ -296,6 +296,19 @@ def test_enumerate_budget_error(runner):
     assert "BudgetExceeded" in result.output
 
 
+def test_enumerate_rejects_a_negative_budget(runner):
+    result = runner.invoke(main, ["enumerate", "--kind", "frames", "--n", "2",
+                                  "--p", "3", "--budget", "-5"])
+    assert result.exit_code == 2
+    assert "--budget" in result.output
+    assert "BudgetExceeded" not in result.output
+    # a budget of 0 is a valid budget that the first node exceeds
+    result = runner.invoke(main, ["enumerate", "--kind", "frames", "--n", "2",
+                                  "--p", "3", "--budget", "0"])
+    assert result.exit_code == 2
+    assert "BudgetExceeded" in result.output
+
+
 BATTERY = ["vertex_concurrence", "edge_intersections_distinct",
            "edge_intersections_disjoint", "axis_is_hyperplane",
            "axis_carries_intersections", "tspace_meets", "face_meets_in_axis",

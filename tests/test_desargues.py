@@ -293,6 +293,49 @@ def test_edge_meets_computed_once_per_pair(monkeypatch):
     assert faces[::-1] == [meet(fa, fb) for fa, fb in zip(pair.faces_a, pair.faces_b)]
 
 
+def _index_subsets(n, low=1):
+    return [idxs for size in range(low, n + 2)
+            for idxs in combinations(range(n + 1), size)]
+
+
+@pytest.mark.parametrize("field", [GF(5), GF(2, 3), GF(3, 2)], ids=str)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_prefix_grown_pair_spans_match_joins_from_scratch(field, n):
+    """The pair's spans, each joined from the span of its prefix, its faces
+    and its subset meets against joins and meets of the points alone, on
+    two seeded pairs per (n, q)."""
+    from desarc.desargues import _subset_meet
+    for seed in (1, 2):
+        pair, _ = random_perspective_pair(n, field, random.Random(100 * n + seed))
+        for idxs in _index_subsets(n):
+            assert pair.span_a(idxs) == join(*(pair.a[i] for i in idxs))
+            assert pair.span_b(idxs) == join(*(pair.b[i] for i in idxs))
+        for k in range(n + 1):
+            assert pair.faces_a[k] == face(pair.a, k)
+            assert pair.faces_b[k] == face(pair.b, k)
+        for idxs in _index_subsets(n - 1, low=2):
+            assert _subset_meet(pair, idxs) == meet(
+                join(*(pair.a[i] for i in idxs)), join(*(pair.b[i] for i in idxs)))
+
+
+def test_axis_is_joined_once_per_pair(monkeypatch):
+    from desarc import desargues
+    pair, _ = random_perspective_pair(4, F5, random.Random(3))
+    points = edge_intersections(pair)   # joins the edges' spans
+    calls = []
+    real = desargues.join
+
+    def counted(*parts):
+        calls.append(parts)
+        return real(*parts)
+
+    monkeypatch.setattr(desargues, "join", counted)
+    axis = axis_hyperplane(pair)
+    assert axis_hyperplane(pair) is axis
+    assert len(calls) == 1
+    assert axis == real(*points.values())
+
+
 # -- edge intersections ---------------------------------------------------------------
 
 @pytest.mark.parametrize("n,count", [(2, 3), (3, 6), (4, 10)])

@@ -18,6 +18,7 @@ from desarc.enumeration import (
 )
 from desarc.errors import (
     AmbientMismatch,
+    BadPointId,
     BudgetExceeded,
     DimensionTooSmall,
     NotAHyperplane,
@@ -264,6 +265,13 @@ def test_partition_by_first_point_sums_to_total():
     halves = [count_arcs(2, f, 4, first_points=range(0, 7)),
               count_arcs(2, f, 4, first_points=range(7, 13))]
     assert sum(halves) == total
+
+
+@pytest.mark.parametrize("first,bad", [([99], "99"), ([-1, 0], "-1"), ([0, 13, 14], "13")])
+def test_first_points_outside_the_range_raise(first, bad):
+    # PG(2, 3) has the point ids 0..12
+    with pytest.raises(BadPointId, match=f"id {bad} is outside 0..12"):
+        count_arcs(2, GF(3), 4, first_points=first)
 
 
 def test_run_job_arcs_with_avoid():

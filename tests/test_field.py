@@ -283,3 +283,53 @@ def test_gf3_10_builds_in_half_a_second():
     assert time.perf_counter() - start < 0.5
     exp, log = _tables(f)
     assert exp[1] == 34 and sorted(exp[:f.q - 1]) == list(range(1, f.q))
+
+
+# -- row kernels ------------------------------------------------------------------
+
+# the moduli of the benchmark's fields where it names one, else the defaults
+ROW_FIELDS = [(3, 1, None), (5, 1, None), (7, 1, None), (11, 1, None),
+              (13, 1, None), (2, 2, None), (2, 3, None), (3, 2, None),
+              (5, 2, None), (3, 3, None),
+              (3, 4, (2, 1, 0, 0, 1)),
+              (13, 2, (11, 0, 1)),
+              (2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1)),
+              (2, 12, (1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1)),
+              (2, 16, (1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1))]
+
+
+@pytest.mark.parametrize("p,k,modulus", ROW_FIELDS,
+                         ids=[f"gf{p ** k}" for p, k, _ in ROW_FIELDS])
+def test_row_kernels_match_the_elementwise_ops(p, k, modulus):
+    """sub_row(f, xs, ys) = [sub(x, mul(f, y))] and scale_row(s, xs) =
+    [mul(s, x)].  Up to q = 27 for every f on rows that hold every pair
+    (x, y), zeros included.  Above that for the factors g^(q-2-d) next to
+    g^-1 (in odd characteristic log f + half + log y then passes 2(q-1)
+    for a large log y), and for seeded random factors, on seeded rows with
+    zeros, 1 and g^(q-2)."""
+    f = GF(p, k, modulus)
+    q = f.q
+    sub, mul = f.sub, f.mul
+
+    def check(factor, xs, ys):
+        assert f.sub_row(factor, xs, ys) == [sub(x, mul(factor, y))
+                                             for x, y in zip(xs, ys)]
+        assert f.scale_row(factor, xs) == [mul(factor, x) for x in xs]
+
+    if q <= 27:
+        xs, ys = map(list, zip(*product(range(q), repeat=2)))
+        for factor in range(q):
+            check(factor, xs, ys)
+        return
+    exp, _ = _tables(f)
+    rng = random.Random(q)
+    special = [0, 1, exp[q - 2], exp[q - 3], exp[(q - 1) // 2]]
+    factors = [exp[q - 2 - d] for d in range(16)]
+    factors += [0, 1] + [rng.randrange(1, q) for _ in range(32)]
+    for factor in factors:
+        for _ in range(4):
+            xs = [rng.choice(special) if rng.random() < 0.4 else rng.randrange(q)
+                  for _ in range(64)]
+            ys = [rng.choice(special) if rng.random() < 0.4 else rng.randrange(q)
+                  for _ in range(64)]
+            check(factor, xs, ys)

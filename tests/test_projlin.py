@@ -136,6 +136,33 @@ def test_dimension_formula_randomized(q, n):
         assert meet(e, f) == meet(f, e)
 
 
+def _leads(s):
+    return tuple(next(i for i, x in enumerate(row) if x) for row in s.basis)
+
+
+@pytest.mark.parametrize("field", [GF(5), GF(2, 3), GF(3, 2)], ids=str)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_hyperplane_contains_agrees_with_coordinates(field, n):
+    """Subspace.contains on a hyperplane reads the dual vector; it must
+    agree with expressing each basis row in the hyperplane's basis.  Half
+    the subspaces are cut down into the hyperplane, so both answers occur.
+    The pivots each subspace keeps are its rows' leading columns."""
+    from desarc.projlin import _vector_in
+    rng = random.Random(31 * n + field.q)
+    seen = set()
+    for _ in range(60):
+        h = hyperplane_from_dual(field, [rng.randrange(field.q) for _ in range(n)] + [1])
+        s = _random_subspace(field, n, rng)
+        if rng.random() < 0.5:
+            s = meet(s, h)
+        by_rows = all(_vector_in(h, row) is not None for row in s.basis)
+        assert h.contains(s) == by_rows
+        seen.add(by_rows)
+        for sub in (h, s, join(s, h), meet(s, h)):
+            assert sub._pivots == _leads(sub)
+    assert seen == {True, False}
+
+
 def test_join_canonical_under_presentation():
     f = GF(5)
     a = pt(f, 1, 2, 3)
