@@ -47,7 +47,6 @@ from .enumeration import (
     EnumResult,
     count_arcs,
     count_frames,
-    count_sectioned_configs,
     pgl_order,
     run_job,
 )

@@ -93,9 +93,6 @@ class Arc:
         return (isinstance(other, Arc) and self.field == other.field
                 and self.points == other.points)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash((self.field, self.points))
 

@@ -21,6 +21,7 @@ from .configuration import (
     vertex_sweep,
 )
 from .desargues import (
+    _anchor_off,
     axis_hyperplane,
     conway_lift_axis,
     edge_intersections,
@@ -32,10 +33,10 @@ from .desargues import (
     sectioned_config,
     tspace_intersections,
 )
-from .enumeration import EnumJob, run_job
+from .enumeration import DEFAULT_BUDGET, EnumJob, run_job
 from .errors import GeometryError
 from .field import GF
-from .projlin import all_points, coordinate_hyperplane
+from .projlin import coordinate_hyperplane
 from .io import dumps
 
 
@@ -204,7 +205,7 @@ def _pair_battery(pair, vertex):
                 and all(config.point(2, i + 3) == pair.b[i] for i in range(n + 1))
                 and config.point(1, 2) == vertex)
 
-    w = next(pt for pt in all_points(pair.field, n + 1) if not h.contains_point(pt))
+    w = _anchor_off(h)
     battery = [
         ("vertex_concurrence", lambda: find_vertex(pair) == vertex),
         ("edge_intersections_distinct",
@@ -296,8 +297,8 @@ def verify(input_file, out):
 @click.option("--m", "m", type=int, default=None, help="tuple size for arc jobs")
 @click.option("--avoid", is_flag=True, default=False,
               help="only points off the last-coordinate hyperplane (arc jobs)")
-@click.option("--budget", type=click.IntRange(min=0), default=10 ** 9, show_default=True,
-              help="node budget for the search")
+@click.option("--budget", type=click.IntRange(min=0), default=DEFAULT_BUDGET,
+              show_default=True, help="node budget for the search")
 @click.option("--out", default=None, help="write the counts to this path")
 def enumerate_cmd(n, p, k, modulus, kind, m, avoid, budget, out):
     """Count arcs, frames, or sectioned configurations exactly."""

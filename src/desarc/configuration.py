@@ -91,15 +91,14 @@ class SemiSimplexPair:
 # -- symbol incidence ------------------------------------------------------------
 
 def verify_symbol_incidence(config: LabeledConfiguration) -> bool:
-    """Check the label law of the table against the actual geometry: the
-    points are distinct, every symbol triple spans a line and every
-    4-subset a plane.  Given the lines, three points off i in {i,j,k,l}
-    are collinear iff all six are, so each triple line carries exactly its
-    three points among the labels meeting the triple.  A disjoint label on
-    a triple line over a small field is an ambient incidence, not an error.
+    """Check the label law of the table against the actual geometry: every
+    symbol triple spans a line and every 4-subset a plane.  The points are
+    distinct, which the `LabeledConfiguration` constructor guarantees.
+    Given the lines, three points off i in {i,j,k,l} are collinear iff all
+    six are, so each triple line carries exactly its three points among the
+    labels meeting the triple.  A disjoint label on a triple line over a
+    small field is an ambient incidence, not an error.
     """
-    if len(set(config.table.values())) != len(config):
-        return False
     return (all(config.span(t).dim == 1 for t in combinations(config.symbols, 3))
             and all(config.span(s).dim == 2 for s in combinations(config.symbols, 4)))
 

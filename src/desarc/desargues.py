@@ -17,6 +17,7 @@ points of PG(n, q).
 from __future__ import annotations
 
 from itertools import combinations
+from types import MappingProxyType
 
 from .arcs import Arc, frame_off_hyperplane, is_simplex, random_arc_off_hyperplane
 from .errors import (
@@ -58,7 +59,9 @@ class LabeledConfiguration:
 
     The full section of an (n+3)-arc uses symbols 1..n+3; restrictions to a
     subset of symbols keep the original symbol names and share the point
-    objects, so identity across recursion levels is label-exact.
+    objects, so identity across recursion levels is label-exact.  The table
+    is a read-only view, so the constructor's checks and the span map hold
+    for the object's lifetime.
     """
 
     __slots__ = ("field", "n", "symbols", "table", "_spans")
@@ -87,7 +90,7 @@ class LabeledConfiguration:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "symbols", symbols)
-        object.__setattr__(self, "table", clean)
+        object.__setattr__(self, "table", MappingProxyType(clean))
         object.__setattr__(self, "_spans", {})
 
     def __setattr__(self, name, value):
@@ -146,9 +149,6 @@ class LabeledConfiguration:
         return (isinstance(other, LabeledConfiguration)
                 and self.field == other.field and self.n == other.n
                 and self.table == other.table)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __repr__(self):
         return (f"LabeledConfiguration({len(self.table)} points, "

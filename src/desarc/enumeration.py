@@ -27,8 +27,9 @@ level before the last, a prefix of at least two points is keyed by its
 point mask: the first ordering counts its leaves and stores them, and every
 other ordering charges its pool size plus the stored leaves and counts
 them.  The count, the node count and the budget boundary are those of the
-search that walks every ordering.  While the sectioned-config sampler is
-active every ordering is walked, so it samples the same arcs."""
+search that walks every ordering.  A visitor, such as the sectioned-config
+sampler, therefore sees each prefix set at that level once, on its first
+ordering."""
 
 from __future__ import annotations
 
@@ -44,6 +45,7 @@ from .errors import (
     BadPointId,
     BudgetExceeded,
     DimensionTooSmall,
+    NegativeBudget,
     NotAHyperplane,
     WrongCount,
 )
@@ -51,8 +53,8 @@ from .field import GF
 from .projlin import Subspace, all_points, join
 
 DEFAULT_BUDGET = 10 ** 9
-# sectioned-config searches section every SAMPLE_EVERY-th arc, at most
-# SAMPLE_CAP of them
+# sectioned-config searches section every SAMPLE_EVERY-th arc the sampler
+# sees, at most SAMPLE_CAP of them
 SAMPLE_EVERY = 100
 SAMPLE_CAP = 20
 
@@ -80,14 +82,16 @@ class _ArcSearch:
     never visited; there, a prefix of at least two points whose set was
     counted before charges and counts the stored leaves instead.  `visit`,
     when set, is called at that level as visit(prefix_ids,
-    completion_count, completion_mask) until it returns False; while it is
-    set the stored leaves are not used, so it sees every ordering."""
+    completion_count, completion_mask) until it returns False, on the first
+    ordering of each prefix set only."""
 
     def __init__(self, field: GF, n: int, m: int, avoid: Subspace, budget: int,
                  first_points=None):
         if n < 1:
             raise DimensionTooSmall(
                 f"enumeration needs dimension n >= 1, the search space is PG({n}, q)")
+        if budget < 0:
+            raise NegativeBudget(f"the node budget must be at least 0, got {budget}")
         if avoid is not None:
             if avoid.field != field or avoid.n != n:
                 raise AmbientMismatch(
@@ -178,7 +182,7 @@ class _ArcSearch:
         before_last = len(prefix) == self.m - 2
         # one ordering of a prefix of at most one point: nothing to share
         keyed = before_last and len(prefix) >= 2
-        if keyed and self.visit is None:
+        if keyed:
             leaves = self.memo.get(key)
             if leaves is not None:
                 self.memo_hits += 1
@@ -249,40 +253,21 @@ def count_arcs(n: int, field: GF, m: int, avoid: Subspace = None,
     id outside 0..#points-1 raises `BadPointId`.
     """
     job = EnumJob("arcs", n, field, m=m, avoid=avoid, budget=budget)
-    return _search(job, first_points)[0].count
+    return _search(job, first_points).raw_count
 
 
 def count_frames(n: int, field: GF, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of ordered coordinate frames (arcs of n+2 points) of
     PG(n, q); equals the projectivity group order, which serves as an
     independent cross-check and is never assumed."""
-    return _search(EnumJob("frames", n, field, budget=budget))[0].count
-
-
-@dataclass(frozen=True)
-class SectionedCount:
-    raw: int        # ordered (n+3)-arcs off the hyperplane
-    unordered: int  # raw // (n+3)!
-    samples_checked: int
-
-
-def count_sectioned_configs(n: int, field: GF, h: Subspace,
-                            budget: int = DEFAULT_BUDGET) -> SectionedCount:
-    """Exact count of ordered (n+3)-arcs of PG(n+1, q) with no point on h.
-
-    For n >= 2 every such arc sections to a valid labeled configuration,
-    which is verified on a deterministic sample of the enumerated arcs: every
-    SAMPLE_EVERY-th arc in search order, at most SAMPLE_CAP of them.  At
-    n = 1 that claim fails (a diagonal point of the quadrangle can lie on h),
-    so the arcs are only counted and `samples_checked` is 0."""
-    job = EnumJob("sectioned-configs", n, field, avoid=h, budget=budget)
-    search, checked = _search(job)
-    return SectionedCount(search.count, search.count // factorial(n + 3), checked)
+    return run_job(EnumJob("frames", n, field, budget=budget)).raw_count
 
 
 class _SectionSampler:
-    """Search visitor that sections every SAMPLE_EVERY-th enumerated arc, at
-    most SAMPLE_CAP of them, and checks each gives a full configuration."""
+    """Search visitor that checks that sampled arcs section to full
+    configurations.  It sees the arcs below the first ordering of each
+    prefix set at the level before the last, in search order, and sections
+    every SAMPLE_EVERY-th of them, at most SAMPLE_CAP."""
 
     def __init__(self, n: int, h: Subspace, points):
         self.n = n
@@ -322,18 +307,18 @@ class EnumJob:
 
 @dataclass(frozen=True)
 class EnumResult:
-    job: EnumJob
     raw_count: int
     unordered_count: int
     nodes: int
     wall_seconds: float
     joins: int       # spans the kernel joined
     memo_hits: int   # prefixes that reused the stored leaves of their set
+    samples_checked: int  # sampled arcs of a sectioned-config job that were sectioned
 
 
-def _search(job: EnumJob, first_points=None):
-    """Run the search a job describes; returns it with the number of
-    sampled arcs that were sectioned and checked."""
+def _search(job: EnumJob, first_points=None) -> EnumResult:
+    """Run the search a job describes and collect its statistics."""
+    start = time.perf_counter()
     n, field = job.n, job.field
     if job.kind != "arcs" and job.m is not None:
         raise WrongCount(f"{job.kind} jobs fix their tuple size; m applies to arc jobs only")
@@ -352,20 +337,23 @@ def _search(job: EnumJob, first_points=None):
         if h is None:
             raise WrongCount("sectioned-config jobs need the sectioning hyperplane")
         search = _ArcSearch(field, n + 1, n + 3, h, job.budget)
-        # at n = 1 a diagonal point of the planar quadrangle can lie on h,
-        # so the arcs there are counted but not sectioned
         if n >= 2:
             sampler = search.visit = _SectionSampler(n, h, search.points)
     else:
         raise WrongCount(f"unknown job kind {job.kind!r}")
     search.run()
-    return search, 0 if sampler is None else sampler.checked
+    return EnumResult(search.count, search.count // factorial(search.m), search.nodes,
+                      time.perf_counter() - start, search.joins, search.memo_hits,
+                      0 if sampler is None else sampler.checked)
 
 
 def run_job(job: EnumJob) -> EnumResult:
-    """Execute an enumeration job and collect node statistics."""
-    start = time.perf_counter()
-    search, _ = _search(job)
-    return EnumResult(job, search.count, search.count // factorial(search.m),
-                      search.nodes, time.perf_counter() - start,
-                      search.joins, search.memo_hits)
+    """Execute an enumeration job and collect node statistics.
+
+    A sectioned-config job counts the ordered (n+3)-arcs of PG(n+1, q) off
+    the hyperplane `avoid`.  For n >= 2 each sections to a full labeled
+    configuration, which is checked on a sample of the arcs (see
+    `_SectionSampler`).  At n = 1 a diagonal point of the quadrangle can
+    lie on the hyperplane, so the arcs are only counted and
+    `samples_checked` is 0."""
+    return _search(job)

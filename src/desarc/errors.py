@@ -129,3 +129,7 @@ class BudgetExceeded(GeometryError):
 
 class BadPointId(GeometryError):
     """A point id outside 0..#points-1 of the searched space."""
+
+
+class NegativeBudget(GeometryError):
+    """A search needs a node budget of at least 0."""

@@ -357,9 +357,6 @@ class GF:
         return (isinstance(other, GF) and self.p == other.p
                 and self.k == other.k and self.modulus == other.modulus)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash((self.p, self.k, self.modulus))
 

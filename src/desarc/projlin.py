@@ -130,9 +130,6 @@ class ProjPoint:
         return (isinstance(other, ProjPoint) and self.field == other.field
                 and self.coords == other.coords)
 
-    def __ne__(self, other):
-        return not self.__eq__(other)
-
     def __hash__(self):
         return hash((self.field, self.coords))
 
@@ -253,9 +250,6 @@ class Subspace:
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field
                 and self.n == other.n and self.basis == other.basis)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
 
     def __hash__(self):
         return hash((self.field, self.n, self.basis))

@@ -76,6 +76,18 @@ def test_symbol_incidence_random_arcs(field):
         assert verify_symbol_incidence(random_sectioned_config(2, field, rng))
 
 
+def test_a_checked_table_cannot_be_changed():
+    # verify_symbol_incidence trusts the constructor for distinct points and
+    # reads cached spans, so the table must stay the one that was checked
+    config = sectioned_config(2, F5)
+    assert verify_symbol_incidence(config)
+    with pytest.raises(TypeError):
+        config.table[(1, 2)] = config.point(1, 3)
+    with pytest.raises(AttributeError):
+        config.table = {}
+    assert len(set(config.points())) == len(config) == 10
+
+
 def test_symbol_incidence_detects_corruption():
     config = sectioned_config(2, F5)
     table = {lab: config.point(*lab) for lab in config.labels()}

@@ -12,7 +12,6 @@ from desarc.enumeration import (
     EnumJob,
     count_arcs,
     count_frames,
-    count_sectioned_configs,
     pgl_order,
     run_job,
 )
@@ -21,6 +20,7 @@ from desarc.errors import (
     BadPointId,
     BudgetExceeded,
     DimensionTooSmall,
+    NegativeBudget,
     NotAHyperplane,
     WrongCount,
 )
@@ -186,12 +186,13 @@ def test_avoided_hyperplane_must_be_one_of_the_searched_space():
         count_arcs(2, f, 4, avoid=Subspace(f, 2, [(0, 0, 1)]))
     # the sectioning hyperplane of PG(3, 3), but over GF(5)
     with pytest.raises(AmbientMismatch):
-        count_sectioned_configs(2, f, coordinate_hyperplane(GF(5), 3, 3))
+        run_job(EnumJob("sectioned-configs", 2, f, avoid=coordinate_hyperplane(GF(5), 3, 3)))
     # a plane of PG(4, 3) and a line of PG(3, 3), against the searched PG(3, 3)
     with pytest.raises(AmbientMismatch):
-        count_sectioned_configs(2, f, coordinate_hyperplane(f, 4, 4))
+        run_job(EnumJob("sectioned-configs", 2, f, avoid=coordinate_hyperplane(f, 4, 4)))
     with pytest.raises(NotAHyperplane):
-        count_sectioned_configs(2, f, Subspace(f, 3, [(0, 0, 1, 0), (0, 0, 0, 1)]))
+        run_job(EnumJob("sectioned-configs", 2, f,
+                        avoid=Subspace(f, 3, [(0, 0, 1, 0), (0, 0, 0, 1)])))
 
 
 # -- sectioned configurations ----------------------------------------------------------
@@ -199,7 +200,7 @@ def test_avoided_hyperplane_must_be_one_of_the_searched_space():
 def test_sectioned_count_gf2_is_zero():
     f = GF(2)
     h = coordinate_hyperplane(f, 3, 3)
-    assert count_sectioned_configs(2, f, h).raw == 0
+    assert run_job(EnumJob("sectioned-configs", 2, f, avoid=h)).raw_count == 0
 
 
 def test_sectioned_count_n1_counts_without_sampling():
@@ -209,9 +210,9 @@ def test_sectioned_count_n1_counts_without_sampling():
     # a = 3 lines missing a fixed frame, 5616 * 3 / 13 = 1296.
     f = GF(3)
     h = coordinate_hyperplane(f, 2, 2)
-    result = count_sectioned_configs(1, f, h)
-    assert result.raw == 1296 == pgl_order(2, 3) * 3 // 13
-    assert result.unordered == 1296 // factorial(4)
+    result = run_job(EnumJob("sectioned-configs", 1, f, avoid=h))
+    assert result.raw_count == 1296 == pgl_order(2, 3) * 3 // 13
+    assert result.unordered_count == 1296 // factorial(4)
     assert result.samples_checked == 0
 
 
@@ -233,9 +234,9 @@ def test_sectioned_count_pg33_subset_oracle():
             unordered += 1
     f = GF(3)
     h = coordinate_hyperplane(f, 3, 3)
-    result = count_sectioned_configs(2, f, h)
-    assert result.unordered == unordered
-    assert result.raw == unordered * factorial(5)
+    result = run_job(EnumJob("sectioned-configs", 2, f, avoid=h))
+    assert result.unordered_count == unordered
+    assert result.raw_count == unordered * factorial(5)
     assert result.samples_checked > 0
 
 
@@ -253,6 +254,20 @@ def test_run_job_deterministic():
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         count_frames(2, GF(3), budget=10)
+
+
+@pytest.mark.parametrize("count", [
+    lambda budget: count_frames(2, GF(3), budget=budget),
+    lambda budget: count_arcs(2, GF(3), 4, budget=budget),
+    lambda budget: run_job(EnumJob("arcs", 2, GF(3), m=4, budget=budget)),
+    lambda budget: run_job(_job("sectioned-configs", 2, GF(3), budget=budget)),
+], ids=["count_frames", "count_arcs", "run_job-arcs", "run_job-sectioned-configs"])
+def test_a_negative_budget_is_rejected_before_the_search(count):
+    with pytest.raises(NegativeBudget, match="budget must be at least 0, got -5"):
+        count(-5)
+    # a budget of 0 is a budget, which the first node exceeds
+    with pytest.raises(BudgetExceeded):
+        count(0)
 
 
 def test_partition_by_first_point_sums_to_total():
@@ -313,9 +328,9 @@ def test_run_job_needs_a_space_of_dimension_one(kind, n):
 
 # -- the bitmask kernel against figures of the list-based search -----------------------
 
-def _job(kind, n, field):
+def _job(kind, n, field, budget=enumeration.DEFAULT_BUDGET):
     h = coordinate_hyperplane(field, n + 1, n + 1) if kind == "sectioned-configs" else None
-    return EnumJob(kind, n, field, avoid=h)
+    return EnumJob(kind, n, field, avoid=h, budget=budget)
 
 
 # (raw_count, nodes) as the list-and-frozenset search reported them
@@ -372,16 +387,14 @@ def test_sectioned_search_samples_the_same_arcs(monkeypatch):
         return section(arc, h)
 
     monkeypatch.setattr(enumeration, "section_arc", record)
-    result = count_sectioned_configs(2, f, coordinate_hyperplane(f, 3, 3))
+    result = run_job(EnumJob("sectioned-configs", 2, f, avoid=coordinate_hyperplane(f, 3, 3)))
     assert result.samples_checked == 20
     assert sampled == SAMPLED_ARCS_2_3
 
 
 @pytest.mark.parametrize("n,q", [(1, 3), (1, 5), (1, 7), (2, 3)])
 def test_sectioned_count_closed_form_oracle(n, q):
-    f = GF(q)
-    h = coordinate_hyperplane(f, n + 1, n + 1)
-    assert count_sectioned_configs(n, f, h).raw == _oracle_sectioned(n, q)
+    assert run_job(_job("sectioned-configs", n, GF(q))).raw_count == _oracle_sectioned(n, q)
 
 
 # -- prefixes longer than n: the level before the last is reached by many orderings --
@@ -426,15 +439,26 @@ def test_each_point_set_is_counted_once_and_each_span_joined_once_per_row():
         if _oracle_rank(list(t), 3) == 3)
 
 
-def test_a_visitor_that_keeps_going_sees_every_ordering():
-    # stored leaves are not used while a visitor is set, so the sectioned
-    # sampler's arcs do not depend on them
-    search = enumeration._ArcSearch(GF(2, 2), 2, 6, None, enumeration.DEFAULT_BUDGET)
-    counts = []
-    search.visit = lambda prefix_ids, count, mask: counts.append(count) or True
-    search.run()
-    assert sum(counts) == search.count == 168 * factorial(6)
-    assert (search.nodes, search.memo_hits) == (309561, 0)
+def test_a_visitor_that_keeps_going_sees_each_prefix_set_once():
+    # hyperovals of PG(2, 4): the stored leaves are used while a visitor is
+    # set, so the search is the visitor-free one, and the visitor sees only
+    # the first ordering of each 4-point prefix set
+    def run(visit):
+        search = enumeration._ArcSearch(GF(2, 2), 2, 6, None, enumeration.DEFAULT_BUDGET)
+        search.visit = visit
+        search.run()
+        return search.count, search.nodes, search.memo_hits, search.joins
+
+    counts, orderings = [], {}
+
+    def visit(prefix_ids, count, mask):
+        counts.append(count)
+        orderings.setdefault(frozenset(prefix_ids[:4]), set()).add(prefix_ids[:4])
+        return True
+
+    assert run(visit) == run(None) == (168 * factorial(6), 309561, 57960, 105)
+    assert sum(counts) == 168 * factorial(6) // factorial(4) == 5040
+    assert all(len(seen) == 1 for seen in orderings.values())
 
 
 @pytest.mark.parametrize("n,field,m", [(3, GF(2), 5), (2, GF(2, 2), 6), (2, GF(3), 4)])
