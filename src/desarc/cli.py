@@ -41,7 +41,11 @@ from .io import dumps
 
 
 def _field_from_flags(p: int, k: int, modulus):
-    mod = [int(x) for x in modulus.split(",")] if modulus else None
+    try:
+        mod = [int(x) for x in modulus.split(",")] if modulus else None
+    except ValueError:
+        raise click.UsageError(
+            f"--modulus must be comma-separated integers, got {modulus!r}") from None
     return GF(p, k, mod)
 
 
@@ -178,7 +182,7 @@ def _pair_battery(pair, vertex):
 
     Each check runs on its own: a typed geometry error fails that check,
     with the error type and message as its detail, and the other checks
-    still run.  The pair memoizes its edge meets, so a check that needs
+    still run.  The pair keeps its edge meets, so a check that needs
     them raises the same error as every other such check."""
     n = pair.n
     h = coordinate_hyperplane(pair.field, n + 1, n + 1)
@@ -327,8 +331,7 @@ def enumerate_cmd(n, p, k, modulus, kind, m, avoid, budget, out):
     }
     _emit(dumps(doc), out)
     click.echo(f"count {result.raw_count} ({result.nodes} nodes, {result.joins} spans "
-               f"joined, {result.memo_hits} memo hits, {result.wall_seconds:.3f}s)",
-               err=True)
+               f"joined, {result.wall_seconds:.3f}s)", err=True)
 
 
 @main.command()

@@ -91,7 +91,7 @@ class LabeledConfiguration:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "symbols", symbols)
         object.__setattr__(self, "table", MappingProxyType(clean))
-        object.__setattr__(self, "_spans", {})
+        object.__setattr__(self, "_spans", {(): Subspace.empty(field, n)})
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledConfiguration is immutable")
@@ -105,16 +105,13 @@ class LabeledConfiguration:
         have dimension n, and (4) span({a} | R - {k}) != span({b} | R - {k}).
         No meet is needed, as two distinct lines through (i, j) meet there;
         the configuration module gives the whole argument."""
-        key = tuple(sorted(symbols))
-        found = self._spans.get(key)
-        if found is None:
-            if len(key) < 2:
-                found = Subspace.empty(self.field, self.n)
-            else:
-                *head, last = key
-                found = join(self.span(head), *(self.point(i, last) for i in head))
-            self._spans[key] = found
-        return found
+        return _prefix_span(self._spans, tuple(sorted(symbols)), self._added)
+
+    def _added(self, key):
+        """The points the last symbol of a span key adds: its labels with
+        the symbols before it."""
+        last = key[-1]
+        return [self.point(i, last) for i in key[:-1]]
 
     def point(self, i: int, j: int) -> ProjPoint:
         try:
@@ -167,10 +164,11 @@ class PerspectivePair:
     Every check on the pair computes each of its objects once.  `span_a`
     and `span_b` keep the span of the points at each ascending index tuple;
     each is joined from the span of the tuple without its last index and
-    that index's point, the rule of `LabeledConfiguration.span`.  The faces
-    are read from these spans.  `_meets` keeps the meet of the two spans
-    per index tuple (see `_subset_meet`), and `_axis` keeps the axis
-    hyperplane once it is found.
+    that index's point by `_prefix_span`, the rule of
+    `LabeledConfiguration.span`.  The faces are read from these spans.
+    `_meets` keeps the meet of the two spans per index tuple (see
+    `_subset_meet`), and `_axis` keeps the axis hyperplane once it is
+    found.
     """
 
     __slots__ = ("field", "n", "a", "b", "_faces_a", "_faces_b",
@@ -216,11 +214,11 @@ class PerspectivePair:
 
     def span_a(self, idxs) -> Subspace:
         """The span of A_i for i in idxs, an ascending index tuple."""
-        return _prefix_span(self._spans_a, self.a, idxs)
+        return _prefix_span(self._spans_a, idxs, lambda key: (self.a[key[-1]],))
 
     def span_b(self, idxs) -> Subspace:
         """The span of B_i for i in idxs, an ascending index tuple."""
-        return _prefix_span(self._spans_b, self.b, idxs)
+        return _prefix_span(self._spans_b, idxs, lambda key: (self.b[key[-1]],))
 
     @property
     def faces_a(self):
@@ -234,13 +232,18 @@ class PerspectivePair:
         return f"PerspectivePair(n={self.n}, q={self.field.q})"
 
 
-def _prefix_span(spans, points, idxs) -> Subspace:
-    """spans[idxs], joined from the span of idxs[:-1] and the last point
-    when it is not there yet; spans holds the empty tuple's span."""
-    found = spans.get(idxs)
+def _prefix_span(spans, key, added) -> Subspace:
+    """spans[key] for an ascending key, the one span rule of configurations
+    and pairs: the join of the span of key[:-1] and the points added(key)
+    that key[-1] adds, kept in spans, which holds the empty key's span.  A
+    key whose last entry adds no point reuses its prefix's span."""
+    found = spans.get(key)
     if found is None:
-        found = spans[idxs] = join(_prefix_span(spans, points, idxs[:-1]),
-                                   points[idxs[-1]])
+        found = _prefix_span(spans, key[:-1], added)
+        new = added(key)
+        if new:
+            found = join(found, *new)
+        spans[key] = found
     return found
 
 

@@ -20,16 +20,22 @@ row's own span(s) is the entry of s's highest point in the row of the rest
 of s, and a point spans itself, so rows of the empty subset need no join.
 Point sets come from `Subspace.points` and are shared by canonical span.
 
-Prefix-set memo.  The pool below a prefix P is the set of points off
-span(T) for every T in P with |T| = min(|P|, n), so the pool, the leaves
-below P and the nodes charged there depend on the set of P only.  At the
-level before the last, a prefix of at least two points is keyed by its
-point mask: the first ordering counts its leaves and stores them, and every
-other ordering charges its pool size plus the stored leaves and counts
-them.  The count, the node count and the budget boundary are those of the
-search that walks every ordering.  A visitor, such as the sectioned-config
-sampler, therefore sees each prefix set at that level once, on its first
-ordering."""
+Prefix sets.  The search walks ascending prefixes only, and an ascending
+prefix P stands for all |P|! of its orderings, with that weight.  Below the
+level before the last, P is extended only by points above its last point;
+at the level before the last every point of the pool is taken, since the
+completions are ordered.  The outputs are those of the walk over every
+ordering:
+  * counts and nodes: the pool below P is the set of points off span(T)
+    for every T in P with |T| = min(|P|, n), so it depends on the set of P
+    only, and every ordering of an arc is an arc.  The node count is
+    therefore the number of ordered k-arcs summed over k = 1..m;
+  * budget: every charge is at least 0, so the budget is exceeded exactly
+    when the total node count exceeds it;
+  * visitor: the ordered walk reaches each set first through its ascending
+    ordering, and ascending tuples come in lexicographic order, so a
+    visitor such as the sectioned-config sampler sees the same arcs in the
+    same order."""
 
 from __future__ import annotations
 
@@ -42,7 +48,6 @@ from .arcs import Arc
 from .desargues import section_arc
 from .errors import (
     AmbientMismatch,
-    BadPointId,
     BudgetExceeded,
     DimensionTooSmall,
     NegativeBudget,
@@ -74,19 +79,16 @@ def pgl_order(n: int, q: int) -> int:
 class _ArcSearch:
     """Backtracking enumerator over int bitmasks of point ids.
 
-    A node holds the ordered prefix, the mask of its point set, the pool of
-    points that keep it an arc and the candidates for the next slot: the
-    pool, or at the root the pool restricted to the allowed first points.
-    Each node charges one budget node per candidate.  The level before the
-    last counts each child's pool by popcount and charges it, so leaves are
-    never visited; there, a prefix of at least two points whose set was
-    counted before charges and counts the stored leaves instead.  `visit`,
-    when set, is called at that level as visit(prefix_ids,
-    completion_count, completion_mask) until it returns False, on the first
-    ordering of each prefix set only."""
+    A node holds an ascending prefix, which stands for its |P|! orderings,
+    and the pool of points that keep it an arc.  It charges its weight
+    times the pool size, one budget node per ordered child.  The level
+    before the last counts each child's pool by popcount and charges and
+    counts it times the weight, so leaves are never visited.  `visit`, when
+    set, is called at that level as visit(prefix_ids, completion_count,
+    completion_mask) until it returns False, once per ascending prefix and
+    pool point."""
 
-    def __init__(self, field: GF, n: int, m: int, avoid: Subspace, budget: int,
-                 first_points=None):
+    def __init__(self, field: GF, n: int, m: int, avoid: Subspace, budget: int):
         if n < 1:
             raise DimensionTooSmall(
                 f"enumeration needs dimension n >= 1, the search space is PG({n}, q)")
@@ -105,7 +107,6 @@ class _ArcSearch:
         self.nodes = 0
         self.count = 0
         self.joins = 0
-        self.memo_hits = 0
         self.points = list(all_points(field, n))
         self.index = {p.coords: i for i, p in enumerate(self.points)}
         # rows[s][j] is the point mask of span(s + j), for a prefix subset
@@ -113,20 +114,9 @@ class _ArcSearch:
         # span to its point mask, shared by every subset that spans it
         self.rows = {}
         self.span_points = {}
-        # leaves below each prefix point set at the level before the last
-        self.memo = {}
         self.pool0 = (1 << len(self.points)) - 1
         if avoid is not None:
             self.pool0 &= ~self._points_mask(avoid)
-        if first_points is None:
-            self.first = self.pool0
-        else:
-            first_points = list(first_points)
-            for i in first_points:
-                if not 0 <= i < len(self.points):
-                    raise BadPointId(
-                        f"first point id {i} is outside 0..{len(self.points) - 1}")
-            self.first = self.pool0 & _mask(first_points)
 
     def _points_mask(self, span: Subspace) -> int:
         """Mask of the points of a subspace, shared by every subset that
@@ -173,23 +163,21 @@ class _ArcSearch:
 
     def run(self):
         if self.m == 1:
-            self._charge(self.first.bit_count())
-            self.count = self.first.bit_count()
+            self._charge(self.pool0.bit_count())
+            self.count = self.pool0.bit_count()
         else:
-            self._recurse((), 0, self.pool0, self.first)
+            self._recurse((), self.pool0, 1)
 
-    def _recurse(self, prefix, key, pool, cand):
+    def _recurse(self, prefix, pool, weight):
+        """Walk the ascending prefix, of weight |prefix|!, below which
+        `pool` holds the points that keep it an arc."""
+        self._charge(weight * pool.bit_count())
         before_last = len(prefix) == self.m - 2
-        # one ordering of a prefix of at most one point: nothing to share
-        keyed = before_last and len(prefix) >= 2
-        if keyed:
-            leaves = self.memo.get(key)
-            if leaves is not None:
-                self.memo_hits += 1
-                self._charge(cand.bit_count() + leaves)
-                self.count += leaves
-                return
-        self._charge(cand.bit_count())
+        if before_last or not prefix:
+            cand = pool
+        else:
+            # ascending extensions only: the pool points above the last one
+            cand = pool >> (prefix[-1] + 1) << (prefix[-1] + 1)
         # once a candidate joins the prefix, later points must avoid its span
         # with every n-1 prefix points (with the whole prefix, while shorter)
         rows = [(s, self._row(s)) for s in map(
@@ -215,12 +203,10 @@ class _ArcSearch:
                 if visit is not None and not visit(prefix + (j,), size, nxt):
                     visit = self.visit = None
             else:
-                self._recurse(prefix + (j,), key | low, nxt, nxt)
+                self._recurse(prefix + (j,), nxt, weight * (len(prefix) + 1))
         if before_last:
-            self.count += leaves
-            self._charge(leaves)
-            if keyed:
-                self.memo[key] = leaves
+            self.count += weight * leaves
+            self._charge(weight * leaves)
 
 
 def _mask(ids) -> int:
@@ -242,18 +228,11 @@ def _ids(mask: int):
 
 
 def count_arcs(n: int, field: GF, m: int, avoid: Subspace = None,
-               budget: int = DEFAULT_BUDGET, first_points=None) -> int:
+               budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of ordered m-tuples of points of PG(n, q) in general
     position (every subset of at most n+1 points independent), optionally
-    with every point off the avoided hyperplane.
-
-    `first_points` restricts the first tuple slot to the given point
-    indices; the search tree partitions by first point, so summing the
-    counts of disjoint restrictions reproduces the full count exactly.  An
-    id outside 0..#points-1 raises `BadPointId`.
-    """
-    job = EnumJob("arcs", n, field, m=m, avoid=avoid, budget=budget)
-    return _search(job, first_points).raw_count
+    with every point off the avoided hyperplane."""
+    return run_job(EnumJob("arcs", n, field, m=m, avoid=avoid, budget=budget)).raw_count
 
 
 def count_frames(n: int, field: GF, budget: int = DEFAULT_BUDGET) -> int:
@@ -265,9 +244,9 @@ def count_frames(n: int, field: GF, budget: int = DEFAULT_BUDGET) -> int:
 
 class _SectionSampler:
     """Search visitor that checks that sampled arcs section to full
-    configurations.  It sees the arcs below the first ordering of each
-    prefix set at the level before the last, in search order, and sections
-    every SAMPLE_EVERY-th of them, at most SAMPLE_CAP."""
+    configurations.  It sees the arcs below each ascending prefix at the
+    level before the last, in search order, and sections every
+    SAMPLE_EVERY-th of them, at most SAMPLE_CAP."""
 
     def __init__(self, n: int, h: Subspace, points):
         self.n = n
@@ -307,17 +286,27 @@ class EnumJob:
 
 @dataclass(frozen=True)
 class EnumResult:
+    """A job's counts and search statistics.  `nodes` is the number of
+    ordered k-arcs of the searched space summed over k = 1..m, the size of
+    the search tree over every ordering; the budget bounds it."""
     raw_count: int
     unordered_count: int
     nodes: int
     wall_seconds: float
     joins: int       # spans the kernel joined
-    memo_hits: int   # prefixes that reused the stored leaves of their set
     samples_checked: int  # sampled arcs of a sectioned-config job that were sectioned
 
 
-def _search(job: EnumJob, first_points=None) -> EnumResult:
-    """Run the search a job describes and collect its statistics."""
+def run_job(job: EnumJob) -> EnumResult:
+    """Execute an enumeration job and collect its statistics.
+
+    `nodes` counts the ordered k-arcs for k = 1..m (see `EnumResult`).  A
+    sectioned-config job counts the ordered (n+3)-arcs of PG(n+1, q) off
+    the hyperplane `avoid`.  For n >= 2 each sections to a full labeled
+    configuration, which is checked on a sample of the arcs (see
+    `_SectionSampler`).  At n = 1 a diagonal point of the quadrangle can
+    lie on the hyperplane, so the arcs are only counted and
+    `samples_checked` is 0."""
     start = time.perf_counter()
     n, field = job.n, job.field
     if job.kind != "arcs" and job.m is not None:
@@ -330,8 +319,7 @@ def _search(job: EnumJob, first_points=None) -> EnumResult:
     elif job.kind == "arcs":
         if job.m is None or job.m < 1:
             raise WrongCount("arc jobs need a tuple size m of at least 1")
-        search = _ArcSearch(field, n, job.m, job.avoid, job.budget,
-                            first_points=first_points)
+        search = _ArcSearch(field, n, job.m, job.avoid, job.budget)
     elif job.kind == "sectioned-configs":
         h = job.avoid
         if h is None:
@@ -343,17 +331,5 @@ def _search(job: EnumJob, first_points=None) -> EnumResult:
         raise WrongCount(f"unknown job kind {job.kind!r}")
     search.run()
     return EnumResult(search.count, search.count // factorial(search.m), search.nodes,
-                      time.perf_counter() - start, search.joins, search.memo_hits,
+                      time.perf_counter() - start, search.joins,
                       0 if sampler is None else sampler.checked)
-
-
-def run_job(job: EnumJob) -> EnumResult:
-    """Execute an enumeration job and collect node statistics.
-
-    A sectioned-config job counts the ordered (n+3)-arcs of PG(n+1, q) off
-    the hyperplane `avoid`.  For n >= 2 each sections to a full labeled
-    configuration, which is checked on a sample of the arcs (see
-    `_SectionSampler`).  At n = 1 a diagonal point of the quadrangle can
-    lie on the hyperplane, so the arcs are only counted and
-    `samples_checked` is 0."""
-    return _search(job)

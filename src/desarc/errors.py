@@ -127,9 +127,5 @@ class BudgetExceeded(GeometryError):
     """The search walked more nodes than the configured budget."""
 
 
-class BadPointId(GeometryError):
-    """A point id outside 0..#points-1 of the searched space."""
-
-
 class NegativeBudget(GeometryError):
     """A search needs a node budget of at least 0."""

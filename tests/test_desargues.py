@@ -336,6 +336,26 @@ def test_axis_is_joined_once_per_pair(monkeypatch):
     assert axis == real(*points.values())
 
 
+def test_a_span_key_joins_once_per_symbol_that_adds_points(monkeypatch):
+    # one symbol labels no point, so its span is the empty one, unjoined;
+    # each later symbol of the key adds its labels with the earlier ones
+    from desarc import desargues
+    config = sectioned_config(3, F5)
+    calls = []
+    real = desargues.join
+
+    def counted(*parts):
+        calls.append(parts)
+        return real(*parts)
+
+    monkeypatch.setattr(desargues, "join", counted)
+    assert config.span((2,)).dim == -1
+    assert calls == []
+    assert config.span((1, 2, 3)) == real(config.point(1, 2), config.point(1, 3),
+                                          config.point(2, 3))
+    assert len(calls) == 2
+
+
 # -- edge intersections ---------------------------------------------------------------
 
 @pytest.mark.parametrize("n,count", [(2, 3), (3, 6), (4, 10)])

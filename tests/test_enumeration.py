@@ -2,8 +2,8 @@
 independent oracles."""
 
 from dataclasses import replace
-from itertools import combinations
-from math import factorial
+from itertools import combinations, product
+from math import comb, factorial
 
 import pytest
 
@@ -17,7 +17,6 @@ from desarc.enumeration import (
 )
 from desarc.errors import (
     AmbientMismatch,
-    BadPointId,
     BudgetExceeded,
     DimensionTooSmall,
     NegativeBudget,
@@ -270,25 +269,6 @@ def test_a_negative_budget_is_rejected_before_the_search(count):
         count(0)
 
 
-def test_partition_by_first_point_sums_to_total():
-    # the stated worker model: partition on the first slot, sum the counts
-    f = GF(3)
-    total = count_arcs(2, f, 4)
-    n_points = 13
-    parts = [count_arcs(2, f, 4, first_points=[i]) for i in range(n_points)]
-    assert sum(parts) == total
-    halves = [count_arcs(2, f, 4, first_points=range(0, 7)),
-              count_arcs(2, f, 4, first_points=range(7, 13))]
-    assert sum(halves) == total
-
-
-@pytest.mark.parametrize("first,bad", [([99], "99"), ([-1, 0], "-1"), ([0, 13, 14], "13")])
-def test_first_points_outside_the_range_raise(first, bad):
-    # PG(2, 3) has the point ids 0..12
-    with pytest.raises(BadPointId, match=f"id {bad} is outside 0..12"):
-        count_arcs(2, GF(3), 4, first_points=first)
-
-
 def test_run_job_arcs_with_avoid():
     f = GF(3)
     h = hyperplane_from_dual(f, (0, 0, 1))
@@ -416,38 +396,125 @@ def _conics(q):
 def test_counts_and_nodes_beyond_the_dimension(job, count, nodes):
     result = run_job(job)
     assert (result.raw_count, result.nodes) == (count, nodes)
-    assert result.memo_hits > 0
+
+
+def _gf4_ops():
+    # GF(4) = GF(2)[x] / (x^2 + x + 1), the element b1*x + b0 as the int 2*b1 + b0
+    def mul(a, b):
+        r = (a if b & 1 else 0) ^ (a << 1 if b & 2 else 0)
+        return r ^ 0b111 if r & 4 else r
+    return mul, (lambda a, b: a ^ b)
+
+
+def _oracle_ordered_arcs(pts, n, m, independent):
+    """Ordered k-arcs among the points for k = 1..m: the k-sets, grown in
+    ascending order, whose (n+1)-subsets (the whole set, while smaller) are
+    independent, each counted k! times."""
+    sets = [0] * (m + 1)
+    known = {}
+
+    def free(ids):
+        if ids not in known:
+            known[ids] = independent([pts[i] for i in ids])
+        return known[ids]
+
+    def grow(chosen, start):
+        sets[len(chosen)] += 1
+        if len(chosen) == m:
+            return
+        size = min(len(chosen), n)
+        for j in range(start, len(pts)):
+            if all(free(sub + (j,)) for sub in combinations(chosen, size)):
+                grow(chosen + (j,), j + 1)
+
+    grow((), 0)
+    return [sets[k] * factorial(k) for k in range(1, m + 1)]
+
+
+def _gf4_independent(vecs):
+    # k vectors are independent when their 4^k combinations are distinct
+    mul, add = _gf4_ops()
+    combos = set()
+    for coeffs in product(range(4), repeat=len(vecs)):
+        total = (0,) * len(vecs[0])
+        for c, v in zip(coeffs, vecs):
+            total = tuple(add(t, mul(c, x)) for t, x in zip(total, v))
+        combos.add(total)
+    return len(combos) == 4 ** len(vecs)
+
+
+# (q, width, keep, m, nodes, job): the brute force takes the points of
+# PG(width - 1, q) with coordinate `keep` nonzero (all of them for None),
+# the space the job searches, and tuple size m; nodes, when given, is the
+# figure the search that walked every ordering reported
+@pytest.mark.parametrize("q,width,keep,m,nodes,job", [
+    (3, 3, None, 4, 7189, EnumJob("arcs", 2, GF(3), m=4)),
+    (3, 3, 2, 4, 1809, EnumJob("arcs", 2, GF(3), m=4,
+                               avoid=coordinate_hyperplane(GF(3), 2, 2))),
+    (4, 3, None, 6, 309561, EnumJob("arcs", 2, GF(2, 2), m=6)),
+    (2, 4, None, 5, None, EnumJob("frames", 3, GF(2))),
+    (5, 3, 2, 5, None, EnumJob("arcs", 2, GF(5), m=5,
+                               avoid=coordinate_hyperplane(GF(5), 2, 2))),
+    (5, 3, 2, 4, None, _job("sectioned-configs", 1, GF(5))),
+    (3, 4, 3, 5, 1837161, _job("sectioned-configs", 2, GF(3))),
+], ids=["pg23-m4", "pg23-m4-avoid", "hyperovals-pg24", "frames-pg32", "pg25-m5-avoid",
+        "sectioned-1-5", "sectioned-2-3"])
+def test_nodes_are_the_ordered_arcs_of_every_size(q, width, keep, m, nodes, job):
+    # nodes = sum over k = 1..m of the ordered k-arcs, counted by brute
+    # force over point sets with no code of the search
+    if q == 4:
+        mul, add = _gf4_ops()
+        independent = _gf4_independent
+    else:
+        mul, add = _prime_ops(q)
+
+        def independent(vecs):
+            return _oracle_rank(vecs, q) == len(vecs)
+    pts = [p for p in _oracle_points(q, width, mul, add) if keep is None or p[keep]]
+    arcs = _oracle_ordered_arcs(pts, width - 1, m, independent)
+    result = run_job(job)
+    assert result.raw_count == arcs[-1]
+    assert result.nodes == sum(arcs)
+    if nodes is not None:
+        assert result.nodes == nodes
 
 
 def test_each_point_set_is_counted_once_and_each_span_joined_once_per_row():
-    # frames of PG(2, 7): the 57 * 56 ordered point pairs before the last
-    # level are C(57, 2) sets, each counted once and reused once; each point's
-    # row joins the 8 lines through it and no more
+    # frames of PG(2, 7): each point's row joins the 8 lines through it and
+    # no more
     result = run_job(EnumJob("frames", 2, GF(7)))
-    assert result.memo_hits == 57 * 56 // 2
     assert result.joins == 57 * 8
     # a line of PG(1, q) needs no join: its row entries are single points
     assert run_job(EnumJob("frames", 1, GF(5))).joins == 0
     sectioned = run_job(_job("sectioned-configs", 2, GF(3)))
     assert sectioned.joins <= 2200
-    # every non-collinear triple of the 27 points is reached in 3! orders
-    # and counted once: 5 hits per triple
-    assert sectioned.memo_hits % 5 == 0
-    assert sectioned.memo_hits // 5 == sum(
-        1 for t in combinations(
-            [p for p in _oracle_points(3, 4, *_prime_ops(3)) if p[3]], 3)
-        if _oracle_rank(list(t), 3) == 3)
+
+
+def test_the_level_before_the_last_is_entered_once_per_prefix_set(monkeypatch):
+    # frames of PG(2, 7): the prefixes before the last level are point
+    # pairs, and each of the C(57, 2) pair sets is entered once, not once
+    # per ordering
+    entered = []
+    recurse = enumeration._ArcSearch._recurse
+
+    def counted(self, prefix, *args):
+        if len(prefix) == self.m - 2:
+            entered.append(prefix)
+        return recurse(self, prefix, *args)
+
+    monkeypatch.setattr(enumeration._ArcSearch, "_recurse", counted)
+    assert run_job(EnumJob("frames", 2, GF(7))).raw_count == pgl_order(2, 7)
+    assert len(entered) == len(set(map(frozenset, entered))) == comb(57, 2)
 
 
 def test_a_visitor_that_keeps_going_sees_each_prefix_set_once():
-    # hyperovals of PG(2, 4): the stored leaves are used while a visitor is
-    # set, so the search is the visitor-free one, and the visitor sees only
-    # the first ordering of each 4-point prefix set
+    # hyperovals of PG(2, 4): a visitor leaves the search as it is, and sees
+    # each 4-point prefix set once, in ascending order
     def run(visit):
         search = enumeration._ArcSearch(GF(2, 2), 2, 6, None, enumeration.DEFAULT_BUDGET)
         search.visit = visit
         search.run()
-        return search.count, search.nodes, search.memo_hits, search.joins
+        return search.count, search.nodes, search.joins
 
     counts, orderings = [], {}
 
@@ -456,9 +523,9 @@ def test_a_visitor_that_keeps_going_sees_each_prefix_set_once():
         orderings.setdefault(frozenset(prefix_ids[:4]), set()).add(prefix_ids[:4])
         return True
 
-    assert run(visit) == run(None) == (168 * factorial(6), 309561, 57960, 105)
+    assert run(visit) == run(None) == (168 * factorial(6), 309561, 105)
     assert sum(counts) == 168 * factorial(6) // factorial(4) == 5040
-    assert all(len(seen) == 1 for seen in orderings.values())
+    assert all(seen == {tuple(sorted(prefix))} for prefix, seen in orderings.items())
 
 
 @pytest.mark.parametrize("n,field,m", [(3, GF(2), 5), (2, GF(2, 2), 6), (2, GF(3), 4)])
