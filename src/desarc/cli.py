@@ -3,6 +3,12 @@
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
 geometry error.  With the same flags and the same seed the emitted files are
 byte-identical; wall-clock timings go to stderr only.
+
+Each command is a process of its own, and most of a short command's time is
+start-up, so this module imports only what `lift`, `section`, `export` and
+`verify` of a pair need (`io`, `desargues`, `arcs`, `projlin`, `field`,
+`errors`).  `demo` and `verify` of a configuration import `configuration`
+inside the command, and `enumerate` imports `enumeration`.
 """
 
 from __future__ import annotations
@@ -11,15 +17,8 @@ import random
 import sys
 from math import comb
 
-import click
-
+# desarc before click: a module compiled after click raises peak RSS (README, Startup)
 from . import io as gio
-from .configuration import (
-    substructure_counts,
-    triple_perspective_axis,
-    verify_symbol_incidence,
-    vertex_sweep,
-)
 from .desargues import (
     _anchor_off,
     axis_hyperplane,
@@ -33,11 +32,12 @@ from .desargues import (
     sectioned_config,
     tspace_intersections,
 )
-from .enumeration import DEFAULT_BUDGET, EnumJob, run_job
-from .errors import GeometryError
+from .errors import DEFAULT_BUDGET, GeometryError
 from .field import GF
-from .projlin import coordinate_hyperplane
 from .io import dumps
+from .projlin import coordinate_hyperplane
+
+import click
 
 
 def _field_from_flags(p: int, k: int, modulus):
@@ -105,6 +105,7 @@ def main():
 @click.option("--out", default=None, help="write the report to this path")
 def demo(n, p, k, modulus, seed, out):
     """Build a sectioned configuration and sweep all vertices."""
+    from .configuration import vertex_sweep
     try:
         field = _field_from_flags(p, k, modulus)
         if seed is None:
@@ -237,6 +238,13 @@ def _pair_battery(pair, vertex):
 
 
 def _verify_config(config):
+    from .configuration import (
+        substructure_counts,
+        triple_perspective_axis,
+        verify_symbol_incidence,
+        vertex_sweep,
+    )
+
     # the pair battery runs first, so its pair is freed before the checks
     # below fill the configuration's span map
     try:
@@ -306,6 +314,7 @@ def verify(input_file, out):
 @click.option("--out", default=None, help="write the counts to this path")
 def enumerate_cmd(n, p, k, modulus, kind, m, avoid, budget, out):
     """Count arcs, frames, or sectioned configurations exactly."""
+    from .enumeration import EnumJob, run_job
     if kind != "arcs":
         for flag, given in (("--m", m is not None), ("--avoid", avoid)):
             if given:

@@ -47,6 +47,7 @@ from math import comb, factorial
 from .arcs import Arc
 from .desargues import section_arc
 from .errors import (
+    DEFAULT_BUDGET,
     AmbientMismatch,
     BudgetExceeded,
     DimensionTooSmall,
@@ -57,7 +58,6 @@ from .errors import (
 from .field import GF
 from .projlin import Subspace, all_points, join
 
-DEFAULT_BUDGET = 10 ** 9
 # sectioned-config searches section every SAMPLE_EVERY-th arc the sampler
 # sees, at most SAMPLE_CAP of them
 SAMPLE_EVERY = 100

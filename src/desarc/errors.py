@@ -123,6 +123,11 @@ class DegenerateConfiguration(GeometryError):
 
 # enumeration
 
+# The node budget of a search when the caller names none.  It lives here,
+# beside the budget errors, so the CLI reads it without loading the kernel.
+DEFAULT_BUDGET = 10 ** 9
+
+
 class BudgetExceeded(GeometryError):
     """The search walked more nodes than the configured budget."""
 

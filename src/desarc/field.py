@@ -44,6 +44,11 @@ _ORDER_LIMIT = 2 ** 16   # every table entry fits an unsigned 16-bit slot
 _NO_LOG = 0xFFFF         # zech entry where 1 + g^i = 0; every log is below it
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool: a float or a string is no field parameter."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _poly_trim(c):
     while c and c[-1] == 0:
         c.pop()
@@ -126,12 +131,18 @@ class GF:
     codes; the row kernels sub_row(f, xs, ys) = xs - f*ys and
     scale_row(s, xs) = s*xs work on equal-length lists of codes and return
     a new list.
+
+    p, k and the modulus coefficients must be ints (not bools), and each
+    coefficient must lie in [0, p); anything else raises InvalidField.
     """
 
     __slots__ = ("p", "k", "q", "modulus", "add", "sub", "mul", "neg", "inv",
                  "sub_row", "scale_row")
 
     def __init__(self, p: int, k: int = 1, modulus=None):
+        for name, value in (("p", p), ("k", k)):
+            if not _is_int(value):
+                raise InvalidField(f"{name} must be an int, got {value!r}")
         if _prime_factors(p) != [p]:
             raise InvalidField(f"characteristic {p} is not prime")
         if k < 1:
@@ -154,7 +165,16 @@ class GF:
                 if modulus is None:
                     raise InvalidField(
                         f"no built-in modulus for GF({q}); pass one explicitly")
-            modulus = tuple(int(c) % p for c in modulus)
+            try:
+                modulus = tuple(modulus)
+            except TypeError:
+                raise InvalidField(f"modulus must be a sequence, got {modulus!r}") from None
+            for c in modulus:
+                if not _is_int(c):
+                    raise InvalidField(f"modulus coefficient {c!r} is not an int")
+                if not 0 <= c < p:
+                    raise InvalidField(
+                        f"modulus coefficient {c} lies outside [0, {p})")
             if len(modulus) != k + 1:
                 raise InvalidField(f"modulus must have {k + 1} coefficients")
             if modulus[-1] != 1:

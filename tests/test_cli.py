@@ -9,6 +9,7 @@ from math import comb
 import pytest
 from click.testing import CliRunner
 
+from desarc import enumeration
 from desarc import io as gio
 from desarc.arcs import random_arc_off_hyperplane
 from desarc.cli import _pair_battery, main
@@ -17,6 +18,7 @@ from desarc.desargues import (
     edge_intersections,
     extract_perspective_pair,
     find_vertex,
+    random_perspective_pair,
     sectioned_config,
 )
 from desarc.errors import EdgesDisjoint, GeometryError, NoCommonVertex
@@ -290,6 +292,39 @@ def test_a_modulus_that_is_not_integers_is_a_usage_error(runner, modulus):
     assert not isinstance(result.exception, ValueError)
 
 
+def test_a_modulus_coefficient_outside_the_prime_field_exits_2(runner):
+    result = runner.invoke(main, ["demo", "--n", "2", "--p", "3", "--k", "2",
+                                  "--modulus", "4,0,1"])
+    assert result.exit_code == 2
+    assert "InvalidField" in result.output
+    assert "modulus coefficient 4" in result.output
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"p": 3.0}, "p must be an int"),
+    ({"p": True}, "p must be an int"),
+    ({"k": 2.0}, "k must be an int"),
+    ({"modulus": [1, 0, 1.0]}, "modulus coefficient 1.0 is not an int"),
+    ({"modulus": [4, 0, 1]}, "modulus coefficient 4 lies outside"),
+])
+@pytest.mark.parametrize("cmd,kind", [("verify", "pair"), ("lift", "pair"),
+                                      ("verify", "config"), ("export", "config")])
+def test_a_file_whose_field_is_not_ints_in_range_exits_2(runner, tmp_path, spec, message,
+                                                          cmd, kind):
+    # p = 5.0 once loaded and then died in pow() with a TypeError and exit 1
+    field = GF(3, 2)
+    if kind == "pair":
+        doc = gio.pair_to_json(*random_perspective_pair(2, field, random.Random(2)))
+    else:
+        doc = gio.config_to_json(sectioned_config(2, field))
+    doc["field"].update(spec)
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, [cmd, str(path)])
+    assert result.exit_code == 2
+    assert f"InvalidField: {message}" in result.output
+
+
 def test_malformed_file_is_usage_error(runner, tmp_path):
     bad = tmp_path / "garbage.json"
     bad.write_text("{not json at all")
@@ -316,6 +351,18 @@ def test_enumerate_rejects_a_negative_budget(runner):
                                   "--p", "3", "--budget", "0"])
     assert result.exit_code == 2
     assert "BudgetExceeded" in result.output
+
+
+def test_the_budget_default_is_the_kernels(runner, tmp_path):
+    result = runner.invoke(main, ["enumerate", "--help"])
+    assert result.exit_code == 0
+    shown = re.search(r"--budget.*?\[default:\s*(\d+)", result.output, re.DOTALL)
+    assert int(shown.group(1)) == enumeration.DEFAULT_BUDGET
+    out = tmp_path / "frames.json"
+    result = runner.invoke(main, ["enumerate", "--kind", "frames", "--n", "2",
+                                  "--p", "3", "--out", str(out)])
+    assert result.exit_code == 0
+    assert json.loads(out.read_text())["job"]["budget"] == enumeration.DEFAULT_BUDGET
 
 
 BATTERY = ["vertex_concurrence", "edge_intersections_distinct",

@@ -132,6 +132,26 @@ def test_invalid_field_parameters():
         GF(2, 20)                  # order above the supported limit
 
 
+@pytest.mark.parametrize("args,message", [
+    ((5.0,), "p must be an int"),
+    ((True,), "p must be an int"),
+    (("5",), "p must be an int"),
+    ((5, 1.0), "k must be an int"),
+    ((5, True), "k must be an int"),
+    ((3, "2"), "k must be an int"),
+    ((3, 2, (1, 0, 1.0)), "modulus coefficient 1.0 is not an int"),
+    ((3, 2, (1, False, 1)), "modulus coefficient False is not an int"),
+    ((3, 2, ("1", "0", "1")), "modulus coefficient '1' is not an int"),
+    ((3, 2, (4, 0, 1)), "modulus coefficient 4 lies outside"),           # was (1, 0, 1)
+    ((3, 2, (-2, 0, 1)), "modulus coefficient -2 lies outside"),         # was (1, 0, 1)
+    ((3, 2, (1, 0, 3)), "modulus coefficient 3 lies outside"),
+    ((3, 2, 7), "modulus must be a sequence"),
+])
+def test_a_field_spec_that_is_not_ints_in_range_is_invalid(args, message):
+    with pytest.raises(InvalidField, match=message):
+        GF(*args)
+
+
 def test_custom_modulus_accepted():
     # x^2 + x + 2 is irreducible over GF(3): no root among 0, 1, 2
     f = GF(3, 2, (2, 1, 1))
