@@ -7,17 +7,23 @@ byte-identical; wall-clock timings go to stderr only.
 Each command is a process of its own, and most of a short command's time is
 start-up, so this module imports only what `lift`, `section`, `export` and
 `verify` of a pair need (`io`, `desargues`, `arcs`, `projlin`, `field`,
-`errors`).  `demo` and `verify` of a configuration import `configuration`
+`errors`) and parses the command line with the standard library's
+`argparse`.  `demo` and `verify` of a configuration import `configuration`
 inside the command, and `enumerate` imports `enumeration`.
+
+Each command is a plain function that `main.command` registers with its
+arguments; `main` builds one argparse subparser per command and calls
+`main.commands[name].callback` with the parsed values.
 """
 
 from __future__ import annotations
 
+import argparse
+import os
 import random
 import sys
 from math import comb
 
-# desarc before click: a module compiled after click raises peak RSS (README, Startup)
 from . import io as gio
 from .desargues import (
     _anchor_off,
@@ -37,14 +43,106 @@ from .field import GF
 from .io import dumps
 from .projlin import coordinate_hyperplane
 
-import click
+
+class UsageError(Exception):
+    """A command line the program cannot run: `Error: <message>` on
+    stderr and exit 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
+class _Command:
+    def __init__(self, callback, arguments, help):
+        self.callback = callback
+        self.arguments = arguments
+        self.help = help
+
+
+class _Group:
+    """The `desarc` program: a set of named commands.
+
+    `commands[name].callback` is looked up on every call, so a caller may
+    replace it (the benchmark's span recorder wraps it there)."""
+
+    def __init__(self, name: str, help: str):
+        self.name = name
+        self.help = help
+        self.commands = {}
+
+    def command(self, name: str, *arguments):
+        """Register a function as the command `name`; each argument is an
+        `_arg(...)` spec, and the function is called with the parsed values
+        as keywords."""
+        def register(fn):
+            self.commands[name] = _Command(fn, arguments, fn.__doc__)
+            return fn
+        return register
+
+    def _parser(self, prog: str):
+        parser = _Parser(prog=prog, description=self.help, add_help=False,
+                         allow_abbrev=False)
+        parser.add_argument("--help", action="help", help="Show this message and exit.")
+        sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+        for name, cmd in self.commands.items():
+            # the options are listed under --help, not in the usage line
+            files = [kwargs["metavar"] for flags, kwargs in cmd.arguments
+                     if not flags[0].startswith("-")]
+            cmd_parser = sub.add_parser(name, usage=" ".join(["%(prog)s [OPTIONS]", *files]),
+                                        help=cmd.help, description=cmd.help,
+                                        add_help=False, allow_abbrev=False)
+            cmd_parser.add_argument("--help", action="help",
+                                    help="Show this message and exit.")
+            for flags, kwargs in cmd.arguments:
+                cmd_parser.add_argument(*flags, **kwargs)
+        return parser
+
+    def main(self, args=None, prog_name=None, standalone_mode=True):
+        """Run the command line `args` (default: sys.argv[1:]).
+
+        A usage error exits 2 through SystemExit.  `standalone_mode` is
+        accepted for callers written against click's `Command.main`, and
+        changes nothing: every outcome is an exit code either way."""
+        try:
+            values = vars(self._parser(prog_name or self.name).parse_args(args))
+            self.commands[values.pop("command")].callback(**values)
+        except UsageError as exc:
+            print(f"Error: {exc}", file=sys.stderr)
+            sys.exit(2)
+
+    __call__ = main
+
+
+def _arg(*flags, **kwargs):
+    """One argument of a command, as `argparse.add_argument` takes it."""
+    return flags, kwargs
+
+
+def _existing_path(path: str) -> str:
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"path {path!r} does not exist")
+    return path
+
+
+def _natural(text: str) -> int:
+    """An integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is not in the range x>=0")
+    return value
 
 
 def _field_from_flags(p: int, k: int, modulus):
     try:
         mod = [int(x) for x in modulus.split(",")] if modulus else None
     except ValueError:
-        raise click.UsageError(
+        raise UsageError(
             f"--modulus must be comma-separated integers, got {modulus!r}") from None
     return GF(p, k, mod)
 
@@ -58,7 +156,7 @@ def _load(path: str):
     except GeometryError:
         raise
     except (ValueError, KeyError, TypeError) as exc:
-        raise click.UsageError(f"cannot parse {path}: {exc}") from exc
+        raise UsageError(f"cannot parse {path}: {exc}") from exc
 
 
 def _emit(text: str, out):
@@ -66,43 +164,30 @@ def _emit(text: str, out):
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 def _fail(exc: GeometryError):
-    click.echo(f"error: {type(exc).__name__}: {exc}", err=True)
+    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
     sys.exit(2)
 
 
-field_options = [
-    click.option("--n", "n", type=int, required=True, help="projective dimension"),
-    click.option("--p", "p", type=int, required=True, help="field characteristic"),
-    click.option("--k", "k", type=int, default=1, show_default=True,
-                 help="field extension degree"),
-    click.option("--modulus", default=None,
-                 help="comma-separated modulus coefficients, constant first"),
-]
+_FIELD_ARGUMENTS = (
+    _arg("--n", type=int, required=True, help="projective dimension"),
+    _arg("--p", type=int, required=True, help="field characteristic"),
+    _arg("--k", type=int, default=1, help="field extension degree [default: %(default)s]"),
+    _arg("--modulus", help="comma-separated modulus coefficients, constant first"),
+)
 
 
-def add_options(options):
-    def wrap(fn):
-        for opt in reversed(options):
-            fn = opt(fn)
-        return fn
-    return wrap
+main = _Group("desarc", "Exact constructions and checks in PG(n, q): arc sections, "
+                         "simplexes in perspective, configuration analysis, enumeration.")
 
 
-@click.group()
-def main():
-    """Exact constructions and checks in PG(n, q): arc sections,
-    simplexes in perspective, configuration analysis, enumeration."""
-
-
-@main.command()
-@add_options(field_options)
-@click.option("--seed", type=int, default=None,
-              help="randomize the arc with this seed (default: canonical arc)")
-@click.option("--out", default=None, help="write the report to this path")
+@main.command(
+    "demo", *_FIELD_ARGUMENTS,
+    _arg("--seed", type=int, help="randomize the arc with this seed (default: canonical arc)"),
+    _arg("--out", help="write the report to this path"))
 def demo(n, p, k, modulus, seed, out):
     """Build a sectioned configuration and sweep all vertices."""
     from .configuration import vertex_sweep
@@ -131,21 +216,21 @@ def demo(n, p, k, modulus, seed, out):
         },
     }
     _emit(dumps(doc), out)
-    click.echo(
-        f"{report.point_total} points, {report.passed}/{report.total} vertices pass, "
-        f"identity {lhs} = {parts[0]}+{parts[1]}+{parts[2]}", err=True)
+    print(f"{report.point_total} points, {report.passed}/{report.total} vertices pass, "
+          f"identity {lhs} = {parts[0]}+{parts[1]}+{parts[2]}", file=sys.stderr)
     sys.exit(0 if report.all_ok else 1)
 
 
-@main.command()
-@click.argument("arc_file", type=click.Path(exists=True))
-@click.option("--out", default=None, help="write the configuration to this path")
+@main.command(
+    "section",
+    _arg("arc_file", metavar="ARC_FILE", type=_existing_path),
+    _arg("--out", help="write the configuration to this path"))
 def section(arc_file, out):
     """Section an arc file by the last-coordinate hyperplane."""
     try:
         kind, obj = _load(arc_file)
         if kind != "arc":
-            raise click.UsageError("the input file does not hold an arc")
+            raise UsageError("the input file does not hold an arc")
         arc = obj
         h = coordinate_hyperplane(arc.field, arc.n, arc.n)
         config = section_arc(arc, h)
@@ -154,17 +239,17 @@ def section(arc_file, out):
     _emit(dumps(gio.config_to_json(config)), out)
 
 
-@main.command()
-@click.argument("pair_file", type=click.Path(exists=True))
-@click.option("--seed", type=int, default=None,
-              help="randomize the free choices in the lift")
-@click.option("--out", default=None, help="write the arc to this path")
+@main.command(
+    "lift",
+    _arg("pair_file", metavar="PAIR_FILE", type=_existing_path),
+    _arg("--seed", type=int, help="randomize the free choices in the lift"),
+    _arg("--out", help="write the arc to this path"))
 def lift(pair_file, seed, out):
     """Lift a perspective pair to an arc one dimension up."""
     try:
         kind, obj = _load(pair_file)
         if kind != "pair":
-            raise click.UsageError("the input file does not hold a pair")
+            raise UsageError("the input file does not hold a pair")
         pair, vertex = obj
         h = coordinate_hyperplane(pair.field, pair.n + 1, pair.n + 1)
         rng = random.Random(seed) if seed is not None else None
@@ -273,9 +358,10 @@ def _verify_config(config):
     return checks + battery
 
 
-@main.command()
-@click.argument("input_file", type=click.Path(exists=True))
-@click.option("--out", default=None, help="write the report to this path")
+@main.command(
+    "verify",
+    _arg("input_file", metavar="INPUT_FILE", type=_existing_path),
+    _arg("--out", help="write the report to this path"))
 def verify(input_file, out):
     """Run the full theorem battery on a configuration or pair file."""
     try:
@@ -285,7 +371,7 @@ def verify(input_file, out):
         elif kind == "pair":
             checks = _pair_battery(*obj)
         else:
-            raise click.UsageError("verify expects a configuration or pair file")
+            raise UsageError("verify expects a configuration or pair file")
     except GeometryError as exc:
         _fail(exc)
     entries = []
@@ -298,27 +384,26 @@ def verify(input_file, out):
     _emit(dumps(doc), out)
     for name, ok, detail in checks:
         line = f"{'PASS' if ok else 'FAIL'}  {name}"
-        click.echo(line if detail is None else f"{line}  ({detail})", err=True)
+        print(line if detail is None else f"{line}  ({detail})", file=sys.stderr)
     sys.exit(0 if doc["all_ok"] else 1)
 
 
-@main.command(name="enumerate")
-@add_options(field_options)
-@click.option("--kind", type=click.Choice(["arcs", "frames", "sectioned-configs"]),
-              required=True)
-@click.option("--m", "m", type=int, default=None, help="tuple size for arc jobs")
-@click.option("--avoid", is_flag=True, default=False,
-              help="only points off the last-coordinate hyperplane (arc jobs)")
-@click.option("--budget", type=click.IntRange(min=0), default=DEFAULT_BUDGET,
-              show_default=True, help="node budget for the search")
-@click.option("--out", default=None, help="write the counts to this path")
+@main.command(
+    "enumerate", *_FIELD_ARGUMENTS,
+    _arg("--kind", choices=["arcs", "frames", "sectioned-configs"], required=True),
+    _arg("--m", type=int, help="tuple size for arc jobs"),
+    _arg("--avoid", action="store_true",
+        help="only points off the last-coordinate hyperplane (arc jobs)"),
+    _arg("--budget", type=_natural, default=DEFAULT_BUDGET,
+        help="node budget for the search [default: %(default)s]"),
+    _arg("--out", help="write the counts to this path"))
 def enumerate_cmd(n, p, k, modulus, kind, m, avoid, budget, out):
     """Count arcs, frames, or sectioned configurations exactly."""
     from .enumeration import EnumJob, run_job
     if kind != "arcs":
         for flag, given in (("--m", m is not None), ("--avoid", avoid)):
             if given:
-                raise click.UsageError(f"{flag} applies to --kind arcs only, not {kind}")
+                raise UsageError(f"{flag} applies to --kind arcs only, not {kind}")
     try:
         field = _field_from_flags(p, k, modulus)
         if kind == "sectioned-configs":
@@ -339,21 +424,22 @@ def enumerate_cmd(n, p, k, modulus, kind, m, avoid, budget, out):
         "nodes": result.nodes,
     }
     _emit(dumps(doc), out)
-    click.echo(f"count {result.raw_count} ({result.nodes} nodes, {result.joins} spans "
-               f"joined, {result.wall_seconds:.3f}s)", err=True)
+    print(f"count {result.raw_count} ({result.nodes} nodes, {result.joins} spans "
+          f"joined, {result.wall_seconds:.3f}s)", file=sys.stderr)
 
 
-@main.command()
-@click.argument("config_file", type=click.Path(exists=True))
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True)
-@click.option("--out", default=None, help="write the matrix to this path")
+@main.command(
+    "export",
+    _arg("config_file", metavar="CONFIG_FILE", type=_existing_path),
+    _arg("--format", dest="fmt", choices=["csv", "json"], default="csv",
+        help="matrix format [default: %(default)s]"),
+    _arg("--out", help="write the matrix to this path"))
 def export(config_file, fmt, out):
     """Export the point-line incidence matrix of a configuration."""
     try:
         kind, obj = _load(config_file)
         if kind != "config":
-            raise click.UsageError("export expects a configuration file")
+            raise UsageError("export expects a configuration file")
         if fmt == "csv":
             text = gio.incidence_csv(obj)
         else:

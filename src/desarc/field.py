@@ -49,6 +49,17 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _order(p: int, k: int):
+    """p^k, or None when it exceeds _ORDER_LIMIT.  The power is multiplied
+    up and left early, so a large k costs no more than a small one."""
+    q = 1
+    for _ in range(k):
+        q *= p
+        if q > _ORDER_LIMIT:
+            return None
+    return q
+
+
 def _poly_trim(c):
     while c and c[-1] == 0:
         c.pop()
@@ -143,13 +154,14 @@ class GF:
         for name, value in (("p", p), ("k", k)):
             if not _is_int(value):
                 raise InvalidField(f"{name} must be an int, got {value!r}")
-        if _prime_factors(p) != [p]:
+        # a p above the limit is not factored: trial division would not finish
+        if p <= _ORDER_LIMIT and _prime_factors(p) != [p]:
             raise InvalidField(f"characteristic {p} is not prime")
         if k < 1:
             raise InvalidField("degree must be a positive integer")
-        q = p ** k
-        if q > _ORDER_LIMIT:
-            raise InvalidField(f"order {q} exceeds the supported limit {_ORDER_LIMIT}")
+        q = _order(p, k)
+        if q is None:
+            raise InvalidField(f"order {p}^{k} exceeds the supported limit {_ORDER_LIMIT}")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "q", q)

@@ -104,6 +104,49 @@ def test_usage_error_exits_2(runner):
     assert result.exit_code == 2
 
 
+FIELD_OPTIONS = ["--n", "--p", "--k", "--modulus"]
+HELP_NAMES = {
+    "": ["demo", "section", "lift", "verify", "enumerate", "export"],
+    "demo": FIELD_OPTIONS + ["--seed", "--out"],
+    "section": ["ARC_FILE", "--out"],
+    "lift": ["PAIR_FILE", "--seed", "--out"],
+    "verify": ["INPUT_FILE", "--out"],
+    "enumerate": FIELD_OPTIONS + ["--kind", "--m", "--avoid", "--budget", "--out"],
+    "export": ["CONFIG_FILE", "--format", "--out"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_NAMES))
+def test_help_exits_0_and_names_every_option(runner, command):
+    result = runner.invoke(main, [*command.split(), "--help"])
+    assert result.exit_code == 0
+    assert result.stderr == ""
+    for name in HELP_NAMES[command] + ["--help"]:
+        assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", result.stdout), name
+
+
+@pytest.mark.parametrize("args,named", [
+    (["demo", "--n", "2", "--p", "5", "--bogus", "1"], "--bogus"),
+    (["demo", "--p", "5"], "--n"),
+    (["demo", "--n", "2", "--p", "x"], "--p"),
+    (["enumerate", "--kind", "bogus", "--n", "2", "--p", "3"], "--kind"),
+    (["lift", "MISSING"], "missing.json"),
+    (["enumerate", "--kind", "frames", "--n", "2", "--p", "3", "--budget", "-1"], "--budget"),
+    (["demo", "--n", "2", "--p", "5", "--k", "2", "--modulus", "1,x,1"], "--modulus"),
+    ([], None),
+])
+def test_a_usage_error_exits_2_and_writes_nothing(runner, tmp_path, args, named):
+    out = tmp_path / "out.json"
+    args = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in args]
+    result = runner.invoke(main, [*args, "--out", str(out)] if args else [])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert not out.exists()
+    assert "Error: " in result.stderr and "Traceback" not in result.stderr
+    if named:
+        assert named in result.stderr
+
+
 def test_demo_byte_identical(runner, tmp_path):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     for path in (f1, f2):
@@ -292,6 +335,15 @@ def test_a_modulus_that_is_not_integers_is_a_usage_error(runner, modulus):
     assert not isinstance(result.exception, ValueError)
 
 
+@pytest.mark.parametrize("p,k", [("3", "100000"), ("3", "5000"),
+                                 ("1000000000000000009", "1")])
+def test_a_field_order_above_the_limit_exits_2(runner, p, k):
+    # p^k was once computed first: k = 100000 died in int-to-str conversion
+    result = runner.invoke(main, ["demo", "--n", "2", "--p", p, "--k", k])
+    assert result.exit_code == 2
+    assert f"InvalidField: order {p}^{k} exceeds the supported limit 65536" in result.stderr
+
+
 def test_a_modulus_coefficient_outside_the_prime_field_exits_2(runner):
     result = runner.invoke(main, ["demo", "--n", "2", "--p", "3", "--k", "2",
                                   "--modulus", "4,0,1"])
@@ -306,6 +358,7 @@ def test_a_modulus_coefficient_outside_the_prime_field_exits_2(runner):
     ({"k": 2.0}, "k must be an int"),
     ({"modulus": [1, 0, 1.0]}, "modulus coefficient 1.0 is not an int"),
     ({"modulus": [4, 0, 1]}, "modulus coefficient 4 lies outside"),
+    ({"p": 10 ** 18 + 9}, "order 1000000000000000009^2 exceeds"),   # once hung
 ])
 @pytest.mark.parametrize("cmd,kind", [("verify", "pair"), ("lift", "pair"),
                                       ("verify", "config"), ("export", "config")])

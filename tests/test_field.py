@@ -152,6 +152,18 @@ def test_a_field_spec_that_is_not_ints_in_range_is_invalid(args, message):
         GF(*args)
 
 
+@pytest.mark.parametrize("args", [(3, 100000), (3, 10 ** 7), (10 ** 18 + 9,),
+                                  (10 ** 18 + 9, 2)])
+def test_an_order_above_the_limit_is_rejected_before_it_is_computed(args):
+    # p^k was once computed, and p trial-divided, before the limit was
+    # checked: GF(3, 10**7) took seconds and GF(10**18 + 9) did not return
+    p, k = (*args, 1)[:2]
+    t0 = time.perf_counter()
+    with pytest.raises(InvalidField, match=rf"order {p}\^{k} exceeds the supported limit 65536"):
+        GF(*args)
+    assert time.perf_counter() - t0 < 1.0
+
+
 def test_custom_modulus_accepted():
     # x^2 + x + 2 is irreducible over GF(3): no root among 0, 1, 2
     f = GF(3, 2, (2, 1, 1))

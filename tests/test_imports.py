@@ -84,11 +84,7 @@ def test_configuration_commands_load_no_enumeration(imported, command):
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_io_and_field_are_imported_before_click(imported, command):
-    # a module compiled after click adds its compile transient on top of
-    # click's heap, which raises the process's peak RSS
+def test_no_command_imports_click(imported, command):
+    # the CLI parses with argparse; importing click cost about 39 ms a process
     names = imported[command]
-    first_click = min(i for i, name in enumerate(names)
-                      if name == "click" or name.startswith("click."))
-    assert names.index("desarc.io") < first_click
-    assert names.index("desarc.field") < first_click
+    assert [name for name in names if name == "click" or name.startswith("click.")] == []
