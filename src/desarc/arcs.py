@@ -106,11 +106,14 @@ def frame_off_hyperplane(h: Subspace) -> Arc:
 
     The standard frame e_0, ..., e_n, (1,...,1,z) avoids the hyperplane
     K: x_0 + ... + x_n = 0, where z is the smallest nonzero element with
-    n + z != 0 in the field; such a z exists exactly when q > 2.  One
-    coordinate rule carries it off h.  Let u be the normalized dual vector
-    of h, t the position of its first nonzero entry, v the vector u with
-    entries 0 and t swapped, and w = 1 - v entrywise.  Each frame point x
-    goes to x + (w.x) e_0 with coordinates 0 and t then swapped, normalized.
+    n + z != 0 in the field.  Such a z exists whenever q > 2, and over
+    GF(2) exactly when n is even (z = 1: the 4 points off a line of
+    PG(2, 2) form a frame); the function still asks for q > 2, as sections
+    do, and raises FieldTooSmall over GF(2).  One coordinate rule carries
+    it off h.  Let u be the normalized dual vector of h, t the position of
+    its first nonzero entry, v the vector u with entries 0 and t swapped,
+    and w = 1 - v entrywise.  Each frame point x goes to x + (w.x) e_0 with
+    coordinates 0 and t then swapped, normalized.
 
     The rule is linear, and invertible because w_0 = 1 - u_t = 0.  The dot
     product of u with an image is v.x + (w.x) v_0 = (v + w).x, as v_0 = 1,

@@ -32,6 +32,7 @@ from .desargues import (
     edge_intersections,
     extract_perspective_pair,
     find_vertex,
+    lift_round_trips,
     lift_to_arc,
     random_sectioned_config,
     section_arc,
@@ -148,21 +149,28 @@ def _field_from_flags(p: int, k: int, modulus):
 
 
 def _load(path: str):
-    """Read and dispatch a geometry file; malformed input is a usage error."""
-    with open(path) as fh:
-        text = fh.read()
+    """Read and dispatch a geometry file; a file that cannot be read or
+    parsed is a usage error."""
     try:
+        with open(path) as fh:
+            text = fh.read()
         return gio.load_geometry(text)
     except GeometryError:
         raise
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
     except (ValueError, KeyError, TypeError) as exc:
+        # a file that is not UTF-8 fails here too (UnicodeDecodeError)
         raise UsageError(f"cannot parse {path}: {exc}") from exc
 
 
 def _emit(text: str, out):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -288,13 +296,6 @@ def _pair_battery(pair, vertex):
         return all(x.dim == n - 2 and axis.contains(x)
                    for x in tspace_intersections(pair, n - 1))
 
-    def round_trip_ok():
-        arc = lift_to_arc(pair, vertex, h)
-        config = section_arc(arc, h)
-        return (all(config.point(1, i + 3) == pair.a[i] for i in range(n + 1))
-                and all(config.point(2, i + 3) == pair.b[i] for i in range(n + 1))
-                and config.point(1, 2) == vertex)
-
     w = _anchor_off(h)
     battery = [
         ("vertex_concurrence", lambda: find_vertex(pair) == vertex),
@@ -311,7 +312,7 @@ def _pair_battery(pair, vertex):
         ("lift_project_axis",
          lambda: conway_lift_axis(pair, h, w) == axis_hyperplane(pair)),
         # round trip through the arc
-        ("lift_section_round_trip", round_trip_ok),
+        ("lift_section_round_trip", lambda: lift_round_trips(pair, vertex, h)),
     ]
     checks = []
     for name, check in battery:

@@ -16,7 +16,8 @@ points of PG(n, q).
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, product
 from types import MappingProxyType
 
 from .arcs import Arc, frame_off_hyperplane, is_simplex, random_arc_off_hyperplane
@@ -45,6 +46,7 @@ from .projlin import (
     coords_in,
     join,
     meet,
+    normalize,
     point_from,
     subspace_in,
 )
@@ -510,6 +512,37 @@ def lift_to_arc(pair: PerspectivePair, vertex: ProjPoint, h: Subspace,
             raise DegenerateLift(f"lines to point {i + 3} do not meet in a point")
         pts.append(x.point())
     return Arc(pts)
+
+
+def lift_round_trips(pair: PerspectivePair, vertex: ProjPoint, h: Subspace) -> bool:
+    """Whether the canonical lift of the pair to an arc off h sections back
+    to it: labels (1, i+3) give A_i, (2, i+3) give B_i and (1, 2) the vertex."""
+    n = pair.n
+    config = section_arc(lift_to_arc(pair, vertex, h), h)
+    return (all(config.point(1, i + 3) == pair.a[i] for i in range(n + 1))
+            and all(config.point(2, i + 3) == pair.b[i] for i in range(n + 1))
+            and config.point(1, 2) == vertex)
+
+
+def normal_forms(n: int, field: GF):
+    """Every s in (F*)^(n+1) with 1 + s_0 + ... + s_n != 0, in code order:
+    one per orbit of labeled configurations of PG(n, q) under
+    projectivities.  One sends the frame A_0..A_n, V to e_0..e_n, (1, ..., 1),
+    and then B_i = e_i + s_i V (`normal_form_pair`), a simplex exactly when
+    det(I + s 1^T) = 1 + sum s_i != 0."""
+    for s in product(range(1, field.q), repeat=n + 1):
+        if reduce(field.add, s, 1):
+            yield s
+
+
+def normal_form_pair(n: int, field: GF, s):
+    """The pair of the normal form s: A_i = e_i and B_i = e_i + s_i V, with
+    vertex V = (1, ..., 1).  Returns (pair, vertex)."""
+    add = field.add
+    a = [ProjPoint(field, [int(i == j) for j in range(n + 1)]) for i in range(n + 1)]
+    b = [normalize(field, [add(x, 1) if i == j else x for j in range(n + 1)])
+         for i, x in enumerate(s)]
+    return PerspectivePair(a, b), ProjPoint(field, (1,) * (n + 1))
 
 
 def conway_lift_axis(pair: PerspectivePair, h: Subspace, w: ProjPoint) -> Subspace:

@@ -9,7 +9,7 @@ exactly when it avoids the prefix's span, and a longer prefix exactly when
 it avoids the hyperplane through it and every (n-1)-subset of the prefix; so
 the next pool is `pool & ~forbidden`, with `forbidden` the union of those
 spans.  The level before the last counts each completion pool by popcount
-instead of visiting its leaves.
+instead of walking its leaves.
 
 Span rows.  Each prefix subset s of at most n-1 points has one row, a list
 indexed by point id: entry j is the point set of span(s + j).  The subset s
@@ -31,21 +31,20 @@ ordering:
     only, and every ordering of an arc is an arc.  The node count is
     therefore the number of ordered k-arcs summed over k = 1..m;
   * budget: every charge is at least 0, so the budget is exceeded exactly
-    when the total node count exceeds it;
-  * visitor: the ordered walk reaches each set first through its ascending
-    ordering, and ascending tuples come in lexicographic order, so a
-    visitor such as the sectioned-config sampler sees the same arcs in the
-    same order."""
+    when the total node count exceeds it.  The root charges its pool, so a
+    pool larger than the budget fails before the points are listed.
+
+The kernel only counts: `run_job` checks a sectioned-config count after
+the search, on one normal form per orbit, with code that shares none of it."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb, factorial
+from math import factorial
 
-from .arcs import Arc
-from .desargues import section_arc
+from .desargues import lift_round_trips, normal_form_pair, normal_forms
 from .errors import (
     DEFAULT_BUDGET,
     AmbientMismatch,
@@ -56,12 +55,7 @@ from .errors import (
     WrongCount,
 )
 from .field import GF
-from .projlin import Subspace, all_points, join
-
-# sectioned-config searches section every SAMPLE_EVERY-th arc the sampler
-# sees, at most SAMPLE_CAP of them
-SAMPLE_EVERY = 100
-SAMPLE_CAP = 20
+from .projlin import Subspace, all_points, join, num_points
 
 
 def pgl_order(n: int, q: int) -> int:
@@ -83,10 +77,7 @@ class _ArcSearch:
     and the pool of points that keep it an arc.  It charges its weight
     times the pool size, one budget node per ordered child.  The level
     before the last counts each child's pool by popcount and charges and
-    counts it times the weight, so leaves are never visited.  `visit`, when
-    set, is called at that level as visit(prefix_ids, completion_count,
-    completion_mask) until it returns False, once per ascending prefix and
-    pool point."""
+    counts it times the weight, so leaves are never walked."""
 
     def __init__(self, field: GF, n: int, m: int, avoid: Subspace, budget: int):
         if n < 1:
@@ -100,10 +91,14 @@ class _ArcSearch:
                     f"the avoided hyperplane must lie in the searched PG({n}, {field.q})")
             if not avoid.is_hyperplane:
                 raise NotAHyperplane(f"dimension {avoid.dim} in PG({n})")
+        # the root's first charge is its pool: every point, less the
+        # avoided hyperplane's
+        pool_size = num_points(field, n) - (0 if avoid is None else num_points(field, n - 1))
+        if pool_size > budget:
+            raise BudgetExceeded(f"search exceeded {budget} nodes")
         self.n = n
         self.m = m
         self.budget = budget
-        self.visit = None
         self.nodes = 0
         self.count = 0
         self.joins = 0
@@ -182,7 +177,6 @@ class _ArcSearch:
         # with every n-1 prefix points (with the whole prefix, while shorter)
         rows = [(s, self._row(s)) for s in map(
             _mask, combinations(prefix, min(len(prefix), self.n - 1)))]
-        visit = self.visit
         leaves = 0
         while cand:
             low = cand & -cand
@@ -198,10 +192,7 @@ class _ArcSearch:
             if not nxt:
                 continue
             if before_last:
-                size = nxt.bit_count()
-                leaves += size
-                if visit is not None and not visit(prefix + (j,), size, nxt):
-                    visit = self.visit = None
+                leaves += nxt.bit_count()
             else:
                 self._recurse(prefix + (j,), nxt, weight * (len(prefix) + 1))
         if before_last:
@@ -242,36 +233,6 @@ def count_frames(n: int, field: GF, budget: int = DEFAULT_BUDGET) -> int:
     return run_job(EnumJob("frames", n, field, budget=budget)).raw_count
 
 
-class _SectionSampler:
-    """Search visitor that checks that sampled arcs section to full
-    configurations.  It sees the arcs below each ascending prefix at the
-    level before the last, in search order, and sections every
-    SAMPLE_EVERY-th of them, at most SAMPLE_CAP."""
-
-    def __init__(self, n: int, h: Subspace, points):
-        self.n = n
-        self.h = h
-        self.points = points
-        self.seen = 0
-        self.checked = 0
-
-    def __call__(self, prefix_ids, count, mask):
-        """Take the next `count` arcs in search order: prefix_ids plus each
-        point of `mask`.  Returns False once no more samples are wanted."""
-        base = self.seen
-        self.seen += count
-        # the completions whose global ordinal hits the sampling stride
-        offsets = range((-base) % SAMPLE_EVERY, count, SAMPLE_EVERY)
-        if offsets:
-            ids = _ids(mask)
-            for offset in offsets[:SAMPLE_CAP - self.checked]:
-                arc = Arc([self.points[i] for i in prefix_ids + (ids[offset],)])
-                if len(section_arc(arc, self.h)) != comb(self.n + 3, 2):
-                    raise WrongCount("sampled arc did not section to a full configuration")
-                self.checked += 1
-        return self.checked < SAMPLE_CAP
-
-
 # -- job records -------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -294,7 +255,25 @@ class EnumResult:
     nodes: int
     wall_seconds: float
     joins: int       # spans the kernel joined
-    samples_checked: int  # sampled arcs of a sectioned-config job that were sectioned
+    orbits: int      # normal forms a sectioned-config job checked, 0 for other kinds
+
+
+def _check_orbits(n: int, field: GF, h: Subspace, raw_count: int) -> int:
+    """The number N of normal forms of PG(n, q).  The stabilizer of h acts
+    freely on the ordered arcs off h with N orbits, so its order
+    q^(n+1) (q-1) |PGL(n+1, q)| times N is the count; where sections exist
+    (n >= 2, q > 2) each normal form must lift and section back to itself."""
+    q = field.q
+    orbits = 0
+    for s in normal_forms(n, field):
+        orbits += 1
+        if n >= 2 and q > 2 and not lift_round_trips(*normal_form_pair(n, field, s), h):
+            raise WrongCount(f"the normal form s = {s} does not section back to its pair")
+    expected = q ** (n + 1) * (q - 1) * pgl_order(n, q) * orbits
+    if raw_count != expected:
+        raise WrongCount(f"the search counted {raw_count} sectioned configurations, "
+                         f"but {orbits} orbits make {expected}")
+    return orbits
 
 
 def run_job(job: EnumJob) -> EnumResult:
@@ -302,18 +281,14 @@ def run_job(job: EnumJob) -> EnumResult:
 
     `nodes` counts the ordered k-arcs for k = 1..m (see `EnumResult`).  A
     sectioned-config job counts the ordered (n+3)-arcs of PG(n+1, q) off
-    the hyperplane `avoid`.  For n >= 2 each sections to a full labeled
-    configuration, which is checked on a sample of the arcs (see
-    `_SectionSampler`).  At n = 1 a diagonal point of the quadrangle can
-    lie on the hyperplane, so the arcs are only counted and
-    `samples_checked` is 0."""
+    the hyperplane `avoid`, then checks it by `_check_orbits`, whose cost
+    the count bounds."""
     start = time.perf_counter()
     n, field = job.n, job.field
     if job.kind != "arcs" and job.m is not None:
         raise WrongCount(f"{job.kind} jobs fix their tuple size; m applies to arc jobs only")
     if job.kind == "frames" and job.avoid is not None:
         raise WrongCount("frame jobs count every frame; avoid applies to arc jobs only")
-    sampler = None
     if job.kind == "frames":
         search = _ArcSearch(field, n, n + 2, None, job.budget)
     elif job.kind == "arcs":
@@ -325,11 +300,11 @@ def run_job(job: EnumJob) -> EnumResult:
         if h is None:
             raise WrongCount("sectioned-config jobs need the sectioning hyperplane")
         search = _ArcSearch(field, n + 1, n + 3, h, job.budget)
-        if n >= 2:
-            sampler = search.visit = _SectionSampler(n, h, search.points)
     else:
         raise WrongCount(f"unknown job kind {job.kind!r}")
     search.run()
+    orbits = 0
+    if job.kind == "sectioned-configs":
+        orbits = _check_orbits(n, field, h, search.count)
     return EnumResult(search.count, search.count // factorial(search.m), search.nodes,
-                      time.perf_counter() - start, search.joins,
-                      0 if sampler is None else sampler.checked)
+                      time.perf_counter() - start, search.joins, orbits)

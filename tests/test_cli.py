@@ -163,6 +163,14 @@ def test_enumerate_sectioned_configs_n1(runner):
     assert json.loads(result.stdout)["raw_count"] == 1296
 
 
+def test_enumerate_sectioned_configs_over_gf2(runner):
+    # a count of arcs of PG(4, 2) off a solid asks for no section over GF(2)
+    result = runner.invoke(main, ["enumerate", "--kind", "sectioned-configs",
+                                  "--n", "3", "--p", "2"])
+    assert result.exit_code == 0
+    assert json.loads(result.stdout)["raw_count"] == 322560
+
+
 @pytest.mark.parametrize("args", [("frames", "--n", "0"), ("frames", "--n", "-2"),
                                   ("arcs", "--n", "-1", "--m", "2"),
                                   ("sectioned-configs", "--n", "-1"),
@@ -384,6 +392,25 @@ def test_malformed_file_is_usage_error(runner, tmp_path):
     for cmd in ("verify", "section", "lift", "export"):
         result = runner.invoke(main, [cmd, str(bad)])
         assert result.exit_code == 2, cmd
+
+
+@pytest.mark.parametrize("args,named", [
+    (["verify", "DIR"], "DIR"),
+    (["verify", "NOT_UTF8"], "NOT_UTF8"),
+    (["demo", "--n", "2", "--p", "5", "--out", "NO_DIR"], "NO_DIR"),
+    (["enumerate", "--kind", "frames", "--n", "2", "--p", "3", "--out", "DIR"], "DIR"),
+], ids=["verify-a-directory", "verify-not-utf8", "out-in-a-missing-directory",
+        "out-to-a-directory"])
+def test_a_path_that_cannot_be_read_or_written_is_a_usage_error(runner, tmp_path,
+                                                                args, named):
+    (tmp_path / "latin1.json").write_bytes('{"kind": "caf\xe9"}'.encode("latin-1"))
+    paths = {"DIR": str(tmp_path), "NOT_UTF8": str(tmp_path / "latin1.json"),
+             "NO_DIR": str(tmp_path / "missing" / "x.json")}
+    result = runner.invoke(main, [paths.get(a, a) for a in args])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Error: " in result.stderr and "Traceback" not in result.stderr
+    assert paths[named] in result.stderr
 
 
 def test_enumerate_budget_error(runner):

@@ -16,7 +16,10 @@ from desarc.desargues import (
     edge_intersections,
     extract_perspective_pair,
     find_vertex,
+    lift_round_trips,
     lift_to_arc,
+    normal_form_pair,
+    normal_forms,
     random_perspective_pair,
     random_sectioned_config,
     section_arc,
@@ -483,6 +486,26 @@ def test_lift_round_trip_seeded(n, q):
         pair, vertex = random_perspective_pair(n, f, rng)
         _round_trip(pair, vertex, h)
         _round_trip(pair, vertex, h, rng)  # randomized free choices too
+
+
+@pytest.mark.parametrize("n,field", [(2, GF(3)), (2, GF(2, 2)), (2, F5), (2, GF(3, 2)),
+                                     (3, GF(3)), (3, GF(2, 2)), (4, GF(3))])
+def test_normal_forms_are_the_closed_form_and_each_round_trips(n, field):
+    # N(n, q) = (q-1)^(n+1) - ((q-1)^(n+1) - (-1)^(n+1)) / q: the s with every
+    # entry nonzero, less those with 1 + sum s_i = 0
+    q = field.q
+    units = (q - 1) ** (n + 1)
+    forms = list(normal_forms(n, field))
+    assert len(forms) == units - (units - (-1) ** (n + 1)) // q
+    assert forms == sorted(set(forms)) and all(all(s) for s in forms)
+    h = coordinate_hyperplane(field, n + 1, n + 1)
+    for s in forms:
+        pair, vertex = normal_form_pair(n, field, s)
+        assert vertex.coords == (1,) * (n + 1)
+        assert [p.coords for p in pair.a] == [
+            tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1)]
+        assert all(join(a, vertex).contains_point(b) for a, b in zip(pair.a, pair.b))
+        assert lift_round_trips(pair, vertex, h)
 
 
 def _anchor_from_list(h, rng=None):

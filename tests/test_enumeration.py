@@ -1,6 +1,7 @@
 """Exhaustive counting of arcs and frames, cross-checked against
 independent oracles."""
 
+import time
 from dataclasses import replace
 from itertools import combinations, product
 from math import comb, factorial
@@ -26,7 +27,6 @@ from desarc.errors import (
 from desarc.field import GF
 from desarc.projlin import (
     Subspace,
-    all_points,
     coordinate_hyperplane,
     hyperplane_from_dual,
     join,
@@ -212,7 +212,7 @@ def test_sectioned_count_n1_counts_without_sampling():
     result = run_job(EnumJob("sectioned-configs", 1, f, avoid=h))
     assert result.raw_count == 1296 == pgl_order(2, 3) * 3 // 13
     assert result.unordered_count == 1296 // factorial(4)
-    assert result.samples_checked == 0
+    assert result.orbits == 3
 
 
 @pytest.mark.slow
@@ -236,7 +236,7 @@ def test_sectioned_count_pg33_subset_oracle():
     result = run_job(EnumJob("sectioned-configs", 2, f, avoid=h))
     assert result.unordered_count == unordered
     assert result.raw_count == unordered * factorial(5)
-    assert result.samples_checked > 0
+    assert result.orbits == 5
 
 
 # -- job running ---------------------------------------------------------------------------
@@ -345,36 +345,64 @@ def test_budget_boundary_is_the_node_count(job):
         run_job(replace(job, budget=nodes - 1))
 
 
-# ids (canonical point order of PG(3, 3)) of the arcs the list-based search
-# sampled: every 100th arc in search order, the first 20
-SAMPLED_ARCS_2_3 = [
-    (1, 2, 4, 10, 14), (1, 2, 5, 13, 11), (1, 2, 7, 16, 14), (1, 2, 8, 19, 13),
-    (1, 2, 10, 22, 5), (1, 2, 11, 25, 4), (1, 2, 13, 28, 4), (1, 2, 14, 34, 5),
-    (1, 2, 16, 37, 10), (1, 2, 19, 4, 17), (1, 2, 20, 7, 13), (1, 2, 22, 10, 5),
-    (1, 2, 23, 13, 4), (1, 2, 25, 19, 17), (1, 2, 26, 22, 4), (1, 2, 28, 31, 16),
-    (1, 2, 29, 34, 4), (1, 2, 31, 37, 17), (1, 2, 34, 4, 10), (1, 2, 35, 7, 10),
-]
-
-
-def test_sectioned_search_samples_the_same_arcs(monkeypatch):
-    f = GF(3)
-    ids = {p.coords: i for i, p in enumerate(all_points(f, 3))}
-    sampled = []
-    section = enumeration.section_arc
-
-    def record(arc, h):
-        sampled.append(tuple(ids[p.coords] for p in arc))
-        return section(arc, h)
-
-    monkeypatch.setattr(enumeration, "section_arc", record)
-    result = run_job(EnumJob("sectioned-configs", 2, f, avoid=coordinate_hyperplane(f, 3, 3)))
-    assert result.samples_checked == 20
-    assert sampled == SAMPLED_ARCS_2_3
-
-
-@pytest.mark.parametrize("n,q", [(1, 3), (1, 5), (1, 7), (2, 3)])
+# (3, 2): the ordered 6-arcs of PG(4, 2) off a solid, one orbit of the
+# solid's stabilizer; a count asks for no section over GF(2)
+@pytest.mark.parametrize("n,q", [(1, 3), (1, 5), (1, 7), (2, 3), (3, 2)])
 def test_sectioned_count_closed_form_oracle(n, q):
     assert run_job(_job("sectioned-configs", n, GF(q))).raw_count == _oracle_sectioned(n, q)
+
+
+@pytest.mark.parametrize("kind,n,q,orbits", [
+    ("sectioned-configs", 1, 3, 3), ("sectioned-configs", 2, 3, 5),
+    ("sectioned-configs", 2, 2, 0), ("sectioned-configs", 3, 2, 1), ("frames", 2, 3, 0),
+])
+def test_orbits_counts_the_normal_forms_of_sectioned_jobs(kind, n, q, orbits):
+    assert run_job(_job(kind, n, GF(q))).orbits == orbits
+
+
+def test_the_orbit_identity_is_the_double_count_beyond_the_search():
+    # the count run_job expects, q^(n+1) (q-1) |PGL(n+1, q)| times the N(n, q)
+    # normal forms (N by the closed form that test_desargues checks against
+    # normal_forms), is the double count of frames and hyperplanes at sizes
+    # no test searches
+    for n in range(1, 7):
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+            units = (q - 1) ** (n + 1)
+            orbits = units - (units - (-1) ** (n + 1)) // q
+            assert (q ** (n + 1) * (q - 1) * pgl_order(n, q) * orbits
+                    == _oracle_sectioned(n, q)), (n, q)
+
+
+def test_a_wrong_sectioned_count_raises(monkeypatch):
+    search = enumeration._ArcSearch.run
+
+    def one_too_many(self):
+        search(self)
+        self.count += 1
+
+    monkeypatch.setattr(enumeration._ArcSearch, "run", one_too_many)
+    with pytest.raises(WrongCount, match="counted 1516321 .* 5 orbits make 1516320"):
+        run_job(_job("sectioned-configs", 2, GF(3)))
+
+
+def test_a_normal_form_that_does_not_round_trip_raises(monkeypatch):
+    # at (2, 3) the normal forms are (1, 1, 1), (1, 1, 2), (1, 2, 1),
+    # (2, 1, 1) and (2, 2, 2); only the last one fails here
+    f = GF(3)
+    last = enumeration.normal_form_pair(2, f, (2, 2, 2))[0]
+    monkeypatch.setattr(enumeration, "lift_round_trips",
+                        lambda pair, vertex, h: pair.b != last.b)
+    with pytest.raises(WrongCount, match=r"s = \(2, 2, 2\)"):
+        run_job(_job("sectioned-configs", 2, f))
+
+
+@pytest.mark.parametrize("kind", ["frames", "sectioned-configs"])
+def test_a_root_pool_above_the_budget_fails_before_the_points_are_listed(kind):
+    # PG(3, 101) has 1,040,604 points and PG(4, 101) about 1.05e8
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="exceeded 10 nodes"):
+        run_job(_job(kind, 3, GF(101), budget=10))
+    assert time.perf_counter() - start < 1
 
 
 # -- prefixes longer than n: the level before the last is reached by many orderings --
@@ -507,25 +535,12 @@ def test_the_level_before_the_last_is_entered_once_per_prefix_set(monkeypatch):
     assert len(entered) == len(set(map(frozenset, entered))) == comb(57, 2)
 
 
-def test_a_visitor_that_keeps_going_sees_each_prefix_set_once():
-    # hyperovals of PG(2, 4): a visitor leaves the search as it is, and sees
-    # each 4-point prefix set once, in ascending order
-    def run(visit):
-        search = enumeration._ArcSearch(GF(2, 2), 2, 6, None, enumeration.DEFAULT_BUDGET)
-        search.visit = visit
-        search.run()
-        return search.count, search.nodes, search.joins
-
-    counts, orderings = [], {}
-
-    def visit(prefix_ids, count, mask):
-        counts.append(count)
-        orderings.setdefault(frozenset(prefix_ids[:4]), set()).add(prefix_ids[:4])
-        return True
-
-    assert run(visit) == run(None) == (168 * factorial(6), 309561, 105)
-    assert sum(counts) == 168 * factorial(6) // factorial(4) == 5040
-    assert all(seen == {tuple(sorted(prefix))} for prefix, seen in orderings.items())
+def test_hyperovals_of_pg24_count_nodes_and_joins():
+    # 168 hyperovals in 6! orderings each; the nodes are those of the
+    # search that walked every ordering
+    result = run_job(EnumJob("arcs", 2, GF(2, 2), m=6))
+    assert (result.raw_count, result.nodes, result.joins) == (
+        168 * factorial(6), 309561, 105)
 
 
 @pytest.mark.parametrize("n,field,m", [(3, GF(2), 5), (2, GF(2, 2), 6), (2, GF(3), 4)])
