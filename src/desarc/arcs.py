@@ -10,7 +10,6 @@ from itertools import combinations
 
 from .errors import (
     FieldTooSmall,
-    NotAHyperplane,
     NotAnArc,
     TooFew,
     WrongCount,
@@ -19,6 +18,7 @@ from .field import GF
 from .projlin import (
     ProjPoint,
     Subspace,
+    check_hyperplane,
     common_ambient,
     join,
     normalize,
@@ -124,8 +124,6 @@ def frame_off_hyperplane(h: Subspace) -> Arc:
     n = h.n
     if field.q == 2:
         raise FieldTooSmall("no frame avoids a hyperplane over GF(2)")
-    if not h.is_hyperplane:
-        raise NotAHyperplane(f"dimension {h.dim} in PG({n})")
 
     add, mul, sub = field.add, field.mul, field.sub
     n_in_field = field.scalar(n)
@@ -133,7 +131,7 @@ def frame_off_hyperplane(h: Subspace) -> Arc:
     frame = [[1 if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
     frame.append([1] * n + [z])
 
-    u = h.dual_vector()
+    u = h.dual_vector()   # NotAHyperplane unless h is a hyperplane
     t = next(i for i, x in enumerate(u) if x)
     v = list(u)
     v[0], v[t] = v[t], v[0]
@@ -159,6 +157,9 @@ def random_point(field: GF, n: int, rng) -> ProjPoint:
             return normalize(field, coords)
 
 
+_MAX_TRIES = 10000
+
+
 def _extends_arc(field, n, prefix_coords, cand) -> bool:
     r = len(prefix_coords)
     if r <= n:
@@ -170,23 +171,23 @@ def _extends_arc(field, n, prefix_coords, cand) -> bool:
     return True
 
 
-def random_arc_off_hyperplane(h: Subspace, m: int, rng, max_tries: int = 10000) -> Arc:
+def random_arc_off_hyperplane(h: Subspace, m: int, rng) -> Arc:
     """A uniformly seeded arc of m points avoiding the hyperplane h, built
-    by rejection sampling with restarts."""
+    by rejection sampling with restarts, from at most _MAX_TRIES sampled
+    points."""
     field, n = h.field, h.n
     if field.q == 2:
         raise FieldTooSmall("no arc of interest avoids a hyperplane over GF(2)")
-    if not h.is_hyperplane:
-        raise NotAHyperplane(f"dimension {h.dim} in PG({n})")
+    check_hyperplane(h, field, n)
     tries = 0
     while True:
         prefix = []
         dead = 0
         while len(prefix) < m:
             tries += 1
-            if tries > max_tries:
+            if tries > _MAX_TRIES:
                 raise NotAnArc(
-                    f"no {m}-point arc off the hyperplane found in {max_tries} samples")
+                    f"no {m}-point arc off the hyperplane found in {_MAX_TRIES} samples")
             p = random_point(field, n, rng)
             if h.contains_point(p):
                 continue

@@ -13,13 +13,16 @@ inside the command, and `enumerate` imports `enumeration`.
 
 Each command is a plain function that `main.command` registers with its
 arguments; `main` builds one argparse subparser per command and calls
-`main.commands[name].callback` with the parsed values.
+`main.commands[name].callback` with the parsed values.  A command raises
+and `main` alone turns the error into exit 2: a usage error prints
+`Error: <message>` and a geometry error `error: <Type>: <message>` on
+stderr.  Every input file goes through `_load`, which names the path when
+it cannot be read or parsed, or holds a kind the command does not take.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from math import comb
@@ -104,14 +107,19 @@ class _Group:
     def main(self, args=None, prog_name=None, standalone_mode=True):
         """Run the command line `args` (default: sys.argv[1:]).
 
-        A usage error exits 2 through SystemExit.  `standalone_mode` is
-        accepted for callers written against click's `Command.main`, and
-        changes nothing: every outcome is an exit code either way."""
+        A usage error prints `Error: <message>` and a geometry error
+        `error: <Type>: <message>` on stderr; each exits 2 through
+        SystemExit.  `standalone_mode` is accepted for callers written
+        against click's `Command.main`, and changes nothing: every outcome
+        is an exit code either way."""
         try:
             values = vars(self._parser(prog_name or self.name).parse_args(args))
             self.commands[values.pop("command")].callback(**values)
         except UsageError as exc:
             print(f"Error: {exc}", file=sys.stderr)
+            sys.exit(2)
+        except GeometryError as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             sys.exit(2)
 
     __call__ = main
@@ -120,12 +128,6 @@ class _Group:
 def _arg(*flags, **kwargs):
     """One argument of a command, as `argparse.add_argument` takes it."""
     return flags, kwargs
-
-
-def _existing_path(path: str) -> str:
-    if not os.path.exists(path):
-        raise argparse.ArgumentTypeError(f"path {path!r} does not exist")
-    return path
 
 
 def _natural(text: str) -> int:
@@ -148,13 +150,17 @@ def _field_from_flags(p: int, k: int, modulus):
     return GF(p, k, mod)
 
 
-def _load(path: str):
-    """Read and dispatch a geometry file; a file that cannot be read or
-    parsed is a usage error."""
+_KIND_NAMES = {"arc": "an arc", "config": "a configuration", "pair": "a pair"}
+
+
+def _load(path: str, *kinds):
+    """Read a geometry file as (kind, object), for one of `kinds`; a file
+    that cannot be read or parsed, or holds another kind, is a usage
+    error."""
     try:
         with open(path) as fh:
             text = fh.read()
-        return gio.load_geometry(text)
+        kind, obj = gio.load_geometry(text)
     except GeometryError:
         raise
     except OSError as exc:
@@ -162,6 +168,10 @@ def _load(path: str):
     except (ValueError, KeyError, TypeError) as exc:
         # a file that is not UTF-8 fails here too (UnicodeDecodeError)
         raise UsageError(f"cannot parse {path}: {exc}") from exc
+    if kind not in kinds:
+        raise UsageError(f"{path} holds {_KIND_NAMES[kind]}, not "
+                         + " or ".join(_KIND_NAMES[k] for k in kinds))
+    return kind, obj
 
 
 def _emit(text: str, out):
@@ -173,11 +183,6 @@ def _emit(text: str, out):
             raise UsageError(f"cannot write {out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
-
-
-def _fail(exc: GeometryError):
-    print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-    sys.exit(2)
 
 
 _FIELD_ARGUMENTS = (
@@ -199,15 +204,12 @@ main = _Group("desarc", "Exact constructions and checks in PG(n, q): arc section
 def demo(n, p, k, modulus, seed, out):
     """Build a sectioned configuration and sweep all vertices."""
     from .configuration import vertex_sweep
-    try:
-        field = _field_from_flags(p, k, modulus)
-        if seed is None:
-            config = sectioned_config(n, field)
-        else:
-            config = random_sectioned_config(n, field, random.Random(seed))
-        report = vertex_sweep(config)
-    except GeometryError as exc:
-        _fail(exc)
+    field = _field_from_flags(p, k, modulus)
+    if seed is None:
+        config = sectioned_config(n, field)
+    else:
+        config = random_sectioned_config(n, field, random.Random(seed))
+    report = vertex_sweep(config)
     lhs, parts = report.identity
     doc = {
         "configuration": gio.config_to_json(config),
@@ -231,39 +233,26 @@ def demo(n, p, k, modulus, seed, out):
 
 @main.command(
     "section",
-    _arg("arc_file", metavar="ARC_FILE", type=_existing_path),
+    _arg("arc_file", metavar="ARC_FILE"),
     _arg("--out", help="write the configuration to this path"))
 def section(arc_file, out):
     """Section an arc file by the last-coordinate hyperplane."""
-    try:
-        kind, obj = _load(arc_file)
-        if kind != "arc":
-            raise UsageError("the input file does not hold an arc")
-        arc = obj
-        h = coordinate_hyperplane(arc.field, arc.n, arc.n)
-        config = section_arc(arc, h)
-    except GeometryError as exc:
-        _fail(exc)
+    _, arc = _load(arc_file, "arc")
+    config = section_arc(arc, coordinate_hyperplane(arc.field, arc.n, arc.n))
     _emit(dumps(gio.config_to_json(config)), out)
 
 
 @main.command(
     "lift",
-    _arg("pair_file", metavar="PAIR_FILE", type=_existing_path),
+    _arg("pair_file", metavar="PAIR_FILE"),
     _arg("--seed", type=int, help="randomize the free choices in the lift"),
     _arg("--out", help="write the arc to this path"))
 def lift(pair_file, seed, out):
     """Lift a perspective pair to an arc one dimension up."""
-    try:
-        kind, obj = _load(pair_file)
-        if kind != "pair":
-            raise UsageError("the input file does not hold a pair")
-        pair, vertex = obj
-        h = coordinate_hyperplane(pair.field, pair.n + 1, pair.n + 1)
-        rng = random.Random(seed) if seed is not None else None
-        arc = lift_to_arc(pair, vertex, h, rng)
-    except GeometryError as exc:
-        _fail(exc)
+    _, (pair, vertex) = _load(pair_file, "pair")
+    h = coordinate_hyperplane(pair.field, pair.n + 1, pair.n + 1)
+    rng = random.Random(seed) if seed is not None else None
+    arc = lift_to_arc(pair, vertex, h, rng)
     _emit(dumps(gio.arc_to_json(arc)), out)
 
 
@@ -361,20 +350,12 @@ def _verify_config(config):
 
 @main.command(
     "verify",
-    _arg("input_file", metavar="INPUT_FILE", type=_existing_path),
+    _arg("input_file", metavar="INPUT_FILE"),
     _arg("--out", help="write the report to this path"))
 def verify(input_file, out):
     """Run the full theorem battery on a configuration or pair file."""
-    try:
-        kind, obj = _load(input_file)
-        if kind == "config":
-            checks = _verify_config(obj)
-        elif kind == "pair":
-            checks = _pair_battery(*obj)
-        else:
-            raise UsageError("verify expects a configuration or pair file")
-    except GeometryError as exc:
-        _fail(exc)
+    kind, obj = _load(input_file, "config", "pair")
+    checks = _verify_config(obj) if kind == "config" else _pair_battery(*obj)
     entries = []
     for name, ok, detail in checks:
         entry = {"name": name, "ok": ok}
@@ -405,18 +386,14 @@ def enumerate_cmd(n, p, k, modulus, kind, m, avoid, budget, out):
         for flag, given in (("--m", m is not None), ("--avoid", avoid)):
             if given:
                 raise UsageError(f"{flag} applies to --kind arcs only, not {kind}")
-    try:
-        field = _field_from_flags(p, k, modulus)
-        if kind == "sectioned-configs":
-            hyper = coordinate_hyperplane(field, n + 1, n + 1)
-        elif avoid:
-            hyper = coordinate_hyperplane(field, n, n)
-        else:
-            hyper = None
-        job = EnumJob(kind, n, field, m=m, avoid=hyper, budget=budget)
-        result = run_job(job)
-    except GeometryError as exc:
-        _fail(exc)
+    field = _field_from_flags(p, k, modulus)
+    if kind == "sectioned-configs":
+        hyper = coordinate_hyperplane(field, n + 1, n + 1)
+    elif avoid:
+        hyper = coordinate_hyperplane(field, n, n)
+    else:
+        hyper = None
+    result = run_job(EnumJob(kind, n, field, m=m, avoid=hyper, budget=budget))
     doc = {
         "job": {"kind": kind, "n": n, "field": gio.field_to_json(field),
                 "m": m, "avoid_hyperplane": hyper is not None, "budget": budget},
@@ -431,23 +408,18 @@ def enumerate_cmd(n, p, k, modulus, kind, m, avoid, budget, out):
 
 @main.command(
     "export",
-    _arg("config_file", metavar="CONFIG_FILE", type=_existing_path),
+    _arg("config_file", metavar="CONFIG_FILE"),
     _arg("--format", dest="fmt", choices=["csv", "json"], default="csv",
         help="matrix format [default: %(default)s]"),
     _arg("--out", help="write the matrix to this path"))
 def export(config_file, fmt, out):
     """Export the point-line incidence matrix of a configuration."""
-    try:
-        kind, obj = _load(config_file)
-        if kind != "config":
-            raise UsageError("export expects a configuration file")
-        if fmt == "csv":
-            text = gio.incidence_csv(obj)
-        else:
-            rows = gio.incidence_rows(obj)
-            text = dumps({"header": rows[0], "rows": rows[1:]})
-    except GeometryError as exc:
-        _fail(exc)
+    _, config = _load(config_file, "config")
+    if fmt == "csv":
+        text = gio.incidence_csv(config)
+    else:
+        rows = gio.incidence_rows(config)
+        text = dumps({"header": rows[0], "rows": rows[1:]})
     _emit(text, out)
 
 

@@ -129,7 +129,6 @@ class SweepEntry:
 @dataclass(frozen=True)
 class SweepReport:
     dimension: int
-    order: int
     point_total: int
     entries: tuple = dc_field(default=())
 
@@ -192,7 +191,7 @@ def vertex_sweep(config: LabeledConfiguration) -> SweepReport:
     """Try every label as a perspectivity vertex by the four conditions of
     the module docstring; a failing entry names the first one it breaks."""
     faults = [(label, _vertex_fault(config, *label)) for label in config.labels()]
-    return SweepReport(config.n, config.field.q, len(config), tuple(
+    return SweepReport(config.n, len(config), tuple(
         SweepEntry(label, fault is None, fault or "") for label, fault in faults))
 
 

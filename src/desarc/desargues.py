@@ -42,6 +42,7 @@ from .field import GF
 from .projlin import (
     ProjPoint,
     Subspace,
+    check_hyperplane,
     coordinate_hyperplane,
     coords_in,
     join,
@@ -269,10 +270,7 @@ def section_arc(gamma: Arc, h: Subspace) -> LabeledConfiguration:
     unordered pair (i, j); the result is a configuration of C(n+3, 2)
     distinct points expressed in the internal coordinates of h.
     """
-    if gamma.field != h.field or gamma.n != h.n:
-        raise AmbientMismatch("arc and hyperplane live in different spaces")
-    if not h.is_hyperplane:
-        raise PointOnHyperplane("the sectioning subspace must be a hyperplane")
+    check_hyperplane(h, gamma.field, gamma.n)
     _check_section_preconditions(h.dim, h.field)
     m = len(gamma)
     if m != gamma.n + 2:
@@ -292,22 +290,20 @@ def section_arc(gamma: Arc, h: Subspace) -> LabeledConfiguration:
     return LabeledConfiguration(h.field, h.dim, table)
 
 
-def sectioned_config(n: int, field: GF, h: Subspace = None) -> LabeledConfiguration:
+def sectioned_config(n: int, field: GF) -> LabeledConfiguration:
     """The canonical configuration of PG(n, q): the frame-based (n+3)-arc of
-    PG(n+1, q) off h (default: the last-coordinate hyperplane), sectioned."""
+    PG(n+1, q) off the last-coordinate hyperplane h, sectioned by h."""
     _check_section_preconditions(n, field)
-    if h is None:
-        h = coordinate_hyperplane(field, n + 1, n + 1)
+    h = coordinate_hyperplane(field, n + 1, n + 1)
     gamma = frame_off_hyperplane(h)
     return section_arc(gamma, h)
 
 
-def random_sectioned_config(n: int, field: GF, rng,
-                            h: Subspace = None) -> LabeledConfiguration:
-    """A seeded random configuration: random (n+3)-arc off h, sectioned."""
+def random_sectioned_config(n: int, field: GF, rng) -> LabeledConfiguration:
+    """A seeded random configuration: a random (n+3)-arc off the
+    last-coordinate hyperplane h, sectioned by h."""
     _check_section_preconditions(n, field)
-    if h is None:
-        h = coordinate_hyperplane(field, n + 1, n + 1)
+    h = coordinate_hyperplane(field, n + 1, n + 1)
     gamma = random_arc_off_hyperplane(h, n + 3, rng)
     return section_arc(gamma, h)
 
@@ -355,9 +351,9 @@ def _subset_meet(pair: PerspectivePair, idxs) -> Subspace:
 def _edge_meet(pair: PerspectivePair, i: int, j: int) -> ProjPoint:
     x = _subset_meet(pair, (i, j))
     if x.dim == 1:  # two lines meet in a line only when they coincide
-        raise EdgesDisjoint(i, j, f"edges {i},{j} are the same line")
+        raise EdgesDisjoint(f"edges {i},{j} are the same line")
     if x.dim != 0:
-        raise EdgesDisjoint(i, j, f"edges {i},{j} are skew")
+        raise EdgesDisjoint(f"edges {i},{j} are skew")
     return x.point()
 
 
@@ -485,10 +481,7 @@ def lift_to_arc(pair: PerspectivePair, vertex: ProjPoint, h: Subspace,
     rng.sample(range(q), 2), which is the draw rng.sample would make from
     their list.  Both are unranked, so the line's points are never listed.
     """
-    if not h.is_hyperplane:
-        raise AmbientMismatch("the embedding must be a hyperplane of PG(n+1, q)")
-    if h.dim != pair.n:
-        raise AmbientMismatch("the embedding hyperplane has the wrong dimension")
+    check_hyperplane(h, pair.field, pair.n + 1)
     for k in range(pair.n + 1):
         if pair.faces_a[k].contains_point(vertex) or \
                 pair.faces_b[k].contains_point(vertex):
@@ -555,8 +548,7 @@ def conway_lift_axis(pair: PerspectivePair, h: Subspace, w: ProjPoint) -> Subspa
     simplexes are required to span distinct hyperplanes of PG(n+1, q),
     which is checked at runtime.
     """
-    if not h.is_hyperplane or h.dim != pair.n:
-        raise AmbientMismatch("the embedding must be a hyperplane of PG(n+1, q)")
+    check_hyperplane(h, pair.field, pair.n + 1)
     if w.field != h.field or w.n != h.n:
         raise AmbientMismatch("w must live in the ambient PG(n+1, q)")
     if h.contains_point(w):

@@ -47,15 +47,13 @@ from math import factorial
 from .desargues import lift_round_trips, normal_form_pair, normal_forms
 from .errors import (
     DEFAULT_BUDGET,
-    AmbientMismatch,
     BudgetExceeded,
     DimensionTooSmall,
     NegativeBudget,
-    NotAHyperplane,
     WrongCount,
 )
 from .field import GF
-from .projlin import Subspace, all_points, join, num_points
+from .projlin import Subspace, all_points, check_hyperplane, join, num_points
 
 
 def pgl_order(n: int, q: int) -> int:
@@ -86,11 +84,7 @@ class _ArcSearch:
         if budget < 0:
             raise NegativeBudget(f"the node budget must be at least 0, got {budget}")
         if avoid is not None:
-            if avoid.field != field or avoid.n != n:
-                raise AmbientMismatch(
-                    f"the avoided hyperplane must lie in the searched PG({n}, {field.q})")
-            if not avoid.is_hyperplane:
-                raise NotAHyperplane(f"dimension {avoid.dim} in PG({n})")
+            check_hyperplane(avoid, field, n)
         # the root's first charge is its pool: every point, less the
         # avoided hyperplane's
         pool_size = num_points(field, n) - (0 if avoid is None else num_points(field, n - 1))

@@ -89,11 +89,6 @@ class SharedFace(GeometryError):
 class EdgesDisjoint(GeometryError):
     """A pair of corresponding edges is skew or coincident."""
 
-    def __init__(self, i, j, message=None):
-        self.i = i
-        self.j = j
-        super().__init__(message or f"edges {i},{j} do not meet in a single point")
-
 
 class NoCommonVertex(GeometryError):
     """The lines through corresponding points are not concurrent."""

@@ -13,7 +13,8 @@ element g (Lidl & Niederreiter, *Finite Fields*, ch. 2): exp[i] = g^i and
 log[g^i] = i give mul and inv.  add, sub and neg act on the coefficient
 vectors: in characteristic 2 that is XOR of the codes, in odd
 characteristic it goes through the Zech table zech[i] = log(1 + g^i).  A
-modulus is accepted only when Rabin's test proves it irreducible.
+modulus is accepted only when the search for g proves it irreducible:
+the g it finds has g^(q-1) = 1 exactly when the quotient ring is a field.
 
 Each design also supplies the row kernels that row reduction runs on,
 sub_row(f, xs, ys) = xs - f*ys and scale_row(s, xs) = s*xs, so the work
@@ -58,26 +59,6 @@ def _order(p: int, k: int):
         if q > _ORDER_LIMIT:
             return None
     return q
-
-
-def _poly_trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_gcd(a, b, p):
-    """A greatest common divisor of two polynomials over GF(p)."""
-    a, b = _poly_trim(list(a)), _poly_trim(list(b))
-    while b:
-        lead_inv = pow(b[-1], p - 2, p)
-        while len(a) >= len(b):     # a <- a mod b
-            shift, factor = len(a) - len(b), a[-1] * lead_inv % p
-            for i, c in enumerate(b):
-                a[shift + i] = (a[shift + i] - factor * c) % p
-            _poly_trim(a)
-        a, b = b, a
-    return a
 
 
 def _prime_factors(n: int):
@@ -222,7 +203,7 @@ class GF:
     def _init_ext_ops(self):
         p, k, q, modulus = self.p, self.k, self.q, self.modulus
         n = q - 1                 # order of the multiplicative group
-        one, x = [1] + [0] * (k - 1), [0, 1] + [0] * (k - 2)
+        one = [1] + [0] * (k - 1)
 
         def power(a, e):   # valid before the modulus is known to be irreducible
             out = one
@@ -233,22 +214,22 @@ class GF:
                 e >>= 1
             return out
 
-        # Rabin's test (Rabin 1980): the modulus is irreducible iff
-        # x^(p^k) = x and gcd(modulus, x^(p^(k/r)) - x) = 1 for every prime
-        # r dividing k
-        frobenius = [x]           # frobenius[i] = x^(p^i)
-        for _ in range(k):
-            frobenius.append(power(frobenius[-1], p))
-        gcds = [_poly_gcd(modulus, [(a - b) % p for a, b in zip(frobenius[k // r], x)], p)
-                for r in _prime_factors(k)]
-        if frobenius[k] != x or any(len(d) > 1 for d in gcds):
-            raise InvalidField("modulus is reducible over the prime field")
-
         # g is primitive iff g^(n/r) != 1 for every prime r dividing n; no
-        # element of the prime field is, so the search starts at x, code p
+        # element of the prime field is, so the search starts at x, code p.
+        # The search also proves the modulus irreducible.  If g^n = 1, then
+        # g is a unit whose order divides n, and the primitive test rules
+        # out every proper divisor, so g has order n: its n powers are
+        # distinct units, every nonzero element is a unit, and the ring is
+        # a field.  Over a reducible modulus a zero divisor passes the
+        # primitive test, as none of its powers is 1, and fails g^n = 1, as
+        # does a unit of smaller order.  The search always stops: a proper
+        # factor of the modulus has degree >= 1, so it is a zero divisor
+        # with a code >= p.
         factors = _prime_factors(n)
         g = next(g for g in range(p, q)
                  if all(power(self.coeffs(g), n // r) != one for r in factors))
+        if power(self.coeffs(g), n) != one:
+            raise InvalidField("modulus is reducible over the prime field")
         exp, log = array("H"), array("H", [0]) * q
         if p == 2 and g == p:
             # times x shifts the code; XOR with the modulus clears x^k

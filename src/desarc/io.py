@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .arcs import Arc
 from .desargues import LabeledConfiguration, PerspectivePair
-from .errors import BadSymbols
+from .errors import AmbientMismatch, BadSymbols
 from .field import GF
 from .projlin import ProjPoint, normalize
 
@@ -66,9 +66,18 @@ def arc_to_json(arc: Arc) -> dict:
     }
 
 
+def _check_n(data, n: int):
+    """The document's "n" must be the dimension its points live in."""
+    if data["n"] != n:
+        raise AmbientMismatch(f"the document gives n = {data['n']}, "
+                              f"but its points lie in PG({n})")
+
+
 def arc_from_json(data) -> Arc:
     field = field_from_json(data["field"])
-    return Arc([point_from_json(field, c) for c in data["points"]])
+    arc = Arc([point_from_json(field, c) for c in data["points"]])
+    _check_n(data, arc.n)
+    return arc
 
 
 # -- configurations ---------------------------------------------------------------
@@ -89,7 +98,10 @@ def config_from_json(data) -> LabeledConfiguration:
     table = {}
     for item in data["points"]:
         i, j = item["label"]
-        table[(int(i), int(j))] = point_from_json(field, item["coords"])
+        label = tuple(sorted((int(i), int(j))))
+        if label in table:
+            raise BadSymbols(f"label ({label[0]},{label[1]}) is listed twice")
+        table[label] = point_from_json(field, item["coords"])
     return LabeledConfiguration(field, data["n"], table)
 
 
@@ -110,7 +122,9 @@ def pair_from_json(data):
     a = [point_from_json(field, c) for c in data["A"]]
     b = [point_from_json(field, c) for c in data["B"]]
     vertex = point_from_json(field, data["vertex"])
-    return PerspectivePair(a, b), vertex
+    pair = PerspectivePair(a, b)
+    _check_n(data, pair.n)
+    return pair, vertex
 
 
 # -- incidence matrix ----------------------------------------------------------------

@@ -369,6 +369,16 @@ def coordinate_hyperplane(field: GF, n: int, index: int) -> Subspace:
     return hyperplane_from_dual(field, coeffs)
 
 
+def check_hyperplane(h: Subspace, field: GF, n: int) -> None:
+    """Require h to be a hyperplane of PG(n) over field: AmbientMismatch
+    when it lives in another space, NotAHyperplane when it has another
+    dimension."""
+    if h.field != field or h.n != n:
+        raise AmbientMismatch(f"the hyperplane must lie in PG({n}, {field.q})")
+    if not h.is_hyperplane:
+        raise NotAHyperplane(f"dimension {h.dim} in PG({n})")
+
+
 # -- subspace-relative coordinates -------------------------------------------
 
 def _combine(field: GF, coeffs, rows, width: int):

@@ -11,13 +11,14 @@ from click.testing import CliRunner
 
 from desarc import enumeration
 from desarc import io as gio
-from desarc.arcs import random_arc_off_hyperplane
+from desarc.arcs import frame_off_hyperplane, random_arc_off_hyperplane
 from desarc.cli import _pair_battery, main
 from desarc.desargues import (
     PerspectivePair,
     edge_intersections,
     extract_perspective_pair,
     find_vertex,
+    lift_to_arc,
     random_perspective_pair,
     sectioned_config,
 )
@@ -99,6 +100,44 @@ def test_verify_config_of_a_line_exits_2(runner, tmp_path):
     assert "n >= 2" in result.output
 
 
+@pytest.mark.parametrize("label", [[1, 2], [2, 1]])
+def test_a_label_listed_twice_exits_2(runner, tmp_path, label):
+    # the later of two (1, 2) entries once replaced the earlier, and the
+    # file passed verify
+    demo = tmp_path / "demo.json"
+    result = runner.invoke(main, ["demo", "--n", "3", "--p", "5", "--seed", "1",
+                                  "--out", str(demo)])
+    assert result.exit_code == 0
+    doc = json.loads(demo.read_text())
+    doc["configuration"]["points"].insert(0, {"label": label, "coords": [0, 0, 0, 1]})
+    bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["verify", str(bad), "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert not out.exists()
+    assert "error: BadSymbols: label (1,2) is listed twice" in result.stderr
+
+
+@pytest.mark.parametrize("command,n", [("section", 9), ("verify", 2)])
+def test_a_file_whose_n_is_not_its_dimension_exits_2(runner, tmp_path, command, n):
+    # an arc of PG(4, 5) or a pair of PG(3, 5) with "n" edited once loaded,
+    # and section wrote the dimension of the points
+    pair, vertex = random_perspective_pair(3, GF(5), random.Random(2))
+    if command == "section":
+        doc = gio.arc_to_json(lift_to_arc(pair, vertex, coordinate_hyperplane(GF(5), 4, 4)))
+    else:
+        doc = gio.pair_to_json(pair, vertex)
+    doc["n"] = n
+    bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_text(json.dumps(doc))
+    result = runner.invoke(main, [command, str(bad), "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert not out.exists()
+    assert f"error: AmbientMismatch: the document gives n = {n}" in result.stderr
+
+
 def test_usage_error_exits_2(runner):
     result = runner.invoke(main, ["demo", "--p", "5"])  # missing --n
     assert result.exit_code == 2
@@ -134,17 +173,36 @@ def test_help_exits_0_and_names_every_option(runner, command):
     (["enumerate", "--kind", "frames", "--n", "2", "--p", "3", "--budget", "-1"], "--budget"),
     (["demo", "--n", "2", "--p", "5", "--k", "2", "--modulus", "1,x,1"], "--modulus"),
     ([], None),
+    (["verify", "MISSING"], "Error: cannot read {tmp}/missing.json: No such file"),
+    (["lift", "CONFIG"], "Error: {tmp}/config.json holds a configuration, not a pair"),
+    (["section", "PAIR"], "Error: {tmp}/pair.json holds a pair, not an arc"),
+    (["export", "ARC"], "Error: {tmp}/arc.json holds an arc, not a configuration"),
+    (["verify", "ARC"], "Error: {tmp}/arc.json holds an arc, not a configuration or a pair"),
 ])
 def test_a_usage_error_exits_2_and_writes_nothing(runner, tmp_path, args, named):
+    # ARC, PAIR and CONFIG stand for a file of that kind, MISSING for none
+    docs = {"ARC": ("arc.json", lambda: gio.arc_to_json(frame_off_hyperplane(
+                coordinate_hyperplane(GF(5), 3, 3)))),
+            "PAIR": ("pair.json", lambda: gio.pair_to_json(*extract_perspective_pair(
+                sectioned_config(2, GF(5)), 1, 2))),
+            "CONFIG": ("config.json", lambda: gio.config_to_json(sectioned_config(2, GF(5)))),
+            "MISSING": ("missing.json", None)}
+
+    def path(placeholder):
+        name, doc = docs[placeholder]
+        if doc:
+            (tmp_path / name).write_text(gio.dumps(doc()))
+        return str(tmp_path / name)
+
+    args = [path(a) if a in docs else a for a in args]
     out = tmp_path / "out.json"
-    args = [str(tmp_path / "missing.json") if a == "MISSING" else a for a in args]
     result = runner.invoke(main, [*args, "--out", str(out)] if args else [])
     assert result.exit_code == 2
     assert result.stdout == ""
     assert not out.exists()
     assert "Error: " in result.stderr and "Traceback" not in result.stderr
     if named:
-        assert named in result.stderr
+        assert named.format(tmp=tmp_path) in result.stderr
 
 
 def test_demo_byte_identical(runner, tmp_path):

@@ -26,12 +26,15 @@ from desarc.desargues import (
     sectioned_config,
     tspace_intersections,
 )
+from desarc.enumeration import EnumJob, run_job
 from desarc.errors import (
+    AmbientMismatch,
     BadSymbols,
     BadT,
     DimensionTooSmall,
     FieldTooSmall,
     GeometryError,
+    NotAHyperplane,
     PointOnHyperplane,
     SharedFace,
     SharedPoint,
@@ -40,6 +43,7 @@ from desarc.errors import (
 )
 from desarc.field import GF
 from desarc.projlin import (
+    ProjPoint,
     Subspace,
     all_points,
     coordinate_hyperplane,
@@ -658,6 +662,38 @@ def test_conway_higher_dimension():
     pair, _ = extract_perspective_pair(sectioned_config(3, f), 1, 2)
     w = next(p for p in all_points(f, 4) if not h.contains_point(p))
     assert conway_lift_axis(pair, h, w) == axis_hyperplane(pair)
+
+
+# -- the hyperplane check ---------------------------------------------------------------
+
+def _takes_a_hyperplane_of_pg3_5():
+    """Each call that takes a hyperplane h of PG(3, 5): the section of an
+    arc, the lift and the lift-and-project axis of a pair of PG(2, 5), and
+    the sectioned-config count at (2, 5)."""
+    arc = frame_off_hyperplane(coordinate_hyperplane(F5, 3, 3))
+    pair, vertex = extract_perspective_pair(sectioned_config(2, F5), 1, 2)
+    return {
+        "section_arc": lambda h: section_arc(arc, h),
+        "lift_to_arc": lambda h: lift_to_arc(pair, vertex, h),
+        # w is a point of h's own space, off the last-coordinate hyperplane
+        "conway_lift_axis": lambda h: conway_lift_axis(
+            pair, h, ProjPoint(h.field, (0, 0, 0, 1))),
+        "run_job": lambda h: run_job(EnumJob("sectioned-configs", 2, F5, avoid=h)),
+    }
+
+
+@pytest.mark.parametrize("call", ["section_arc", "lift_to_arc", "conway_lift_axis",
+                                  "run_job"])
+@pytest.mark.parametrize("h,error", [
+    (coordinate_hyperplane(GF(7), 3, 3), AmbientMismatch),
+    (Subspace(F5, 3, [(0, 0, 1, 0), (0, 0, 0, 1)]), NotAHyperplane),
+], ids=["other-field", "line"])
+def test_a_bad_hyperplane_raises_one_error_everywhere(call, h, error):
+    # a hyperplane over GF(7) once gave conway_lift_axis a GF(7) axis and
+    # lift_to_arc a DegenerateLift; a line gave section_arc PointOnHyperplane
+    with pytest.raises(error) as caught:
+        _takes_a_hyperplane_of_pg3_5()[call](h)
+    assert type(caught.value) is error
 
 
 # -- configuration table basics ---------------------------------------------------------

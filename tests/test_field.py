@@ -223,6 +223,43 @@ def test_accepted_moduli_match_gauss_count(p, k):
     assert accepted == gauss
 
 
+def _poly_times(a, b, p):
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    return tuple(prod)
+
+
+# irreducible of degree k/2, constant term first: x^8 + x^4 + x^3 + x + 1
+# over GF(2), x^5 + 2x + 1 over GF(3), x^3 + x + 1 over GF(5)
+HALF_DEGREE_IRREDUCIBLE = {2: (1, 1, 0, 1, 1, 0, 0, 0, 1), 3: (1, 2, 0, 0, 0, 1),
+                           5: (1, 1, 0, 1)}
+
+
+def _reducible_modulus(p, k, shape):
+    if shape == "square":
+        f = HALF_DEGREE_IRREDUCIBLE[p]
+        return _poly_times(f, f, p)
+    tail = (1, 1) + (0,) * (k - 3) + (1,)     # x^(k-1) + x + 1
+    if shape == "linear-factor":
+        return _poly_times((1, 1), tail, p)   # (x + 1)(x^(k-1) + x + 1)
+    return _poly_times((0, 1), tail, p)       # x (x^(k-1) + x + 1)
+
+
+@pytest.mark.parametrize("shape", ["square", "linear-factor", "x-times"])
+@pytest.mark.parametrize("p,k", [(2, 16), (3, 10), (5, 6)])
+def test_a_reducible_modulus_of_a_large_field_is_rejected_at_once(p, k, shape):
+    # the primitive-element search stops at a zero divisor or at a unit of
+    # the wrong order, and g^(q-1) = 1 fails for both
+    modulus = _reducible_modulus(p, k, shape)
+    assert len(modulus) == k + 1 and modulus[-1] == 1
+    t0 = time.perf_counter()
+    with pytest.raises(InvalidField, match="reducible"):
+        GF(p, k, modulus)
+    assert time.perf_counter() - t0 < 1.0
+
+
 # -- schoolbook reference: polynomial arithmetic on coefficient lists, sharing
 # no code with the field module
 

@@ -7,6 +7,7 @@ import pytest
 from desarc import io as gio
 from desarc.arcs import frame_off_hyperplane
 from desarc.desargues import extract_perspective_pair, sectioned_config
+from desarc.errors import AmbientMismatch
 from desarc.field import GF
 from desarc.projlin import hyperplane_from_dual, normalize
 
@@ -31,6 +32,20 @@ def test_extension_field_coords_are_coefficient_arrays():
     doc = gio.point_to_json(p)
     assert doc == [[1, 0], [0, 1], [1, 1]]
     assert gio.point_from_json(f, doc) == p
+
+
+@pytest.mark.parametrize("kind", ["arc", "pair"])
+def test_a_document_n_that_is_not_its_points_dimension_is_rejected(kind):
+    if kind == "arc":
+        doc = gio.arc_to_json(frame_off_hyperplane(hyperplane_from_dual(GF(5), (1, 1, 1, 1))))
+        load = gio.arc_from_json
+    else:
+        doc = gio.pair_to_json(*extract_perspective_pair(sectioned_config(3, GF(5)), 1, 2))
+        load = gio.pair_from_json
+    for n in (2, 4, 9):
+        with pytest.raises(AmbientMismatch, match=rf"gives n = {n}, but its points lie in PG\(3\)"):
+            load(dict(doc, n=n))
+    load(doc)
 
 
 def test_arc_round_trip():
