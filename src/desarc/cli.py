@@ -381,22 +381,13 @@ def verify(input_file, out):
     _arg("--out", help="write the counts to this path"))
 def enumerate_cmd(n, p, k, modulus, kind, m, avoid, budget, out):
     """Count arcs, frames, or sectioned configurations exactly."""
-    from .enumeration import EnumJob, run_job
-    if kind != "arcs":
-        for flag, given in (("--m", m is not None), ("--avoid", avoid)):
-            if given:
-                raise UsageError(f"{flag} applies to --kind arcs only, not {kind}")
+    from .enumeration import run_job
     field = _field_from_flags(p, k, modulus)
-    if kind == "sectioned-configs":
-        hyper = coordinate_hyperplane(field, n + 1, n + 1)
-    elif avoid:
-        hyper = coordinate_hyperplane(field, n, n)
-    else:
-        hyper = None
-    result = run_job(EnumJob(kind, n, field, m=m, avoid=hyper, budget=budget))
+    hyper = coordinate_hyperplane(field, n, n) if avoid else None
+    result = run_job(kind, n, field, m=m, avoid=hyper, budget=budget)
     doc = {
-        "job": {"kind": kind, "n": n, "field": gio.field_to_json(field),
-                "m": m, "avoid_hyperplane": hyper is not None, "budget": budget},
+        "job": {"kind": kind, "n": n, "field": gio.field_to_json(field), "m": m,
+                "avoid_hyperplane": avoid or kind == "sectioned-configs", "budget": budget},
         "raw_count": result.raw_count,
         "unordered_count": result.unordered_count,
         "nodes": result.nodes,

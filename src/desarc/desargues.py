@@ -84,7 +84,10 @@ class LabeledConfiguration:
                 raise BadSymbols(f"label ({i},{j}) repeats a symbol")
             if not isinstance(p, ProjPoint) or p.field != field or p.n != n:
                 raise AmbientMismatch("configuration points must live in PG(n, q)")
-            clean[_label(i, j)] = p
+            label = _label(i, j)
+            if label in clean:
+                raise BadSymbols(f"label ({label[0]},{label[1]}) is listed twice")
+            clean[label] = p
         expected = {(a, b) for a, b in combinations(symbols, 2)}
         if set(clean) != expected:
             raise BadSymbols("table must cover every unordered pair of its symbols")
@@ -174,8 +177,7 @@ class PerspectivePair:
     found.
     """
 
-    __slots__ = ("field", "n", "a", "b", "_faces_a", "_faces_b",
-                 "_spans_a", "_spans_b", "_meets", "_axis")
+    __slots__ = ("field", "n", "a", "b", "_spans_a", "_spans_b", "_meets", "_axis")
 
     def __init__(self, a, b):
         a = tuple(a)
@@ -202,15 +204,9 @@ class PerspectivePair:
         object.__setattr__(self, "_spans_b", {(): Subspace.empty(field, n)})
         object.__setattr__(self, "_meets", {})
         object.__setattr__(self, "_axis", None)
-        # face k spans every index but k
-        others = [tuple(i for i in range(n + 1) if i != k) for k in range(n + 1)]
-        faces_a = tuple(self.span_a(idxs) for idxs in others)
-        faces_b = tuple(self.span_b(idxs) for idxs in others)
-        for k in range(n + 1):
-            if faces_a[k] == faces_b[k]:
+        for k, (face_a, face_b) in enumerate(zip(self.faces_a, self.faces_b)):
+            if face_a == face_b:
                 raise SharedFace(f"corresponding faces {k} coincide")
-        object.__setattr__(self, "_faces_a", faces_a)
-        object.__setattr__(self, "_faces_b", faces_b)
 
     def __setattr__(self, name, value):
         raise AttributeError("PerspectivePair is immutable")
@@ -225,14 +221,19 @@ class PerspectivePair:
 
     @property
     def faces_a(self):
-        return self._faces_a
+        return tuple(map(self.span_a, _face_keys(self.n)))
 
     @property
     def faces_b(self):
-        return self._faces_b
+        return tuple(map(self.span_b, _face_keys(self.n)))
 
     def __repr__(self):
         return f"PerspectivePair(n={self.n}, q={self.field.q})"
+
+
+def _face_keys(n: int):
+    """Index tuples of a simplex's faces: face k spans every index but k."""
+    return [tuple(i for i in range(n + 1) if i != k) for k in range(n + 1)]
 
 
 def _prefix_span(spans, key, added) -> Subspace:
@@ -482,9 +483,8 @@ def lift_to_arc(pair: PerspectivePair, vertex: ProjPoint, h: Subspace,
     their list.  Both are unranked, so the line's points are never listed.
     """
     check_hyperplane(h, pair.field, pair.n + 1)
-    for k in range(pair.n + 1):
-        if pair.faces_a[k].contains_point(vertex) or \
-                pair.faces_b[k].contains_point(vertex):
+    for face_a, face_b in zip(pair.faces_a, pair.faces_b):
+        if face_a.contains_point(vertex) or face_b.contains_point(vertex):
             raise SharedFace("the vertex lies on a face of one of the simplexes")
     for i in range(pair.n + 1):
         if not join(pair.a[i], pair.b[i]).contains_point(vertex):

@@ -53,7 +53,8 @@ from .errors import (
     WrongCount,
 )
 from .field import GF
-from .projlin import Subspace, all_points, check_hyperplane, join, num_points
+from .projlin import (Subspace, all_points, check_hyperplane, coordinate_hyperplane, join,
+                      num_points)
 
 
 def pgl_order(n: int, q: int) -> int:
@@ -217,27 +218,17 @@ def count_arcs(n: int, field: GF, m: int, avoid: Subspace = None,
     """Exact number of ordered m-tuples of points of PG(n, q) in general
     position (every subset of at most n+1 points independent), optionally
     with every point off the avoided hyperplane."""
-    return run_job(EnumJob("arcs", n, field, m=m, avoid=avoid, budget=budget)).raw_count
+    return run_job("arcs", n, field, m=m, avoid=avoid, budget=budget).raw_count
 
 
 def count_frames(n: int, field: GF, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of ordered coordinate frames (arcs of n+2 points) of
     PG(n, q); equals the projectivity group order, which serves as an
     independent cross-check and is never assumed."""
-    return run_job(EnumJob("frames", n, field, budget=budget)).raw_count
+    return run_job("frames", n, field, budget=budget).raw_count
 
 
 # -- job records -------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EnumJob:
-    kind: str                 # "arcs" | "frames" | "sectioned-configs"
-    n: int
-    field: GF
-    m: int = None
-    avoid: Subspace = None
-    budget: int = DEFAULT_BUDGET
-
 
 @dataclass(frozen=True)
 class EnumResult:
@@ -270,35 +261,32 @@ def _check_orbits(n: int, field: GF, h: Subspace, raw_count: int) -> int:
     return orbits
 
 
-def run_job(job: EnumJob) -> EnumResult:
-    """Execute an enumeration job and collect its statistics.
+def run_job(kind: str, n: int, field: GF, m: int = None, avoid: Subspace = None,
+            budget: int = DEFAULT_BUDGET) -> EnumResult:
+    """Run an enumeration job and collect its statistics.
 
+    "arcs" counts the ordered m-arcs of PG(n, q), off the hyperplane `avoid`
+    if given; "frames" the ordered (n+2)-arcs of PG(n, q); and
+    "sectioned-configs" the ordered (n+3)-arcs of PG(n+1, q) off x_{n+1} = 0,
+    which is every hyperplane's count, as PGL(n+2, q) is transitive on them.
     `nodes` counts the ordered k-arcs for k = 1..m (see `EnumResult`).  A
-    sectioned-config job counts the ordered (n+3)-arcs of PG(n+1, q) off
-    the hyperplane `avoid`, then checks it by `_check_orbits`, whose cost
-    the count bounds."""
+    sectioned-config count is checked by `_check_orbits`, whose cost the
+    count bounds."""
     start = time.perf_counter()
-    n, field = job.n, job.field
-    if job.kind != "arcs" and job.m is not None:
-        raise WrongCount(f"{job.kind} jobs fix their tuple size; m applies to arc jobs only")
-    if job.kind == "frames" and job.avoid is not None:
-        raise WrongCount("frame jobs count every frame; avoid applies to arc jobs only")
-    if job.kind == "frames":
-        search = _ArcSearch(field, n, n + 2, None, job.budget)
-    elif job.kind == "arcs":
-        if job.m is None or job.m < 1:
+    if kind == "arcs":
+        if m is None or m < 1:
             raise WrongCount("arc jobs need a tuple size m of at least 1")
-        search = _ArcSearch(field, n, job.m, job.avoid, job.budget)
-    elif job.kind == "sectioned-configs":
-        h = job.avoid
-        if h is None:
-            raise WrongCount("sectioned-config jobs need the sectioning hyperplane")
-        search = _ArcSearch(field, n + 1, n + 3, h, job.budget)
+        search = _ArcSearch(field, n, m, avoid, budget)
+    elif m is not None or avoid is not None:
+        raise WrongCount(f"m and avoid apply to arc jobs only, not {kind}")
+    elif kind == "frames":
+        search = _ArcSearch(field, n, n + 2, None, budget)
+    elif kind == "sectioned-configs":
+        h = coordinate_hyperplane(field, n + 1, n + 1)
+        search = _ArcSearch(field, n + 1, n + 3, h, budget)
     else:
-        raise WrongCount(f"unknown job kind {job.kind!r}")
+        raise WrongCount(f"unknown job kind {kind!r}")
     search.run()
-    orbits = 0
-    if job.kind == "sectioned-configs":
-        orbits = _check_orbits(n, field, h, search.count)
+    orbits = _check_orbits(n, field, h, search.count) if kind == "sectioned-configs" else 0
     return EnumResult(search.count, search.count // factorial(search.m), search.nodes,
                       time.perf_counter() - start, search.joins, orbits)

@@ -347,11 +347,12 @@ class GF:
         return tuple(out)
 
     def from_coeffs(self, coeffs) -> int:
+        """Element code of k coefficients in [0, p), constant first."""
         if len(coeffs) != self.k:
             raise InvalidField(f"expected {self.k} coefficients")
         v = 0
-        for x in reversed([c % self.p for c in coeffs]):
-            v = v * self.p + x
+        for c in reversed(coeffs):
+            v = v * self.p + c
         return v
 
     def value(self, x) -> int:

@@ -3,7 +3,8 @@ configurations.
 
 Field specs serialize as {"p": ..., "k": ..., "modulus": [...]}; prime-field
 coordinates as residue integers, extension-field coordinates as coefficient
-arrays (constant term first).
+arrays (constant term first).  Numbers are read as written: coordinates,
+coefficients, labels and "n" are ints, never bools, floats or strings.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from itertools import combinations
 
 from .arcs import Arc
 from .desargues import LabeledConfiguration, PerspectivePair
-from .errors import AmbientMismatch, BadSymbols
+from .errors import AmbientMismatch, BadSymbols, InvalidField
 from .field import GF
 from .projlin import ProjPoint, normalize
 
@@ -43,9 +44,14 @@ def coords_to_json(field: GF, coords):
 
 
 def coords_from_json(field: GF, data):
-    if field.k == 1:
-        return tuple(int(x) for x in data)
-    return tuple(field.from_coeffs(item) for item in data)
+    out = []
+    for x in data:
+        digits = [x] if field.k == 1 else x
+        if not (isinstance(digits, list) and len(digits) == field.k
+                and all(type(d) is int and 0 <= d < field.p for d in digits)):
+            raise InvalidField(f"coordinate {x!r} is not an element of {field}")
+        out.append(field.from_coeffs(digits))
+    return tuple(out)
 
 
 def point_to_json(p: ProjPoint):
@@ -66,11 +72,15 @@ def arc_to_json(arc: Arc) -> dict:
     }
 
 
-def _check_n(data, n: int):
-    """The document's "n" must be the dimension its points live in."""
-    if data["n"] != n:
-        raise AmbientMismatch(f"the document gives n = {data['n']}, "
+def _check_n(data, n: int = None) -> int:
+    """The document's "n": an int, and n, the points' dimension, if given."""
+    given = data["n"]
+    if type(given) is not int:
+        raise AmbientMismatch(f"the document gives n = {given!r}, not an int")
+    if n is not None and given != n:
+        raise AmbientMismatch(f"the document gives n = {given}, "
                               f"but its points lie in PG({n})")
+    return given
 
 
 def arc_from_json(data) -> Arc:
@@ -97,12 +107,15 @@ def config_from_json(data) -> LabeledConfiguration:
     field = field_from_json(data["field"])
     table = {}
     for item in data["points"]:
-        i, j = item["label"]
-        label = tuple(sorted((int(i), int(j))))
+        label = item["label"]
+        if not (isinstance(label, list) and len(label) == 2
+                and all(type(s) is int for s in label)):
+            raise BadSymbols(f"label {label!r} is not two ints")
+        label = tuple(sorted(label))
         if label in table:
             raise BadSymbols(f"label ({label[0]},{label[1]}) is listed twice")
         table[label] = point_from_json(field, item["coords"])
-    return LabeledConfiguration(field, data["n"], table)
+    return LabeledConfiguration(field, _check_n(data), table)
 
 
 # -- perspective pairs --------------------------------------------------------------
@@ -124,6 +137,7 @@ def pair_from_json(data):
     vertex = point_from_json(field, data["vertex"])
     pair = PerspectivePair(a, b)
     _check_n(data, pair.n)
+    _check_n(data, vertex.n)
     return pair, vertex
 
 

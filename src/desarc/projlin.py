@@ -209,7 +209,7 @@ class Subspace:
         return _vector_in(self, p.coords) is not None
 
     def contains(self, other: "Subspace") -> bool:
-        _check_same_ambient(self, other)
+        common_ambient((self, other))
         if self.is_hyperplane:
             return all(self._on_hyperplane(row) for row in other.basis)
         return all(_vector_in(self, row) is not None for row in other.basis)
@@ -271,11 +271,6 @@ def common_ambient(objs):
     return field, n
 
 
-def _check_same_ambient(a, b):
-    if a.field != b.field or a.n != b.n:
-        raise AmbientMismatch("objects live in different ambient spaces")
-
-
 def _span(field: GF, n: int, rows) -> Subspace:
     """Span of rows whose entries are already canonical codes: one rref,
     no coercion."""
@@ -318,9 +313,8 @@ def meet(s1: Subspace, s2: Subspace) -> Subspace:
     of U meet W with no second reduction; each leads at U's pivot column
     of its own i.
     """
-    _check_same_ambient(s1, s2)
+    field, n = common_ambient((s1, s2))
     u, w = (s1, s2) if len(s1.basis) <= len(s2.basis) else (s2, s1)
-    field, n = s1.field, s1.n
     if not u.basis or not w.basis:
         return Subspace.empty(field, n)
     sub_row = field.sub_row
@@ -409,7 +403,7 @@ def coords_in(h: Subspace, p: ProjPoint) -> ProjPoint:
     The map is determined by the canonical basis of h, so it is the same
     for equal subspaces no matter how they were produced.
     """
-    _check_same_ambient(h, p)
+    common_ambient((h, p))
     c = _vector_in(h, p.coords)
     if c is None:
         raise PointNotInSubspace(f"{p} does not lie in the subspace")
@@ -424,7 +418,7 @@ def point_from(h: Subspace, cpoint) -> ProjPoint:
 
 def subspace_in(h: Subspace, s: Subspace) -> Subspace:
     """Rewrite a subspace contained in h in h's internal coordinates."""
-    _check_same_ambient(h, s)
+    common_ambient((h, s))
     rows = []
     for row in s.basis:
         c = _vector_in(h, row)

@@ -138,6 +138,63 @@ def test_a_file_whose_n_is_not_its_dimension_exits_2(runner, tmp_path, command, 
     assert f"error: AmbientMismatch: the document gives n = {n}" in result.stderr
 
 
+def _document(kind):
+    """A document as desarc writes it: a pair of PG(3, 5), its lift (an arc
+    of PG(4, 5)), a configuration of PG(2, 5) or a pair of PG(2, 4096)."""
+    if kind == "config":
+        return gio.config_to_json(sectioned_config(2, GF(5)))
+    if kind == "pair-4096":
+        field, n = GF(2, 12, [1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1]), 2
+    else:
+        field, n = GF(5), 3
+    pair, vertex = random_perspective_pair(n, field, random.Random(2))
+    if kind == "arc":
+        return gio.arc_to_json(lift_to_arc(pair, vertex, coordinate_hyperplane(field, 4, 4)))
+    return gio.pair_to_json(pair, vertex)
+
+
+# (command, document, path of the edited value, edit, error): each edited
+# file once loaded, by int(), % p or a float "n", and the command exited 0,
+# or 1 with a FAIL report or a TypeError
+@pytest.mark.parametrize("command,kind,path,edit,error", [
+    ("verify", "pair", ("vertex", -1), lambda x: x + 5, "InvalidField"),
+    ("verify", "pair", ("A", 0), lambda c: [float(x) for x in c], "InvalidField"),
+    ("verify", "pair", ("A", 0), lambda c: [x == 1 or x for x in c], "InvalidField"),
+    ("verify", "pair", ("B", 1), lambda c: [str(x) for x in c], "InvalidField"),
+    ("section", "arc", ("points", 0), lambda c: [x + 0.5 * (x == 1) for x in c],
+     "InvalidField"),
+    ("verify", "config", ("points", 0, "label"), lambda lab: [lab[0], lab[1] + 0.5],
+     "BadSymbols"),
+    ("verify", "config", ("points", 0, "label"), lambda lab: [str(s) for s in lab],
+     "BadSymbols"),
+    ("verify", "pair-4096", ("vertex", -1), lambda c: [x or 3 for x in c], "InvalidField"),
+    ("verify", "config", ("n",), float, "AmbientMismatch"),
+    ("export", "config", ("n",), float, "AmbientMismatch"),
+    ("section", "arc", ("n",), float, "AmbientMismatch"),
+    ("verify", "pair", ("n",), float, "AmbientMismatch"),
+    ("verify", "pair", ("vertex",), lambda c: c[:-1], "AmbientMismatch"),
+    ("verify", "pair", ("vertex",), lambda c: c + [0], "AmbientMismatch"),
+], ids=["coordinate-raised-by-p", "float-coordinates", "true-coordinate",
+        "string-coordinates", "arc-coordinate-1.5", "label-2.5", "string-label",
+        "coefficient-3", "config-n-float", "export-config-n-float", "arc-n-float",
+        "pair-n-float", "short-vertex", "long-vertex"])
+def test_a_malformed_document_exits_2(runner, tmp_path, command, kind, path, edit, error):
+    doc = _document(kind)
+    *keys, last = path
+    target = doc
+    for key in keys:
+        target = target[key]
+    target[last] = edit(target[last])
+    bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_text(json.dumps(doc))
+    result = runner.invoke(main, [command, str(bad), "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert not out.exists()
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"error: {error}: ")
+
+
 def test_usage_error_exits_2(runner):
     result = runner.invoke(main, ["demo", "--p", "5"])  # missing --n
     assert result.exit_code == 2
@@ -266,11 +323,15 @@ def test_enumerate_frames_out_bytes(runner, tmp_path):
     (("sectioned-configs", "--avoid"), "--avoid"),
 ])
 def test_enumerate_rejects_arc_flags_for_other_kinds(runner, tmp_path, args, flag):
+    # run_job owns the rule, so the CLI reports it as a geometry error
     out = tmp_path / "counts.json"
     result = runner.invoke(main, ["enumerate", "--kind", *args, "--n", "2",
                                   "--p", "3", "--out", str(out)])
     assert result.exit_code == 2
-    assert f"{flag} applies to --kind arcs only" in result.stderr
+    assert result.stderr == (
+        f"error: WrongCount: m and avoid apply to arc jobs only, not {args[0]}\n")
+    assert flag.lstrip("-") in result.stderr
+    assert result.stdout == ""
     assert not out.exists()
 
 

@@ -26,7 +26,7 @@ from desarc.desargues import (
     sectioned_config,
     tspace_intersections,
 )
-from desarc.enumeration import EnumJob, run_job
+from desarc.enumeration import run_job
 from desarc.errors import (
     AmbientMismatch,
     BadSymbols,
@@ -669,7 +669,7 @@ def test_conway_higher_dimension():
 def _takes_a_hyperplane_of_pg3_5():
     """Each call that takes a hyperplane h of PG(3, 5): the section of an
     arc, the lift and the lift-and-project axis of a pair of PG(2, 5), and
-    the sectioned-config count at (2, 5)."""
+    the count of 5-arcs of PG(3, 5) off h."""
     arc = frame_off_hyperplane(coordinate_hyperplane(F5, 3, 3))
     pair, vertex = extract_perspective_pair(sectioned_config(2, F5), 1, 2)
     return {
@@ -678,7 +678,7 @@ def _takes_a_hyperplane_of_pg3_5():
         # w is a point of h's own space, off the last-coordinate hyperplane
         "conway_lift_axis": lambda h: conway_lift_axis(
             pair, h, ProjPoint(h.field, (0, 0, 0, 1))),
-        "run_job": lambda h: run_job(EnumJob("sectioned-configs", 2, F5, avoid=h)),
+        "run_job": lambda h: run_job("arcs", 3, F5, m=5, avoid=h),
     }
 
 
@@ -704,6 +704,15 @@ def test_config_restrict_shares_points():
     assert len(sub) == 10
     for i, j in combinations((3, 4, 5, 6, 7), 2):
         assert sub.point(i, j) is config.point(i, j)
+
+
+def test_a_label_in_both_orders_is_rejected():
+    # (1, 3): P and (3, 1): Q once built a table of 10 labels that kept Q
+    config = sectioned_config(2, F5)
+    q = next(p for p in all_points(F5, 2) if p not in config.points())
+    table = {**config.table, (3, 1): q}
+    with pytest.raises(BadSymbols, match=r"label \(1,3\) is listed twice"):
+        LabeledConfiguration(F5, 2, table)
 
 
 def test_config_relabel_permutation():

@@ -2,7 +2,6 @@
 independent oracles."""
 
 import time
-from dataclasses import replace
 from itertools import combinations, product
 from math import comb, factorial
 
@@ -10,7 +9,6 @@ import pytest
 
 from desarc import enumeration
 from desarc.enumeration import (
-    EnumJob,
     count_arcs,
     count_frames,
     pgl_order,
@@ -183,23 +181,20 @@ def test_avoided_hyperplane_must_be_one_of_the_searched_space():
         count_arcs(2, f, 4, avoid=coordinate_hyperplane(GF(5), 2, 2))
     with pytest.raises(NotAHyperplane):
         count_arcs(2, f, 4, avoid=Subspace(f, 2, [(0, 0, 1)]))
-    # the sectioning hyperplane of PG(3, 3), but over GF(5)
+    # a plane of PG(3, 3) over GF(5), a solid of PG(4, 3) and a line of
+    # PG(3, 3), against the searched PG(3, 3)
     with pytest.raises(AmbientMismatch):
-        run_job(EnumJob("sectioned-configs", 2, f, avoid=coordinate_hyperplane(GF(5), 3, 3)))
-    # a plane of PG(4, 3) and a line of PG(3, 3), against the searched PG(3, 3)
+        run_job("arcs", 3, f, m=5, avoid=coordinate_hyperplane(GF(5), 3, 3))
     with pytest.raises(AmbientMismatch):
-        run_job(EnumJob("sectioned-configs", 2, f, avoid=coordinate_hyperplane(f, 4, 4)))
+        run_job("arcs", 3, f, m=5, avoid=coordinate_hyperplane(f, 4, 4))
     with pytest.raises(NotAHyperplane):
-        run_job(EnumJob("sectioned-configs", 2, f,
-                        avoid=Subspace(f, 3, [(0, 0, 1, 0), (0, 0, 0, 1)])))
+        run_job("arcs", 3, f, m=5, avoid=Subspace(f, 3, [(0, 0, 1, 0), (0, 0, 0, 1)]))
 
 
 # -- sectioned configurations ----------------------------------------------------------
 
 def test_sectioned_count_gf2_is_zero():
-    f = GF(2)
-    h = coordinate_hyperplane(f, 3, 3)
-    assert run_job(EnumJob("sectioned-configs", 2, f, avoid=h)).raw_count == 0
+    assert run_job("sectioned-configs", 2, GF(2)).raw_count == 0
 
 
 def test_sectioned_count_n1_counts_without_sampling():
@@ -207,9 +202,7 @@ def test_sectioned_count_n1_counts_without_sampling():
     # a quadrangle can lie on the line, so no arc is sectioned.  The count is
     # the closed form |PGL(3, q)| * a / theta with q = 3: theta = 13 lines,
     # a = 3 lines missing a fixed frame, 5616 * 3 / 13 = 1296.
-    f = GF(3)
-    h = coordinate_hyperplane(f, 2, 2)
-    result = run_job(EnumJob("sectioned-configs", 1, f, avoid=h))
+    result = run_job("sectioned-configs", 1, GF(3))
     assert result.raw_count == 1296 == pgl_order(2, 3) * 3 // 13
     assert result.unordered_count == 1296 // factorial(4)
     assert result.orbits == 3
@@ -231,9 +224,7 @@ def test_sectioned_count_pg33_subset_oracle():
     for five in combinations(range(len(pts)), 5):
         if all(quad_ok[q] for q in combinations(five, 4)):
             unordered += 1
-    f = GF(3)
-    h = coordinate_hyperplane(f, 3, 3)
-    result = run_job(EnumJob("sectioned-configs", 2, f, avoid=h))
+    result = run_job("sectioned-configs", 2, GF(3))
     assert result.unordered_count == unordered
     assert result.raw_count == unordered * factorial(5)
     assert result.orbits == 5
@@ -242,9 +233,8 @@ def test_sectioned_count_pg33_subset_oracle():
 # -- job running ---------------------------------------------------------------------------
 
 def test_run_job_deterministic():
-    job = EnumJob("frames", 2, GF(3))
-    r1 = run_job(job)
-    r2 = run_job(job)
+    r1 = run_job("frames", 2, GF(3))
+    r2 = run_job("frames", 2, GF(3))
     assert r1.raw_count == r2.raw_count == 5616
     assert r1.nodes == r2.nodes
     assert r1.unordered_count == 5616 // factorial(4)
@@ -258,8 +248,8 @@ def test_budget_exceeded():
 @pytest.mark.parametrize("count", [
     lambda budget: count_frames(2, GF(3), budget=budget),
     lambda budget: count_arcs(2, GF(3), 4, budget=budget),
-    lambda budget: run_job(EnumJob("arcs", 2, GF(3), m=4, budget=budget)),
-    lambda budget: run_job(_job("sectioned-configs", 2, GF(3), budget=budget)),
+    lambda budget: run_job("arcs", 2, GF(3), m=4, budget=budget),
+    lambda budget: run_job("sectioned-configs", 2, GF(3), budget=budget),
 ], ids=["count_frames", "count_arcs", "run_job-arcs", "run_job-sectioned-configs"])
 def test_a_negative_budget_is_rejected_before_the_search(count):
     with pytest.raises(NegativeBudget, match="budget must be at least 0, got -5"):
@@ -272,26 +262,26 @@ def test_a_negative_budget_is_rejected_before_the_search(count):
 def test_run_job_arcs_with_avoid():
     f = GF(3)
     h = hyperplane_from_dual(f, (0, 0, 1))
-    job = EnumJob("arcs", 2, f, m=4, avoid=h)
-    result = run_job(job)
+    result = run_job("arcs", 2, f, m=4, avoid=h)
     assert result.raw_count == count_arcs(2, f, 4, avoid=h)
     assert result.nodes > 0
 
 
 def test_run_job_rejects_flags_its_kind_ignores():
     f = GF(3)
-    h = coordinate_hyperplane(f, 2, 2)
-    for job in (EnumJob("frames", 2, f, m=7), EnumJob("frames", 2, f, avoid=h),
-                EnumJob("sectioned-configs", 2, f, m=5,
-                        avoid=coordinate_hyperplane(f, 3, 3))):
-        with pytest.raises(WrongCount):
-            run_job(job)
+    line, plane = coordinate_hyperplane(f, 2, 2), coordinate_hyperplane(f, 3, 3)
+    for kind, extra in (("frames", {"m": 7}), ("frames", {"avoid": line}),
+                        ("sectioned-configs", {"m": 5}),
+                        ("sectioned-configs", {"avoid": plane}),
+                        ("sectioned-configs", {"m": 5, "avoid": plane})):
+        with pytest.raises(WrongCount, match="m and avoid apply to arc jobs only"):
+            run_job(kind, 2, f, **extra)
 
 
 def test_run_job_rejects_an_empty_arc_job():
     for m in (0, -1):
         with pytest.raises(WrongCount):
-            run_job(EnumJob("arcs", 2, GF(3), m=m))
+            run_job("arcs", 2, GF(3), m=m)
     with pytest.raises(WrongCount):
         count_arcs(2, GF(3), 0)
 
@@ -299,19 +289,11 @@ def test_run_job_rejects_an_empty_arc_job():
 @pytest.mark.parametrize("kind,n", [("frames", 0), ("frames", -2), ("arcs", -1),
                                     ("sectioned-configs", -1)])
 def test_run_job_needs_a_space_of_dimension_one(kind, n):
-    f = GF(3)
-    # the point set x_0 = 0 of PG(0, 3)
-    h = hyperplane_from_dual(f, (1,)) if kind == "sectioned-configs" else None
     with pytest.raises(DimensionTooSmall):
-        run_job(EnumJob(kind, n, f, m=2 if kind == "arcs" else None, avoid=h))
+        run_job(kind, n, GF(3), m=2 if kind == "arcs" else None)
 
 
 # -- the bitmask kernel against figures of the list-based search -----------------------
-
-def _job(kind, n, field, budget=enumeration.DEFAULT_BUDGET):
-    h = coordinate_hyperplane(field, n + 1, n + 1) if kind == "sectioned-configs" else None
-    return EnumJob(kind, n, field, avoid=h, budget=budget)
-
 
 # (raw_count, nodes) as the list-and-frozenset search reported them
 @pytest.mark.parametrize("kind,n,field,expected", [
@@ -321,35 +303,35 @@ def _job(kind, n, field, budget=enumeration.DEFAULT_BUDGET):
     ("sectioned-configs", 2, GF(3), (1516320, 1837161)),
 ])
 def test_counts_and_nodes_match_the_list_search(kind, n, field, expected):
-    result = run_job(_job(kind, n, field))
+    result = run_job(kind, n, field)
     assert (result.raw_count, result.nodes) == expected
 
 
 @pytest.mark.parametrize("job", [
-    EnumJob("frames", 2, GF(3)),
-    EnumJob("frames", 1, GF(13, 2, (11, 0, 1))),
-    EnumJob("arcs", 2, GF(3), m=4, avoid=coordinate_hyperplane(GF(3), 2, 2)),
-    EnumJob("arcs", 2, GF(5), m=1),
-    EnumJob("arcs", 2, GF(5), m=2),
-    EnumJob("arcs", 3, GF(2), m=5, avoid=coordinate_hyperplane(GF(2), 3, 3)),
-    _job("sectioned-configs", 1, GF(5)),
-    _job("sectioned-configs", 2, GF(3)),
-    EnumJob("arcs", 2, GF(2, 2), m=6),
-], ids=lambda job: f"{job.kind}-{job.n}-{job.field.q}-{job.m}")
+    dict(kind="frames", n=2, field=GF(3)),
+    dict(kind="frames", n=1, field=GF(13, 2, (11, 0, 1))),
+    dict(kind="arcs", n=2, field=GF(3), m=4, avoid=coordinate_hyperplane(GF(3), 2, 2)),
+    dict(kind="arcs", n=2, field=GF(5), m=1),
+    dict(kind="arcs", n=2, field=GF(5), m=2),
+    dict(kind="arcs", n=3, field=GF(2), m=5, avoid=coordinate_hyperplane(GF(2), 3, 3)),
+    dict(kind="sectioned-configs", n=1, field=GF(5)),
+    dict(kind="sectioned-configs", n=2, field=GF(3)),
+    dict(kind="arcs", n=2, field=GF(2, 2), m=6),
+], ids=lambda job: f"{job['kind']}-{job['n']}-{job['field'].q}-{job.get('m')}")
 def test_budget_boundary_is_the_node_count(job):
-    nodes = run_job(job).nodes
+    nodes = run_job(**job).nodes
     assert nodes > 0
-    passed = run_job(replace(job, budget=nodes))
+    passed = run_job(**job, budget=nodes)
     assert passed.nodes == nodes
     with pytest.raises(BudgetExceeded):
-        run_job(replace(job, budget=nodes - 1))
+        run_job(**job, budget=nodes - 1)
 
 
 # (3, 2): the ordered 6-arcs of PG(4, 2) off a solid, one orbit of the
 # solid's stabilizer; a count asks for no section over GF(2)
 @pytest.mark.parametrize("n,q", [(1, 3), (1, 5), (1, 7), (2, 3), (3, 2)])
 def test_sectioned_count_closed_form_oracle(n, q):
-    assert run_job(_job("sectioned-configs", n, GF(q))).raw_count == _oracle_sectioned(n, q)
+    assert run_job("sectioned-configs", n, GF(q)).raw_count == _oracle_sectioned(n, q)
 
 
 @pytest.mark.parametrize("kind,n,q,orbits", [
@@ -357,7 +339,7 @@ def test_sectioned_count_closed_form_oracle(n, q):
     ("sectioned-configs", 2, 2, 0), ("sectioned-configs", 3, 2, 1), ("frames", 2, 3, 0),
 ])
 def test_orbits_counts_the_normal_forms_of_sectioned_jobs(kind, n, q, orbits):
-    assert run_job(_job(kind, n, GF(q))).orbits == orbits
+    assert run_job(kind, n, GF(q)).orbits == orbits
 
 
 def test_the_orbit_identity_is_the_double_count_beyond_the_search():
@@ -382,7 +364,7 @@ def test_a_wrong_sectioned_count_raises(monkeypatch):
 
     monkeypatch.setattr(enumeration._ArcSearch, "run", one_too_many)
     with pytest.raises(WrongCount, match="counted 1516321 .* 5 orbits make 1516320"):
-        run_job(_job("sectioned-configs", 2, GF(3)))
+        run_job("sectioned-configs", 2, GF(3))
 
 
 def test_a_normal_form_that_does_not_round_trip_raises(monkeypatch):
@@ -393,7 +375,7 @@ def test_a_normal_form_that_does_not_round_trip_raises(monkeypatch):
     monkeypatch.setattr(enumeration, "lift_round_trips",
                         lambda pair, vertex, h: pair.b != last.b)
     with pytest.raises(WrongCount, match=r"s = \(2, 2, 2\)"):
-        run_job(_job("sectioned-configs", 2, f))
+        run_job("sectioned-configs", 2, f)
 
 
 @pytest.mark.parametrize("kind", ["frames", "sectioned-configs"])
@@ -401,7 +383,7 @@ def test_a_root_pool_above_the_budget_fails_before_the_points_are_listed(kind):
     # PG(3, 101) has 1,040,604 points and PG(4, 101) about 1.05e8
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded, match="exceeded 10 nodes"):
-        run_job(_job(kind, 3, GF(101), budget=10))
+        run_job(kind, 3, GF(101), budget=10)
     assert time.perf_counter() - start < 1
 
 
@@ -416,13 +398,13 @@ def _conics(q):
 # 5-arc lies on exactly one.  For q = 5 every 6-arc is a conic (Segre).
 # Node counts are the figures of the search that walked every ordering.
 @pytest.mark.parametrize("job,count,nodes", [
-    (EnumJob("arcs", 2, GF(2, 2), m=6), 168 * factorial(6), 309561),
-    (EnumJob("arcs", 2, GF(2, 2), m=5), 168 * factorial(6), 188601),
-    (EnumJob("arcs", 2, GF(5), m=6), _conics(5) * factorial(6), 4860211),
-    (EnumJob("frames", 3, GF(3)), _oracle_pgl(3, 3), 13704640),
+    (dict(kind="arcs", n=2, field=GF(2, 2), m=6), 168 * factorial(6), 309561),
+    (dict(kind="arcs", n=2, field=GF(2, 2), m=5), 168 * factorial(6), 188601),
+    (dict(kind="arcs", n=2, field=GF(5), m=6), _conics(5) * factorial(6), 4860211),
+    (dict(kind="frames", n=3, field=GF(3)), _oracle_pgl(3, 3), 13704640),
 ], ids=["hyperovals-pg24-m6", "hyperovals-pg24-m5", "conics-pg25-m6", "frames-pg33"])
 def test_counts_and_nodes_beyond_the_dimension(job, count, nodes):
-    result = run_job(job)
+    result = run_job(**job)
     assert (result.raw_count, result.nodes) == (count, nodes)
 
 
@@ -476,15 +458,15 @@ def _gf4_independent(vecs):
 # the space the job searches, and tuple size m; nodes, when given, is the
 # figure the search that walked every ordering reported
 @pytest.mark.parametrize("q,width,keep,m,nodes,job", [
-    (3, 3, None, 4, 7189, EnumJob("arcs", 2, GF(3), m=4)),
-    (3, 3, 2, 4, 1809, EnumJob("arcs", 2, GF(3), m=4,
-                               avoid=coordinate_hyperplane(GF(3), 2, 2))),
-    (4, 3, None, 6, 309561, EnumJob("arcs", 2, GF(2, 2), m=6)),
-    (2, 4, None, 5, None, EnumJob("frames", 3, GF(2))),
-    (5, 3, 2, 5, None, EnumJob("arcs", 2, GF(5), m=5,
-                               avoid=coordinate_hyperplane(GF(5), 2, 2))),
-    (5, 3, 2, 4, None, _job("sectioned-configs", 1, GF(5))),
-    (3, 4, 3, 5, 1837161, _job("sectioned-configs", 2, GF(3))),
+    (3, 3, None, 4, 7189, dict(kind="arcs", n=2, field=GF(3), m=4)),
+    (3, 3, 2, 4, 1809, dict(kind="arcs", n=2, field=GF(3), m=4,
+                            avoid=coordinate_hyperplane(GF(3), 2, 2))),
+    (4, 3, None, 6, 309561, dict(kind="arcs", n=2, field=GF(2, 2), m=6)),
+    (2, 4, None, 5, None, dict(kind="frames", n=3, field=GF(2))),
+    (5, 3, 2, 5, None, dict(kind="arcs", n=2, field=GF(5), m=5,
+                            avoid=coordinate_hyperplane(GF(5), 2, 2))),
+    (5, 3, 2, 4, None, dict(kind="sectioned-configs", n=1, field=GF(5))),
+    (3, 4, 3, 5, 1837161, dict(kind="sectioned-configs", n=2, field=GF(3))),
 ], ids=["pg23-m4", "pg23-m4-avoid", "hyperovals-pg24", "frames-pg32", "pg25-m5-avoid",
         "sectioned-1-5", "sectioned-2-3"])
 def test_nodes_are_the_ordered_arcs_of_every_size(q, width, keep, m, nodes, job):
@@ -500,7 +482,7 @@ def test_nodes_are_the_ordered_arcs_of_every_size(q, width, keep, m, nodes, job)
             return _oracle_rank(vecs, q) == len(vecs)
     pts = [p for p in _oracle_points(q, width, mul, add) if keep is None or p[keep]]
     arcs = _oracle_ordered_arcs(pts, width - 1, m, independent)
-    result = run_job(job)
+    result = run_job(**job)
     assert result.raw_count == arcs[-1]
     assert result.nodes == sum(arcs)
     if nodes is not None:
@@ -510,11 +492,11 @@ def test_nodes_are_the_ordered_arcs_of_every_size(q, width, keep, m, nodes, job)
 def test_each_point_set_is_counted_once_and_each_span_joined_once_per_row():
     # frames of PG(2, 7): each point's row joins the 8 lines through it and
     # no more
-    result = run_job(EnumJob("frames", 2, GF(7)))
+    result = run_job("frames", 2, GF(7))
     assert result.joins == 57 * 8
     # a line of PG(1, q) needs no join: its row entries are single points
-    assert run_job(EnumJob("frames", 1, GF(5))).joins == 0
-    sectioned = run_job(_job("sectioned-configs", 2, GF(3)))
+    assert run_job("frames", 1, GF(5)).joins == 0
+    sectioned = run_job("sectioned-configs", 2, GF(3))
     assert sectioned.joins <= 2200
 
 
@@ -531,14 +513,14 @@ def test_the_level_before_the_last_is_entered_once_per_prefix_set(monkeypatch):
         return recurse(self, prefix, *args)
 
     monkeypatch.setattr(enumeration._ArcSearch, "_recurse", counted)
-    assert run_job(EnumJob("frames", 2, GF(7))).raw_count == pgl_order(2, 7)
+    assert run_job("frames", 2, GF(7)).raw_count == pgl_order(2, 7)
     assert len(entered) == len(set(map(frozenset, entered))) == comb(57, 2)
 
 
 def test_hyperovals_of_pg24_count_nodes_and_joins():
     # 168 hyperovals in 6! orderings each; the nodes are those of the
     # search that walked every ordering
-    result = run_job(EnumJob("arcs", 2, GF(2, 2), m=6))
+    result = run_job("arcs", 2, GF(2, 2), m=6)
     assert (result.raw_count, result.nodes, result.joins) == (
         168 * factorial(6), 309561, 105)
 
