@@ -20,16 +20,17 @@ row's own span(s) is the entry of s's highest point in the row of the rest
 of s, and a point spans itself, so rows of the empty subset need no join.
 Point sets come from `Subspace.points` and are shared by canonical span.
 
-Prefix sets.  The search walks ascending prefixes only, and an ascending
-prefix P stands for all |P|! of its orderings, with that weight.  Below the
-level before the last, P is extended only by points above its last point;
-at the level before the last every point of the pool is taken, since the
-completions are ordered.  The outputs are those of the walk over every
-ordering:
+Set walk.  Every level extends a prefix by the pool points above its last
+point (any pool point at the root), so each point set P is walked once, as
+its ascending ordering, with weight |P|!.  The level before the last counts
+each candidate j's completions above j: each m-arc set is reached once,
+from its m-2 smallest points, and counts m!.  The outputs are those of the
+walk over every ordering:
   * counts and nodes: the pool below P is the set of points off span(T)
     for every T in P with |T| = min(|P|, n), so it depends on the set of P
-    only, and every ordering of an arc is an arc.  The node count is
-    therefore the number of ordered k-arcs summed over k = 1..m;
+    only, and every ordering of an arc is an arc.  A node charges |P|!
+    |pool| and the last level what it counts, so the node count is the
+    number of ordered k-arcs summed over k = 1..m;
   * budget: every charge is at least 0, so the budget is exceeded exactly
     when the total node count exceeds it.  The root charges its pool, so a
     pool larger than the budget fails before the points are listed.
@@ -72,11 +73,11 @@ def pgl_order(n: int, q: int) -> int:
 class _ArcSearch:
     """Backtracking enumerator over int bitmasks of point ids.
 
-    A node holds an ascending prefix, which stands for its |P|! orderings,
-    and the pool of points that keep it an arc.  It charges its weight
-    times the pool size, one budget node per ordered child.  The level
-    before the last counts each child's pool by popcount and charges and
-    counts it times the weight, so leaves are never walked."""
+    A node holds an ascending prefix P, standing for its |P|! orderings,
+    and the pool of points that keep it an arc; it charges |P|! per pool
+    point, one budget node per ordered child, and extends P by the pool
+    points above its last.  The level before the last counts by popcount
+    the pool points above each child, m! times each, and charges that."""
 
     def __init__(self, field: GF, n: int, m: int, avoid: Subspace, budget: int):
         if n < 1:
@@ -163,11 +164,8 @@ class _ArcSearch:
         `pool` holds the points that keep it an arc."""
         self._charge(weight * pool.bit_count())
         before_last = len(prefix) == self.m - 2
-        if before_last or not prefix:
-            cand = pool
-        else:
-            # ascending extensions only: the pool points above the last one
-            cand = pool >> (prefix[-1] + 1) << (prefix[-1] + 1)
+        # ascending extensions only: the pool points above the last one
+        cand = pool >> (prefix[-1] + 1) << (prefix[-1] + 1) if prefix else pool
         # once a candidate joins the prefix, later points must avoid its span
         # with every n-1 prefix points (with the whole prefix, while shorter)
         rows = [(s, self._row(s)) for s in map(
@@ -184,15 +182,15 @@ class _ArcSearch:
                     span = self._fill(s, row, j)
                 forbidden |= span
             nxt = pool & ~forbidden
-            if not nxt:
-                continue
             if before_last:
-                leaves += nxt.bit_count()
-            else:
+                # the completions above j, each an m-set in its m! orderings
+                leaves += (nxt >> (j + 1)).bit_count()
+            elif nxt:
                 self._recurse(prefix + (j,), nxt, weight * (len(prefix) + 1))
         if before_last:
-            self.count += weight * leaves
-            self._charge(weight * leaves)
+            leaves *= weight * self.m * (self.m - 1)
+            self.count += leaves
+            self._charge(leaves)
 
 
 def _mask(ids) -> int:
@@ -239,7 +237,7 @@ class EnumResult:
     unordered_count: int
     nodes: int
     wall_seconds: float
-    joins: int       # spans the kernel joined
+    joins: int       # spans the kernel joined, each at most once per row
     orbits: int      # normal forms a sectioned-config job checked, 0 for other kinds
 
 
@@ -282,6 +280,8 @@ def run_job(kind: str, n: int, field: GF, m: int = None, avoid: Subspace = None,
     elif kind == "frames":
         search = _ArcSearch(field, n, n + 2, None, budget)
     elif kind == "sectioned-configs":
+        if n < 1:
+            raise DimensionTooSmall(f"sectioned-config jobs need n >= 1, got n = {n}")
         h = coordinate_hyperplane(field, n + 1, n + 1)
         search = _ArcSearch(field, n + 1, n + 3, h, budget)
     else:

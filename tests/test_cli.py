@@ -289,7 +289,8 @@ def test_enumerate_sectioned_configs_over_gf2(runner):
 @pytest.mark.parametrize("args", [("frames", "--n", "0"), ("frames", "--n", "-2"),
                                   ("arcs", "--n", "-1", "--m", "2"),
                                   ("sectioned-configs", "--n", "-1"),
-                                  ("sectioned-configs", "--n", "-3")])
+                                  ("sectioned-configs", "--n", "-3"),
+                                  ("sectioned-configs", "--n", "0")])
 def test_enumerate_below_dimension_one_exits_2(runner, args):
     result = runner.invoke(main, ["enumerate", "--kind", *args, "--p", "3"])
     assert result.exit_code == 2

@@ -287,7 +287,7 @@ def test_run_job_rejects_an_empty_arc_job():
 
 
 @pytest.mark.parametrize("kind,n", [("frames", 0), ("frames", -2), ("arcs", -1),
-                                    ("sectioned-configs", -1)])
+                                    ("sectioned-configs", -1), ("sectioned-configs", 0)])
 def test_run_job_needs_a_space_of_dimension_one(kind, n):
     with pytest.raises(DimensionTooSmall):
         run_job(kind, n, GF(3), m=2 if kind == "arcs" else None)
@@ -490,10 +490,12 @@ def test_nodes_are_the_ordered_arcs_of_every_size(q, width, keep, m, nodes, job)
 
 
 def test_each_point_set_is_counted_once_and_each_span_joined_once_per_row():
-    # frames of PG(2, 7): each point's row joins the 8 lines through it and
-    # no more
-    result = run_job("frames", 2, GF(7))
-    assert result.joins == 57 * 8
+    # frames of PG(2, q): the walk extends a point only by points above it,
+    # so each of the q^2+q+1 lines is joined once in the row of each of its
+    # points but its highest
+    for field in (GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2)):
+        q = field.q
+        assert run_job("frames", 2, field).joins == (q * q + q + 1) * q
     # a line of PG(1, q) needs no join: its row entries are single points
     assert run_job("frames", 1, GF(5)).joins == 0
     sectioned = run_job("sectioned-configs", 2, GF(3))
@@ -519,10 +521,11 @@ def test_the_level_before_the_last_is_entered_once_per_prefix_set(monkeypatch):
 
 def test_hyperovals_of_pg24_count_nodes_and_joins():
     # 168 hyperovals in 6! orderings each; the nodes are those of the
-    # search that walked every ordering
+    # search that walked every ordering, and each of the 21 lines is joined
+    # once in the row of each of its points but its highest
     result = run_job("arcs", 2, GF(2, 2), m=6)
     assert (result.raw_count, result.nodes, result.joins) == (
-        168 * factorial(6), 309561, 105)
+        168 * factorial(6), 309561, 21 * 4)
 
 
 @pytest.mark.parametrize("n,field,m", [(3, GF(2), 5), (2, GF(2, 2), 6), (2, GF(3), 4)])
