@@ -29,8 +29,7 @@ every connector, and connectors 0 and 1 differ as edges 0,1 do.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from collections import Counter, namedtuple
 from itertools import combinations
 from math import comb
 
@@ -119,18 +118,14 @@ def substructure_counts(config: LabeledConfiguration):
 
 # -- vertex sweep ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepEntry:
-    label: tuple
-    ok: bool
-    detail: str = ""
+# the records are named tuples: a frozen dataclass would cost every
+# configuration command the import of `dataclasses` and its `inspect` chain
+SweepEntry = namedtuple("SweepEntry", "label ok detail", defaults=("",))
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    dimension: int
-    point_total: int
-    entries: tuple = dc_field(default=())
+class SweepReport(namedtuple("SweepReport", "dimension point_total entries",
+                             defaults=((),))):
+    __slots__ = ()
 
     @property
     def passed(self) -> int:
@@ -218,12 +213,8 @@ def replicate(config: LabeledConfiguration, vertex_label):
     return pair, residual
 
 
-@dataclass(frozen=True)
-class ReplicationLevel:
-    symbols: tuple
-    vertex_label: tuple
-    side_size: int
-    residual_labels: int
+ReplicationLevel = namedtuple("ReplicationLevel",
+                              "symbols vertex_label side_size residual_labels")
 
 
 def replication_trace(config: LabeledConfiguration):

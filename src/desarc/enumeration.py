@@ -41,7 +41,7 @@ the search, on one normal form per orbit, with code that shares none of it."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 from math import factorial
 
@@ -228,17 +228,16 @@ def count_frames(n: int, field: GF, budget: int = DEFAULT_BUDGET) -> int:
 
 # -- job records -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnumResult:
+class EnumResult(namedtuple("EnumResult", "raw_count unordered_count nodes "
+                                          "wall_seconds joins orbits")):
     """A job's counts and search statistics.  `nodes` is the number of
     ordered k-arcs of the searched space summed over k = 1..m, the size of
-    the search tree over every ordering; the budget bounds it."""
-    raw_count: int
-    unordered_count: int
-    nodes: int
-    wall_seconds: float
-    joins: int       # spans the kernel joined, each at most once per row
-    orbits: int      # normal forms a sectioned-config job checked, 0 for other kinds
+    the search tree over every ordering; the budget bounds it.  `joins`
+    counts the spans the kernel joined, each at most once per row, and
+    `orbits` the normal forms a sectioned-config job checked, 0 for other
+    kinds.  A named tuple, not a frozen dataclass: `dataclasses` and its
+    `inspect` chain would add their import to every `enumerate` process."""
+    __slots__ = ()
 
 
 def _check_orbits(n: int, field: GF, h: Subspace, raw_count: int) -> int:

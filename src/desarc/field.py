@@ -357,13 +357,15 @@ class GF:
 
     def value(self, x) -> int:
         """Canonical integer code of x: a residue for prime fields, a
-        range-checked code for extension fields."""
-        v = int(x)
+        range-checked code for extension fields.  Only an int is an element:
+        a bool, float or string raises InvalidField."""
+        if not _is_int(x):
+            raise InvalidField(f"{x!r} is not an element of {self}")
         if self.k == 1:
-            return v % self.p
-        if not 0 <= v < self.q:
-            raise InvalidField(f"element code {v} out of range for {self}")
-        return v
+            return x % self.p
+        if not 0 <= x < self.q:
+            raise InvalidField(f"element code {x} out of range for {self}")
+        return x
 
     # -- identity ------------------------------------------------------------
 

@@ -9,8 +9,6 @@ coefficients, labels and "n" are ints, never bools, floats or strings.
 
 from __future__ import annotations
 
-import csv
-import io as _io
 import json
 from itertools import combinations
 
@@ -159,11 +157,10 @@ def incidence_rows(config: LabeledConfiguration):
 
 
 def incidence_csv(config: LabeledConfiguration) -> str:
-    buf = _io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in incidence_rows(config):
-        writer.writerow(row)
-    return buf.getvalue()
+    """The rows as CSV text, each line ending in a newline.  No cell holds a
+    comma, quote or newline, so none needs quoting, and the text is the one
+    `csv.writer` writes."""
+    return "".join(",".join(map(str, row)) + "\n" for row in incidence_rows(config))
 
 
 # -- generic dispatch -----------------------------------------------------------------

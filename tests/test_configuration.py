@@ -9,6 +9,8 @@ import pytest
 
 from desarc.configuration import (
     SemiSimplexPair,
+    SweepEntry,
+    SweepReport,
     replicate,
     replication_trace,
     semi_partition_identity,
@@ -158,6 +160,23 @@ def test_vertex_sweep_all_labels_pass(n, q):
     assert report.passed == report.total
     lhs, parts = report.identity
     assert lhs == sum(parts)
+
+
+def test_sweep_and_replication_records_are_immutable():
+    config = sectioned_config(2, F5)
+    report = vertex_sweep(config)
+    level = replication_trace(config)[0]
+    for record, name in ((report, "entries"), (report.entries[0], "ok"),
+                         (level, "side_size")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            record.note = "added"
+    assert (level.symbols, level.vertex_label, level.residual_labels) == (
+        (1, 2, 3, 4, 5), (1, 2), 3)
+    assert SweepEntry((1, 2), True).detail == ""
+    empty = SweepReport(2, 10)
+    assert (empty.entries, empty.passed, empty.total, empty.all_ok) == ((), 0, 0, True)
 
 
 def _pair_path_flags(config):

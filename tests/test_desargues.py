@@ -512,6 +512,20 @@ def test_normal_forms_are_the_closed_form_and_each_round_trips(n, field):
         assert lift_round_trips(pair, vertex, h)
 
 
+@pytest.mark.parametrize("n,field", [(2, F5), (3, F5), (2, GF(3, 2))])
+def test_normal_forms_meet_and_axis_are_the_closed_form(n, field):
+    # s_j B_i - s_i B_j = s_j e_i - s_i e_j lies on both edges (i, j), and
+    # s . (s_j e_i - s_i e_j) = 0, so the axis is the hyperplane of dual s
+    for s in normal_forms(n, field):
+        pair, _ = normal_form_pair(n, field, s)
+        meets = edge_intersections(pair)
+        for i, j in combinations(range(n + 1), 2):
+            v = [0] * (n + 1)
+            v[i], v[j] = s[j], field.neg(s[i])
+            assert meets[(i, j)] == normalize(field, v)
+        assert axis_hyperplane(pair) == hyperplane_from_dual(field, s)
+
+
 def _anchor_from_list(h, rng=None):
     """The anchor draw as a choice from the list of every point off h."""
     pool = [p for p in all_points(h.field, h.n) if not h.contains_point(p)]

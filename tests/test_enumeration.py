@@ -240,6 +240,16 @@ def test_run_job_deterministic():
     assert r1.unordered_count == 5616 // factorial(4)
 
 
+def test_a_result_is_immutable():
+    result = run_job("frames", 2, GF(3))
+    assert (result.joins, result.orbits) == (39, 0)
+    assert result.wall_seconds >= 0
+    with pytest.raises(AttributeError):
+        result.nodes = 0
+    with pytest.raises(AttributeError):
+        result.note = "added"
+
+
 def test_budget_exceeded():
     with pytest.raises(BudgetExceeded):
         count_frames(2, GF(3), budget=10)

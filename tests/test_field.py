@@ -188,6 +188,14 @@ def test_element_int_comparison():
         GF(2, 2).value(9)                 # out-of-range extension code
 
 
+@pytest.mark.parametrize("field", [GF(5), GF(3, 2)], ids=str)
+@pytest.mark.parametrize("x", [1.7, 2.0, True, False, "3", None])
+def test_only_an_int_is_an_element(field, x):
+    # int(x) would truncate 1.7, read True as 1 and parse "3"
+    with pytest.raises(InvalidField, match="is not an element of"):
+        field.value(x)
+
+
 def test_scalar_embedding():
     f = GF(3, 2)
     assert f.scalar(4) == 1

@@ -88,3 +88,10 @@ def test_no_command_imports_click(imported, command):
     # the CLI parses with argparse; importing click cost about 39 ms a process
     names = imported[command]
     assert [name for name in names if name == "click" or name.startswith("click.")] == []
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_no_command_imports_dataclasses_inspect_or_csv(imported, command):
+    # the records are named tuples: `dataclasses` pulls in `inspect`, `ast`,
+    # `dis` and `tokenize`, 7-12 ms a process; `csv` cost about 1 ms
+    assert {"dataclasses", "inspect", "csv"}.isdisjoint(imported[command])

@@ -1,5 +1,7 @@
 """Serialization round trips for fields, points, arcs, pairs and configs."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -104,6 +106,14 @@ def test_incidence_csv_shape():
     # each configuration line carries exactly its 3 labeled points
     for col in range(1, 11):
         assert sum(int(l.split(",")[col]) for l in lines[1:]) == 3
+
+
+@pytest.mark.parametrize("n,field", [(2, GF(5)), (5, GF(3, 2)), (8, GF(11))])
+def test_incidence_csv_is_what_csv_writer_writes(n, field):
+    config = sectioned_config(n, field)
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(gio.incidence_rows(config))
+    assert gio.incidence_csv(config) == buf.getvalue()
 
 
 def test_normalize_reduces_prime_field_residues():

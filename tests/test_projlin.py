@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desarc.errors import AmbientMismatch, NotAHyperplane, ZeroVector
+from desarc.errors import AmbientMismatch, InvalidField, NotAHyperplane, ZeroVector
 from desarc.field import GF
 from desarc.projlin import (
     Subspace,
@@ -38,6 +38,15 @@ def test_normalize_examples():
     assert pt(F5, 3, 1).coords == (1, 2)         # scale by inv(3) = 2
     with pytest.raises(ZeroVector):
         normalize(F5, (0, 0, 0))
+
+
+def test_constructors_take_int_coordinates_only():
+    with pytest.raises(InvalidField):
+        normalize(F5, [1.7, 0, True])
+    with pytest.raises(InvalidField):
+        Subspace(F5, 2, [[2.9, 0, 0]])
+    with pytest.raises(InvalidField):
+        hyperplane_from_dual(F5, [0, 0, "3"])
 
 
 def test_normalize_idempotent_on_canonical():
