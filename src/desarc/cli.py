@@ -37,7 +37,6 @@ from .desargues import (
     find_vertex,
     lift_round_trips,
     lift_to_arc,
-    random_sectioned_config,
     section_arc,
     sectioned_config,
     tspace_intersections,
@@ -205,10 +204,8 @@ def demo(n, p, k, modulus, seed, out):
     """Build a sectioned configuration and sweep all vertices."""
     from .configuration import vertex_sweep
     field = _field_from_flags(p, k, modulus)
-    if seed is None:
-        config = sectioned_config(n, field)
-    else:
-        config = random_sectioned_config(n, field, random.Random(seed))
+    rng = random.Random(seed) if seed is not None else None
+    config = sectioned_config(n, field, rng)
     report = vertex_sweep(config)
     lhs, parts = report.identity
     doc = {

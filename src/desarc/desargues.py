@@ -25,7 +25,6 @@ from .errors import (
     AmbientMismatch,
     BadSymbols,
     BadT,
-    DegenerateLift,
     DegenerateSection,
     DimensionTooSmall,
     EdgesDisjoint,
@@ -269,50 +268,46 @@ def section_arc(gamma: Arc, h: Subspace) -> LabeledConfiguration:
 
     The line through arc points i and j meets h in one point, labeled by the
     unordered pair (i, j); the result is a configuration of C(n+3, 2)
-    distinct points expressed in the internal coordinates of h.
+    distinct points expressed in the internal coordinates of h.  With u(P)
+    the value of h's equation at P, nonzero off h, that point is
+    u(P_j) P_i - u(P_i) P_j.
     """
     check_hyperplane(h, gamma.field, gamma.n)
     _check_section_preconditions(h.dim, h.field)
     m = len(gamma)
     if m != gamma.n + 2:
         raise WrongCount(f"expected an arc of {gamma.n + 2} points, got {m}")
-    for idx, p in enumerate(gamma):
-        if h.contains_point(p):
+    values = [h.equation_value(p.coords) for p in gamma]
+    for idx, u in enumerate(values):
+        if u == 0:
             raise PointOnHyperplane(f"arc point {idx + 1} lies on the hyperplane")
 
+    field = h.field
+    sub_row, scale_row = field.sub_row, field.scale_row
     table = {}
     for i, j in combinations(range(m), 2):
-        line = join(gamma[i], gamma[j])
-        x = meet(line, h)
-        if x.dim != 0:
-            raise DegenerateSection(
-                f"line {i + 1},{j + 1} does not meet the hyperplane in a point")
-        table[(i + 1, j + 1)] = coords_in(h, x.point())
-    return LabeledConfiguration(h.field, h.dim, table)
+        x = sub_row(values[i], scale_row(values[j], gamma[i].coords), gamma[j].coords)
+        table[(i + 1, j + 1)] = coords_in(h, normalize(field, x))
+    return LabeledConfiguration(field, h.dim, table)
 
 
-def sectioned_config(n: int, field: GF) -> LabeledConfiguration:
-    """The canonical configuration of PG(n, q): the frame-based (n+3)-arc of
-    PG(n+1, q) off the last-coordinate hyperplane h, sectioned by h."""
+def sectioned_config(n: int, field: GF, rng=None) -> LabeledConfiguration:
+    """A configuration of PG(n, q): the section by the last-coordinate
+    hyperplane h of an (n+3)-arc off h, the frame of `frame_off_hyperplane`
+    or with a seeded rng a random arc (`random_arc_off_hyperplane`)."""
     _check_section_preconditions(n, field)
     h = coordinate_hyperplane(field, n + 1, n + 1)
-    gamma = frame_off_hyperplane(h)
-    return section_arc(gamma, h)
-
-
-def random_sectioned_config(n: int, field: GF, rng) -> LabeledConfiguration:
-    """A seeded random configuration: a random (n+3)-arc off the
-    last-coordinate hyperplane h, sectioned by h."""
-    _check_section_preconditions(n, field)
-    h = coordinate_hyperplane(field, n + 1, n + 1)
-    gamma = random_arc_off_hyperplane(h, n + 3, rng)
+    if rng is None:
+        gamma = frame_off_hyperplane(h)
+    else:
+        gamma = random_arc_off_hyperplane(h, n + 3, rng)
     return section_arc(gamma, h)
 
 
 def random_perspective_pair(n: int, field: GF, rng):
     """A seeded random perspective pair with its vertex, drawn from a random
     sectioned configuration at a random vertex label."""
-    config = random_sectioned_config(n, field, rng)
+    config = sectioned_config(n, field, rng)
     a, b = rng.sample(config.symbols, 2)
     return extract_perspective_pair(config, a, b)
 
@@ -363,18 +358,14 @@ def find_vertex(pair: PerspectivePair) -> ProjPoint:
 
     Checks first that every pair of corresponding edges meets in a point,
     then intersects two of the connector lines and verifies the rest pass
-    through the result.
+    through the result.  Edges A_0A_1 and B_0B_1 are distinct and meet, so
+    the first two connectors are distinct lines of one plane: they meet.
     """
     n = pair.n
     for i, j in combinations(range(n + 1), 2):
         _edge_meet(pair, i, j)
 
-    l0 = join(pair.a[0], pair.b[0])
-    l1 = join(pair.a[1], pair.b[1])
-    x = meet(l0, l1)
-    if x.dim != 0:
-        raise NoCommonVertex("the first two connector lines do not meet in a point")
-    v = x.point()
+    v = meet(join(pair.a[0], pair.b[0]), join(pair.a[1], pair.b[1])).point()
     for i in range(2, n + 1):
         if not join(pair.a[i], pair.b[i]).contains_point(v):
             raise NoCommonVertex(f"connector line {i} misses the candidate vertex")
@@ -481,6 +472,9 @@ def lift_to_arc(pair: PerspectivePair, vertex: ProjPoint, h: Subspace,
     canonical order, or with a seeded rng the two indices
     rng.sample(range(q), 2), which is the draw rng.sample would make from
     their list.  Both are unranked, so the line's points are never listed.
+    Lines 1-A_i and 2-B_i lie in the plane of point 1, A_i and the vertex
+    (not A_i, which is on no face), and differ, as line 1-2 meets h only
+    at the vertex: their meet is a point.
     """
     check_hyperplane(h, pair.field, pair.n + 1)
     for face_a, face_b in zip(pair.faces_a, pair.faces_b):
@@ -500,10 +494,7 @@ def lift_to_arc(pair: PerspectivePair, vertex: ProjPoint, h: Subspace,
 
     pts = [p1, p2]
     for i in range(pair.n + 1):
-        x = meet(join(p1, a_amb[i]), join(p2, b_amb[i]))
-        if x.dim != 0:
-            raise DegenerateLift(f"lines to point {i + 3} do not meet in a point")
-        pts.append(x.point())
+        pts.append(meet(join(p1, a_amb[i]), join(p2, b_amb[i])).point())
     return Arc(pts)
 
 
@@ -544,9 +535,9 @@ def conway_lift_axis(pair: PerspectivePair, h: Subspace, w: ProjPoint) -> Subspa
     through w, span the two lifted simplexes, and project their meet back
     into h from w.
 
-    The result equals axis_hyperplane(pair) in canonical form; the lifted
-    simplexes are required to span distinct hyperplanes of PG(n+1, q),
-    which is checked at runtime.
+    The result equals axis_hyperplane(pair) in canonical form.  With w off
+    h, the lifted simplexes span distinct hyperplanes: equal ones would
+    give the pair a shared face, which its constructor rejects.
     """
     check_hyperplane(h, pair.field, pair.n + 1)
     if w.field != h.field or w.n != h.n:
@@ -560,20 +551,11 @@ def conway_lift_axis(pair: PerspectivePair, h: Subspace, w: ProjPoint) -> Subspa
     b_amb = [point_from(h, p) for p in pair.b]
     a2, b2 = a_amb[1], b_amb[1]
 
-    if join(w, a2, b2).dim < 2:
-        raise DegenerateLift("w is collinear with the points being lifted")
-
     lift_line = join(w, a2)
     a2_star = next(p for p in lift_line.points() if p != w and p != a2)
-    x = meet(join(v_amb, a2_star), join(w, b2))
-    if x.dim != 0:
-        raise DegenerateLift("the lifted connector lines do not meet in a point")
-    b2_star = x.point()
+    b2_star = meet(join(v_amb, a2_star), join(w, b2)).point()
 
     h1 = join(*([a_amb[0], a2_star] + a_amb[2:]))
     h2 = join(*([b_amb[0], b2_star] + b_amb[2:]))
-    if h1.dim != pair.n or h2.dim != pair.n or h1 == h2:
-        raise DegenerateLift("the lifted simplexes do not span distinct hyperplanes")
-
     projected = meet(join(w, meet(h1, h2)), h)
     return subspace_in(h, projected)

@@ -1,7 +1,7 @@
 """Typed errors raised by the geometry engine.
 
-Every degenerate geometric situation maps to its own exception class so
-callers (and the CLI) can distinguish bad input from internal inconsistency.
+Every degenerate situation an input can reach maps to its own exception
+class; one no input can reach gets none, so it surfaces as a bug.
 """
 
 
@@ -23,6 +23,10 @@ class DivisionByZero(GeometryError, ZeroDivisionError):
 
 class ZeroVector(GeometryError):
     """An all-zero coordinate vector where a projective point was expected."""
+
+
+class NotNormalized(GeometryError):
+    """Point coordinates whose first nonzero entry is not 1."""
 
 
 class AmbientMismatch(GeometryError):
@@ -71,7 +75,7 @@ class PointOnHyperplane(GeometryError):
 
 
 class DegenerateSection(GeometryError):
-    """Section points collided; internal consistency failure for a valid arc."""
+    """Two labels of a configuration table carry the same point."""
 
 
 class BadSymbols(GeometryError):
@@ -96,10 +100,6 @@ class NoCommonVertex(GeometryError):
 
 class BadT(GeometryError):
     """t is outside the valid range 1..n-1."""
-
-
-class DegenerateLift(GeometryError):
-    """The lifted simplexes collapsed (collinear choices or coplanar images)."""
 
 
 class WInH(GeometryError):

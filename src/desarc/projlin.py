@@ -29,11 +29,13 @@ from itertools import product
 from .errors import (
     AmbientMismatch,
     DimensionTooSmall,
+    InvalidField,
     NotAHyperplane,
+    NotNormalized,
     PointNotInSubspace,
     ZeroVector,
 )
-from .field import GF
+from .field import GF, _is_int
 
 
 # -- row reduction ----------------------------------------------------------
@@ -103,19 +105,24 @@ def _coerce_coords(field: GF, raw):
 class ProjPoint:
     """A point of PG(n, q): normalized homogeneous coordinates.
 
-    Construction requires already-canonical coordinates; use `normalize` to
-    build a point from an arbitrary nonzero vector.
+    Construction requires canonical coordinates: ints in [0, q), the first
+    nonzero one 1.  `normalize` builds a point from any nonzero vector.
     """
 
     __slots__ = ("field", "coords")
 
     def __init__(self, field: GF, coords):
         coords = tuple(coords)
+        q = field.q
+        for c in coords:
+            if not _is_int(c) or not 0 <= c < q:
+                raise InvalidField(f"coordinate {c!r} is not an element of {field}")
         lead = next((c for c in coords if c), None)
         if lead is None:
             raise ZeroVector("projective point needs a nonzero coordinate")
         if lead != 1:
-            raise ValueError("coordinates are not normalized; use normalize()")
+            raise NotNormalized(
+                f"coordinates {coords} lead with {lead}, not 1; use normalize()")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coords", coords)
 
@@ -205,24 +212,24 @@ class Subspace:
         if p.field != self.field or p.n != self.n:
             raise AmbientMismatch("point lives in a different space")
         if self.is_hyperplane:
-            return self._on_hyperplane(p.coords)
+            return self.equation_value(p.coords) == 0
         return _vector_in(self, p.coords) is not None
 
     def contains(self, other: "Subspace") -> bool:
         common_ambient((self, other))
         if self.is_hyperplane:
-            return all(self._on_hyperplane(row) for row in other.basis)
+            return all(self.equation_value(row) == 0 for row in other.basis)
         return all(_vector_in(self, row) is not None for row in other.basis)
 
-    def _on_hyperplane(self, vec) -> bool:
-        """Whether vec satisfies this hyperplane's equation, by one dot
-        product with the cached dual vector."""
+    def equation_value(self, vec) -> int:
+        """u.vec for this hyperplane's cached dual vector u: zero exactly
+        when vec lies on the hyperplane."""
         mul, add = self.field.mul, self.field.add
         acc = 0
         for x, y in zip(self.dual_vector(), vec):
             if x and y:
                 acc = add(acc, mul(x, y))
-        return acc == 0
+        return acc
 
     def dual_vector(self) -> tuple:
         """Normalized coefficient vector of the defining equation; only for

@@ -195,6 +195,39 @@ def test_a_malformed_document_exits_2(runner, tmp_path, command, kind, path, edi
     assert result.stderr.startswith(f"error: {error}: ")
 
 
+def _short_arc():
+    """The lift of a pair of PG(3, 5), an arc of PG(4, 5), cut to 4 points."""
+    doc = _document("arc")
+    doc["points"] = doc["points"][:4]
+    return doc
+
+
+def _config_with_label(label):
+    doc = _document("config")
+    doc["points"][0]["label"] = label
+    return doc
+
+
+# documents each command reads and rejects by the error of one precondition
+@pytest.mark.parametrize("command", ["verify", "section"])
+@pytest.mark.parametrize("make,message", [
+    (lambda: [1, 2], "BadSymbols: expected a JSON object"),
+    (dict, "BadSymbols: unrecognized geometry document"),
+    (lambda: _config_with_label([1, 1]), "BadSymbols: label (1,1) repeats a symbol"),
+    (_short_arc, "TooFew: an arc of PG(4) needs at least 5 points"),
+], ids=["list", "empty-object", "label-1-1", "arc-of-4-points-in-pg4"])
+def test_a_document_breaking_a_precondition_exits_2(runner, tmp_path, command, make,
+                                                     message):
+    bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_text(json.dumps(make()))
+    result = runner.invoke(main, [command, str(bad), "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert not out.exists()
+    assert "Traceback" not in result.stderr
+    assert result.stderr == f"error: {message}\n"
+
+
 def test_usage_error_exits_2(runner):
     result = runner.invoke(main, ["demo", "--p", "5"])  # missing --n
     assert result.exit_code == 2
@@ -633,6 +666,24 @@ def test_verify_gives_every_check_on_skew_edges_one_detail(runner, tmp_path):
     assert checks["lift_section_round_trip"] == {
         "name": "lift_section_round_trip", "ok": False,
         "detail": "NoCommonVertex: connector line 0 misses the given vertex"}
+
+
+def test_verify_gives_every_check_on_coincident_edges_one_detail(runner, tmp_path):
+    # edges A_0A_1 and B_0B_1 of two tetrahedra of PG(3, 5) on the line
+    # x_2 = x_3 = 0; in PG(2, q) they would be a shared face
+    field = GF(5)
+    a = [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    b = [(1, 1, 0, 0), (1, 2, 0, 0), (1, 0, 1, 1), (0, 1, 2, 1)]
+    doc = {"n": 3, "field": gio.field_to_json(field), "A": a, "B": b,
+           "vertex": [1, 1, 1, 1]}
+    pair_file = tmp_path / "pair.json"
+    pair_file.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["verify", str(pair_file)])
+    assert result.exit_code == 1
+    checks = {c["name"]: c for c in json.loads(result.stdout)["checks"]}
+    same = "EdgesDisjoint: edges 0,1 are the same line"
+    for name in BATTERY[:-1]:
+        assert checks[name] == {"name": name, "ok": False, "detail": same}
 
 
 def test_verify_passing_report_has_no_detail(runner, tmp_path):

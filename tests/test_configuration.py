@@ -26,7 +26,6 @@ from desarc.desargues import (
     edge_intersections,
     extract_perspective_pair,
     find_vertex,
-    random_sectioned_config,
     sectioned_config,
 )
 from desarc.errors import (
@@ -75,7 +74,7 @@ def test_symbol_incidence_sweep(n, q):
 def test_symbol_incidence_random_arcs(field):
     rng = random.Random(field.q)
     for _ in range(6):
-        assert verify_symbol_incidence(random_sectioned_config(2, field, rng))
+        assert verify_symbol_incidence(sectioned_config(2, field, rng))
 
 
 def test_a_checked_table_cannot_be_changed():
@@ -301,11 +300,11 @@ def _not_concurrent_table(field, rng):
 def _sweep_cases():
     rng = random.Random(11)
     valid = [sectioned_config(2, F5), sectioned_config(3, GF(3)),
-             random_sectioned_config(4, F5, rng),
-             random_sectioned_config(2, GF(2, 2), rng),
-             random_sectioned_config(3, GF(2, 2), rng),
-             random_sectioned_config(2, GF(3, 2), rng),
-             random_sectioned_config(3, GF(3, 2), rng)]
+             sectioned_config(4, F5, rng),
+             sectioned_config(2, GF(2, 2), rng),
+             sectioned_config(3, GF(2, 2), rng),
+             sectioned_config(2, GF(3, 2), rng),
+             sectioned_config(3, GF(3, 2), rng)]
     corrupted = [_swapped(sectioned_config(2, F5), (1, 2), (3, 4)),
                  _swapped(valid[2], (1, 5), (2, 7)),
                  _moved_along_triple_line(sectioned_config(3, F5), (1, 2), 3),
@@ -364,7 +363,7 @@ def test_vertex_sweep_needs_a_full_table():
 
 def test_vertex_sweep_joins_each_span_once(monkeypatch):
     from desarc import desargues
-    config = random_sectioned_config(8, GF(11), random.Random(3))
+    config = sectioned_config(8, GF(11), random.Random(3))
     calls = []
     real = desargues.join
 
@@ -549,7 +548,7 @@ def test_triple_perspective_common_axis(n, q):
 def test_triple_perspective_random_configs():
     rng = random.Random(5)
     for _ in range(3):
-        config = random_sectioned_config(3, F5, rng)
+        config = sectioned_config(3, F5, rng)
         z = triple_perspective_axis(config)
         assert z.dim == 1   # span of the 3 collinear residual points
 

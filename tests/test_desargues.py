@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from desarc.arcs import face, frame_off_hyperplane
+from desarc.arcs import face, frame_off_hyperplane, random_arc_off_hyperplane
 from desarc.desargues import (
     LabeledConfiguration,
     PerspectivePair,
@@ -21,7 +21,6 @@ from desarc.desargues import (
     normal_form_pair,
     normal_forms,
     random_perspective_pair,
-    random_sectioned_config,
     section_arc,
     sectioned_config,
     tspace_intersections,
@@ -32,8 +31,10 @@ from desarc.errors import (
     BadSymbols,
     BadT,
     DimensionTooSmall,
+    EdgesDisjoint,
     FieldTooSmall,
     GeometryError,
+    NoCommonVertex,
     NotAHyperplane,
     PointOnHyperplane,
     SharedFace,
@@ -47,6 +48,7 @@ from desarc.projlin import (
     Subspace,
     all_points,
     coordinate_hyperplane,
+    coords_in,
     hyperplane_from_dual,
     join,
     meet,
@@ -79,6 +81,20 @@ def test_section_rejects_point_on_hyperplane():
         section_arc(arc, h)
 
 
+@pytest.mark.parametrize("n,field", [(2, F5), (3, GF(2, 2)), (5, GF(3, 3)), (8, GF(11))])
+def test_section_points_are_where_the_lines_meet_h(n, field):
+    # the oracle joins two arc points and meets the line with h, where
+    # section_arc evaluates h's equation
+    rng = random.Random(n)
+    dual = [rng.randrange(1, field.q) for _ in range(n + 2)]
+    for h in (coordinate_hyperplane(field, n + 1, n + 1), hyperplane_from_dual(field, dual)):
+        arc = random_arc_off_hyperplane(h, n + 3, rng)
+        config = section_arc(arc, h)
+        for i, j in combinations(range(n + 3), 2):
+            expected = coords_in(h, meet(join(arc[i], arc[j]), h).point())
+            assert config.point(i + 1, j + 1) == expected
+
+
 def test_section_wrong_arc_size():
     h = coordinate_hyperplane(F5, 3, 3)
     small = frame_off_hyperplane(h)
@@ -100,7 +116,7 @@ def test_section_needs_dimension_two(n):
     with pytest.raises(DimensionTooSmall):
         sectioned_config(n, F5)
     with pytest.raises(DimensionTooSmall):
-        random_sectioned_config(n, F5, random.Random(0))
+        sectioned_config(n, F5, random.Random(0))
 
 
 def test_pair_needs_dimension_two():
@@ -678,6 +694,58 @@ def test_conway_higher_dimension():
     assert conway_lift_axis(pair, h, w) == axis_hyperplane(pair)
 
 
+def _pairs_in_perspective(n, field, rng, count):
+    """count seeded pairs of PG(n, q) in perspective from v by construction,
+    as (pair, v): B_i is a point of the line v A_i.  In every third pair
+    some A_j is v, and in every third some B_j is v, so v lies on faces."""
+    pts = list(all_points(field, n))
+    made = 0
+    while made < count:
+        kind = made % 3
+        v = rng.choice(pts)
+        j = rng.randrange(n + 1)
+        a = rng.sample(pts, n + 1)
+        if kind == 1:
+            a[j] = v
+        b = []
+        for i, ai in enumerate(a):
+            if ai == v:
+                b.append(rng.choice([p for p in pts if p != v]))
+            elif kind == 2 and i == j:
+                b.append(v)
+            else:
+                b.append(rng.choice([p for p in join(v, ai).points() if p not in (v, ai)]))
+        try:
+            pair = PerspectivePair(a, b)
+        except GeometryError:  # not two simplexes, or a shared point or face
+            continue
+        made += 1
+        yield pair, v
+
+
+@pytest.mark.parametrize("n,field", [(2, GF(3)), (2, GF(2, 2)), (2, F5), (3, GF(3)),
+                                     (3, GF(2, 2)), (4, GF(3))])
+def test_pairs_in_perspective_lift_or_raise_a_typed_error(n, field):
+    # find_vertex, lift_to_arc and conway_lift_axis take each meet they
+    # make as a point, which the geometry proves; a meet that were not one
+    # would raise ValueError here, not one of the typed errors
+    from desarc.desargues import _anchor_off
+    rng = random.Random(n * 100 + field.q)
+    h = coordinate_hyperplane(field, n + 1, n + 1)
+    on_a_face = 0
+    for pair, v in _pairs_in_perspective(n, field, rng, 30):
+        try:
+            assert find_vertex(pair) == v
+            assert conway_lift_axis(pair, h, _anchor_off(h, rng)) == axis_hyperplane(pair)
+            lift_to_arc(pair, v, h, rng)
+            assert lift_round_trips(pair, v, h)
+        except SharedFace:
+            on_a_face += 1
+        except (NoCommonVertex, EdgesDisjoint):
+            pass
+    assert on_a_face >= 20
+
+
 # -- the hyperplane check ---------------------------------------------------------------
 
 def _takes_a_hyperplane_of_pg3_5():
@@ -738,8 +806,8 @@ def test_config_relabel_permutation():
 
 
 def test_random_sectioned_config_deterministic():
-    c1 = random_sectioned_config(2, F5, random.Random(11))
-    c2 = random_sectioned_config(2, F5, random.Random(11))
+    c1 = sectioned_config(2, F5, random.Random(11))
+    c2 = sectioned_config(2, F5, random.Random(11))
     assert c1 == c2
 
 

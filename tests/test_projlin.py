@@ -6,9 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from desarc.errors import AmbientMismatch, InvalidField, NotAHyperplane, ZeroVector
+from desarc.errors import (
+    AmbientMismatch,
+    InvalidField,
+    NotAHyperplane,
+    NotNormalized,
+    ZeroVector,
+)
 from desarc.field import GF
 from desarc.projlin import (
+    ProjPoint,
     Subspace,
     all_points,
     coordinate_hyperplane,
@@ -47,6 +54,25 @@ def test_constructors_take_int_coordinates_only():
         Subspace(F5, 2, [[2.9, 0, 0]])
     with pytest.raises(InvalidField):
         hyperplane_from_dual(F5, [0, 0, "3"])
+
+
+@pytest.mark.parametrize("field,coords", [
+    (F5, (1, 7, 0)), (F5, (True, 0, 0)), (F5, (1, -1, 0)), (F5, (1, 2.0, 0)),
+    (GF(2, 2), (1, 9, 0)), (GF(2, 2), (1, 4, 0)),
+])
+def test_a_point_takes_field_elements_only(field, coords):
+    # (1, 7, 0) once built Pt(1, 7, 0) over GF(5), unequal to normalize's
+    # Pt(1, 2, 0), and (True, 0, 0) built Pt(True, 0, 0)
+    with pytest.raises(InvalidField, match="is not an element of GF"):
+        ProjPoint(field, coords)
+
+
+def test_a_point_needs_normalized_coordinates():
+    with pytest.raises(NotNormalized, match=r"lead with 2, not 1; use normalize\(\)"):
+        ProjPoint(F5, (0, 2, 1))
+    with pytest.raises(ZeroVector):
+        ProjPoint(F5, (0, 0, 0))
+    assert ProjPoint(GF(2, 2), (0, 1, 3)) == normalize(GF(2, 2), (0, 2, 1))
 
 
 def test_normalize_idempotent_on_canonical():
