@@ -1,4 +1,5 @@
-"""Simplexes, arcs, coordinate frames, and frames avoiding a hyperplane.
+"""Simplexes, arcs, coordinate frames, and frames and arcs avoiding the
+hyperplane x_n = 0.
 
 An arc of PG(n, q) is a point set in which every subset of n+1 points spans
 the whole space.  A frame (coordinate system) is an arc of n+2 points.
@@ -9,6 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .errors import (
+    DimensionTooSmall,
     FieldTooSmall,
     NotAnArc,
     TooFew,
@@ -18,7 +20,6 @@ from .field import GF
 from .projlin import (
     ProjPoint,
     Subspace,
-    check_hyperplane,
     common_ambient,
     join,
     normalize,
@@ -100,52 +101,31 @@ class Arc:
         return f"Arc({len(self.points)} points in PG({self.n},{self.field.q}))"
 
 
-def frame_off_hyperplane(h: Subspace) -> Arc:
-    """A coordinate frame (arc of n+2 points) with no point on the
-    hyperplane h.
+def frame_off_hyperplane(field: GF, n: int) -> Arc:
+    """A coordinate frame (arc of n+2 points) of PG(n, q) with no point on
+    the hyperplane x_n = 0: e_n, e_i + e_n for i = 1..n-1, e_0 + e_n and
+    (z, 1, ..., 1, n + z), where z is the smallest nonzero element with
+    n + z != 0 in the field.
 
-    The standard frame e_0, ..., e_n, (1,...,1,z) avoids the hyperplane
-    K: x_0 + ... + x_n = 0, where z is the smallest nonzero element with
-    n + z != 0 in the field.  Such a z exists whenever q > 2, and over
-    GF(2) exactly when n is even (z = 1: the 4 points off a line of
-    PG(2, 2) form a frame); the function still asks for q > 2, as sections
-    do, and raises FieldTooSmall over GF(2).  One coordinate rule carries
-    it off h.  Let u be the normalized dual vector of h, t the position of
-    its first nonzero entry, v the vector u with entries 0 and t swapped,
-    and w = 1 - v entrywise.  Each frame point x goes to x + (w.x) e_0 with
-    coordinates 0 and t then swapped, normalized.
-
-    The rule is linear, and invertible because w_0 = 1 - u_t = 0.  The dot
-    product of u with an image is v.x + (w.x) v_0 = (v + w).x, as v_0 = 1,
-    which is the dot product of x with (1,...,1).  So the map takes K onto
-    h, and the frame off K onto a frame off h.  For h = K it is the identity.
+    These are the images of the standard frame e_0, ..., e_n,
+    (1, ..., 1, z) under x -> x + (x_1 + ... + x_n) e_0 followed by the swap
+    of coordinates 0 and n.  The map is invertible and takes the hyperplane
+    x_0 + ... + x_n = 0, which the standard frame avoids as n + z != 0,
+    onto x_n = 0.  Such a z exists whenever q > 2, and over GF(2) exactly
+    when n is even (z = 1: the 4 points off a line of PG(2, 2) form a
+    frame); the function still asks for q > 2, as sections do, and raises
+    FieldTooSmall over GF(2).
     """
-    field = h.field
-    n = h.n
     if field.q == 2:
         raise FieldTooSmall("no frame avoids a hyperplane over GF(2)")
-
-    add, mul, sub = field.add, field.mul, field.sub
+    if n < 1:
+        raise DimensionTooSmall(f"a frame off a hyperplane needs n >= 1, got n = {n}")
     n_in_field = field.scalar(n)
-    z = next(c for c in range(1, field.q) if add(n_in_field, c) != 0)
-    frame = [[1 if i == j else 0 for j in range(n + 1)] for i in range(n + 1)]
-    frame.append([1] * n + [z])
-
-    u = h.dual_vector()   # NotAHyperplane unless h is a hyperplane
-    t = next(i for i, x in enumerate(u) if x)
-    v = list(u)
-    v[0], v[t] = v[t], v[0]
-    w = [sub(1, x) for x in v]
-    pts = []
-    for x in frame:
-        dot = 0
-        for wi, xi in zip(w, x):
-            if wi and xi:
-                dot = add(dot, mul(wi, xi))
-        x[0] = add(x[0], dot)
-        x[0], x[t] = x[t], x[0]
-        pts.append(normalize(field, x))
-    return Arc(pts)
+    z = next(c for c in range(1, field.q) if field.add(n_in_field, c) != 0)
+    frame = [[0] * n + [1]]
+    frame += [[int(i == j) for j in range(n)] + [1] for i in (*range(1, n), 0)]
+    frame.append([z] + [1] * (n - 1) + [field.add(n_in_field, z)])
+    return Arc(normalize(field, x) for x in frame)
 
 
 # -- seeded random constructions ------------------------------------------------
@@ -171,14 +151,12 @@ def _extends_arc(field, n, prefix_coords, cand) -> bool:
     return True
 
 
-def random_arc_off_hyperplane(h: Subspace, m: int, rng) -> Arc:
-    """A uniformly seeded arc of m points avoiding the hyperplane h, built
-    by rejection sampling with restarts, from at most _MAX_TRIES sampled
-    points."""
-    field, n = h.field, h.n
+def random_arc_off_hyperplane(field: GF, n: int, m: int, rng) -> Arc:
+    """A uniformly seeded arc of m points of PG(n, q) avoiding the
+    hyperplane x_n = 0, built by rejection sampling with restarts, from at
+    most _MAX_TRIES sampled points."""
     if field.q == 2:
         raise FieldTooSmall("no arc of interest avoids a hyperplane over GF(2)")
-    check_hyperplane(h, field, n)
     tries = 0
     while True:
         prefix = []
@@ -189,7 +167,7 @@ def random_arc_off_hyperplane(h: Subspace, m: int, rng) -> Arc:
                 raise NotAnArc(
                     f"no {m}-point arc off the hyperplane found in {_MAX_TRIES} samples")
             p = random_point(field, n, rng)
-            if h.contains_point(p):
+            if p.coords[-1] == 0:
                 continue
             if _extends_arc(field, n, [x.coords for x in prefix], p.coords):
                 prefix.append(p)

@@ -44,7 +44,6 @@ from .desargues import (
 from .errors import DEFAULT_BUDGET, GeometryError
 from .field import GF
 from .io import dumps
-from .projlin import coordinate_hyperplane
 
 
 class UsageError(Exception):
@@ -235,7 +234,7 @@ def demo(n, p, k, modulus, seed, out):
 def section(arc_file, out):
     """Section an arc file by the last-coordinate hyperplane."""
     _, arc = _load(arc_file, "arc")
-    config = section_arc(arc, coordinate_hyperplane(arc.field, arc.n, arc.n))
+    config = section_arc(arc)
     _emit(dumps(gio.config_to_json(config)), out)
 
 
@@ -247,9 +246,8 @@ def section(arc_file, out):
 def lift(pair_file, seed, out):
     """Lift a perspective pair to an arc one dimension up."""
     _, (pair, vertex) = _load(pair_file, "pair")
-    h = coordinate_hyperplane(pair.field, pair.n + 1, pair.n + 1)
     rng = random.Random(seed) if seed is not None else None
-    arc = lift_to_arc(pair, vertex, h, rng)
+    arc = lift_to_arc(pair, vertex, rng)
     _emit(dumps(gio.arc_to_json(arc)), out)
 
 
@@ -265,7 +263,6 @@ def _pair_battery(pair, vertex):
     still run.  The pair keeps its edge meets, so a check that needs
     them raises the same error as every other such check."""
     n = pair.n
-    h = coordinate_hyperplane(pair.field, n + 1, n + 1)
 
     def carries_ok():
         axis = axis_hyperplane(pair)
@@ -282,7 +279,7 @@ def _pair_battery(pair, vertex):
         return all(x.dim == n - 2 and axis.contains(x)
                    for x in tspace_intersections(pair, n - 1))
 
-    w = _anchor_off(h)
+    w = _anchor_off(pair.field, n + 1)
     battery = [
         ("vertex_concurrence", lambda: find_vertex(pair) == vertex),
         ("edge_intersections_distinct",
@@ -296,9 +293,9 @@ def _pair_battery(pair, vertex):
         ("face_meets_in_axis", face_meets_ok),
         # lift-and-project agreement
         ("lift_project_axis",
-         lambda: conway_lift_axis(pair, h, w) == axis_hyperplane(pair)),
+         lambda: conway_lift_axis(pair, w) == axis_hyperplane(pair)),
         # round trip through the arc
-        ("lift_section_round_trip", lambda: lift_round_trips(pair, vertex, h)),
+        ("lift_section_round_trip", lambda: lift_round_trips(pair, vertex)),
     ]
     checks = []
     for name, check in battery:
@@ -380,8 +377,7 @@ def enumerate_cmd(n, p, k, modulus, kind, m, avoid, budget, out):
     """Count arcs, frames, or sectioned configurations exactly."""
     from .enumeration import run_job
     field = _field_from_flags(p, k, modulus)
-    hyper = coordinate_hyperplane(field, n, n) if avoid else None
-    result = run_job(kind, n, field, m=m, avoid=hyper, budget=budget)
+    result = run_job(kind, n, field, m=m, avoid=avoid, budget=budget)
     doc = {
         "job": {"kind": kind, "n": n, "field": gio.field_to_json(field), "m": m,
                 "avoid_hyperplane": avoid or kind == "sectioned-configs", "budget": budget},

@@ -2,16 +2,18 @@
 
 The pipeline both ways:
 
-  * an (n+3)-point arc in PG(n+1, q) avoiding a hyperplane H, sectioned by
-    H, yields a labeled configuration of C(n+3, 2) points in PG(n, q); two
-    symbols a, b pick out a pair of simplexes in perspective from the point
-    labeled (a, b);
+  * an (n+3)-point arc in PG(n+1, q) avoiding the hyperplane x_{n+1} = 0,
+    sectioned by it, yields a labeled configuration of C(n+3, 2) points in
+    PG(n, q); two symbols a, b pick out a pair of simplexes in perspective
+    from the point labeled (a, b);
   * two simplexes in perspective with no shared point or face lift back to
     such an arc, and sectioning the lift reproduces the pair.
 
-Labels are unordered pairs of symbols 1..n+3; configuration points are kept
-in the internal coordinates of the sectioning hyperplane, so they are honest
-points of PG(n, q).
+Labels are unordered pairs of symbols 1..n+3.  The sectioning hyperplane is
+always x_{n+1} = 0: PGL(n+2, q) is transitive on hyperplanes, so any other
+gives the same configurations up to projectivity.  Configuration points are
+kept in the first n+1 coordinates, so they are honest points of PG(n, q),
+and a point of PG(n, q) embeds in the hyperplane by appending a 0.
 """
 
 from __future__ import annotations
@@ -41,14 +43,11 @@ from .field import GF
 from .projlin import (
     ProjPoint,
     Subspace,
-    check_hyperplane,
-    coordinate_hyperplane,
     coords_in,
     join,
     meet,
     normalize,
     point_from,
-    subspace_in,
 )
 
 
@@ -263,45 +262,42 @@ def _check_section_preconditions(n: int, field: GF):
         raise FieldTooSmall("sections need a field of order greater than 2")
 
 
-def section_arc(gamma: Arc, h: Subspace) -> LabeledConfiguration:
-    """Section the lines of an (n+3)-arc of PG(n+1, q) by the hyperplane h.
+def section_arc(gamma: Arc) -> LabeledConfiguration:
+    """Section the lines of an (n+3)-arc of PG(n+1, q) by x_{n+1} = 0.
 
-    The line through arc points i and j meets h in one point, labeled by the
-    unordered pair (i, j); the result is a configuration of C(n+3, 2)
-    distinct points expressed in the internal coordinates of h.  With u(P)
-    the value of h's equation at P, nonzero off h, that point is
-    u(P_j) P_i - u(P_i) P_j.
+    The line through arc points i and j meets the hyperplane in one point,
+    labeled by the unordered pair (i, j); the result is a configuration of
+    C(n+3, 2) distinct points of PG(n, q), each the first n+1 coordinates
+    of P_j[-1] P_i - P_i[-1] P_j, whose last coordinate is 0.
     """
-    check_hyperplane(h, gamma.field, gamma.n)
-    _check_section_preconditions(h.dim, h.field)
+    field, n = gamma.field, gamma.n - 1
+    _check_section_preconditions(n, field)
     m = len(gamma)
-    if m != gamma.n + 2:
-        raise WrongCount(f"expected an arc of {gamma.n + 2} points, got {m}")
-    values = [h.equation_value(p.coords) for p in gamma]
+    if m != n + 3:
+        raise WrongCount(f"expected an arc of {n + 3} points, got {m}")
+    values = [p.coords[-1] for p in gamma]
     for idx, u in enumerate(values):
         if u == 0:
             raise PointOnHyperplane(f"arc point {idx + 1} lies on the hyperplane")
 
-    field = h.field
     sub_row, scale_row = field.sub_row, field.scale_row
     table = {}
     for i, j in combinations(range(m), 2):
         x = sub_row(values[i], scale_row(values[j], gamma[i].coords), gamma[j].coords)
-        table[(i + 1, j + 1)] = coords_in(h, normalize(field, x))
-    return LabeledConfiguration(field, h.dim, table)
+        table[(i + 1, j + 1)] = normalize(field, x[:-1])
+    return LabeledConfiguration(field, n, table)
 
 
 def sectioned_config(n: int, field: GF, rng=None) -> LabeledConfiguration:
-    """A configuration of PG(n, q): the section by the last-coordinate
-    hyperplane h of an (n+3)-arc off h, the frame of `frame_off_hyperplane`
-    or with a seeded rng a random arc (`random_arc_off_hyperplane`)."""
+    """A configuration of PG(n, q): the section of an (n+3)-arc off
+    x_{n+1} = 0, the frame of `frame_off_hyperplane` or with a seeded rng a
+    random arc (`random_arc_off_hyperplane`)."""
     _check_section_preconditions(n, field)
-    h = coordinate_hyperplane(field, n + 1, n + 1)
     if rng is None:
-        gamma = frame_off_hyperplane(h)
+        gamma = frame_off_hyperplane(field, n + 1)
     else:
-        gamma = random_arc_off_hyperplane(h, n + 3, rng)
-    return section_arc(gamma, h)
+        gamma = random_arc_off_hyperplane(field, n + 1, n + 3, rng)
+    return section_arc(gamma)
 
 
 def random_perspective_pair(n: int, field: GF, rng):
@@ -417,66 +413,52 @@ def _line_points_but(line: Subspace, v: ProjPoint, picks):
     return out
 
 
-def _anchor_off(h: Subspace, rng=None) -> ProjPoint:
-    """The first point off the hyperplane h in canonical order, or with a
+def _embed(p: ProjPoint) -> ProjPoint:
+    """A point of PG(n, q) as the point of x_{n+1} = 0 in PG(n+1, q)."""
+    return ProjPoint(p.field, p.coords + (0,))
+
+
+def _anchor_off(field: GF, n: int, rng=None) -> ProjPoint:
+    """The first point of PG(n, q) off x_n = 0 in canonical order, or with a
     seeded rng a random one.  The index is the draw rng.choice would make
-    from the list of all q^n points off h = {u.x != 0}; the point is found
-    by unranking it, lead position first, then coordinate by coordinate.
-
-    The points off h that share a coordinate prefix with partial sum s of
-    u.x, and have f coordinates after it still free, number q^(f-1)(q-1)
-    when some free coordinate has u_i != 0, and otherwise q^f or 0 as s is
-    nonzero or zero."""
-    field, n = h.field, h.n
-    q, add, mul = field.q, field.add, field.mul
-    u = h.dual_vector()
-    last = max(i for i, x in enumerate(u) if x)
-
-    def off_count(s, i):
-        # points off h among the completions of a prefix of i coordinates
-        f = n + 1 - i
-        if i <= last:
-            return q ** (f - 1) * (q - 1)
-        return q ** f if s else 0
-
+    from the list of all q^n points off the hyperplane; the point is found
+    by unranking it as a mixed-radix number.  The points with their leading
+    1 at lead < n come first, q^(n-lead-1)(q-1) of them, as base-q digits
+    for coordinates lead+1..n-1 and then a nonzero last coordinate; e_n
+    comes last."""
+    q = field.q
     index = 0 if rng is None else rng.randrange(q ** n)
-    for lead in range(n + 1):
-        s = u[lead]
-        count = off_count(s, lead + 1)
+    for lead in range(n):
+        count = q ** (n - lead - 1) * (q - 1)
         if index < count:
             break
         index -= count
-    coords = [0] * lead + [1]
-    for i in range(lead + 1, n + 1):
-        for x in range(q):
-            t = add(s, mul(u[i], x))
-            count = off_count(t, i + 1)
-            if index < count:
-                break
-            index -= count
-        coords.append(x)
-        s = t
-    return ProjPoint(field, coords)
+    else:
+        return ProjPoint(field, (0,) * n + (1,))
+    index, last = divmod(index, q - 1)
+    tail = [last + 1]
+    for _ in range(n - lead - 1):
+        index, x = divmod(index, q)
+        tail.append(x)
+    return ProjPoint(field, (0,) * lead + (1,) + tuple(reversed(tail)))
 
 
-def lift_to_arc(pair: PerspectivePair, vertex: ProjPoint, h: Subspace,
-                rng=None) -> Arc:
-    """Rebuild an (n+3)-arc of PG(n+1, q) whose section by h is the pair.
+def lift_to_arc(pair: PerspectivePair, vertex: ProjPoint, rng=None) -> Arc:
+    """Rebuild an (n+3)-arc of PG(n+1, q) whose section by x_{n+1} = 0 is
+    the pair.
 
-    h is a hyperplane of PG(n+1, q) serving as the embedded copy of
-    PG(n, q); the pair and vertex are given in internal coordinates of h.
-    Points 1 and 2 lie on the line joining the vertex to an anchor off h
+    The pair and vertex are embedded in that hyperplane by appending a 0.
+    Points 1 and 2 lie on the line joining the vertex to an anchor off it
     (see `_anchor_off`); point i (for i = 3..n+3) is the meet of lines
-    1-A_i and 2-B_i.  The line meets h only at the vertex, so its other q
-    points are the candidates for points 1 and 2: the first two in
-    canonical order, or with a seeded rng the two indices
+    1-A_i and 2-B_i.  The line meets the hyperplane only at the vertex, so
+    its other q points are the candidates for points 1 and 2: the first two
+    in canonical order, or with a seeded rng the two indices
     rng.sample(range(q), 2), which is the draw rng.sample would make from
     their list.  Both are unranked, so the line's points are never listed.
     Lines 1-A_i and 2-B_i lie in the plane of point 1, A_i and the vertex
-    (not A_i, which is on no face), and differ, as line 1-2 meets h only
-    at the vertex: their meet is a point.
+    (not A_i, which is on no face), and differ, as line 1-2 meets the
+    hyperplane only at the vertex: their meet is a point.
     """
-    check_hyperplane(h, pair.field, pair.n + 1)
     for face_a, face_b in zip(pair.faces_a, pair.faces_b):
         if face_a.contains_point(vertex) or face_b.contains_point(vertex):
             raise SharedFace("the vertex lies on a face of one of the simplexes")
@@ -484,25 +466,22 @@ def lift_to_arc(pair: PerspectivePair, vertex: ProjPoint, h: Subspace,
         if not join(pair.a[i], pair.b[i]).contains_point(vertex):
             raise NoCommonVertex(f"connector line {i} misses the given vertex")
 
-    v_amb = point_from(h, vertex)
-    a_amb = [point_from(h, p) for p in pair.a]
-    b_amb = [point_from(h, p) for p in pair.b]
-
-    line = join(v_amb, _anchor_off(h, rng))
-    picks = [0, 1] if rng is None else rng.sample(range(h.field.q), 2)
+    v_amb = _embed(vertex)
+    line = join(v_amb, _anchor_off(pair.field, pair.n + 1, rng))
+    picks = [0, 1] if rng is None else rng.sample(range(pair.field.q), 2)
     p1, p2 = _line_points_but(line, v_amb, picks)
 
     pts = [p1, p2]
-    for i in range(pair.n + 1):
-        pts.append(meet(join(p1, a_amb[i]), join(p2, b_amb[i])).point())
+    for a, b in zip(pair.a, pair.b):
+        pts.append(meet(join(p1, _embed(a)), join(p2, _embed(b))).point())
     return Arc(pts)
 
 
-def lift_round_trips(pair: PerspectivePair, vertex: ProjPoint, h: Subspace) -> bool:
-    """Whether the canonical lift of the pair to an arc off h sections back
-    to it: labels (1, i+3) give A_i, (2, i+3) give B_i and (1, 2) the vertex."""
+def lift_round_trips(pair: PerspectivePair, vertex: ProjPoint) -> bool:
+    """Whether the canonical lift of the pair to an arc sections back to
+    it: labels (1, i+3) give A_i, (2, i+3) give B_i and (1, 2) the vertex."""
     n = pair.n
-    config = section_arc(lift_to_arc(pair, vertex, h), h)
+    config = section_arc(lift_to_arc(pair, vertex))
     return (all(config.point(1, i + 3) == pair.a[i] for i in range(n + 1))
             and all(config.point(2, i + 3) == pair.b[i] for i in range(n + 1))
             and config.point(1, 2) == vertex)
@@ -529,26 +508,29 @@ def normal_form_pair(n: int, field: GF, s):
     return PerspectivePair(a, b), ProjPoint(field, (1,) * (n + 1))
 
 
-def conway_lift_axis(pair: PerspectivePair, h: Subspace, w: ProjPoint) -> Subspace:
-    """The axis recovered by lifting and projecting, in the internal
-    coordinates of h: lift the second corresponding point pair out of h
-    through w, span the two lifted simplexes, and project their meet back
-    into h from w.
+def conway_lift_axis(pair: PerspectivePair, w: ProjPoint) -> Subspace:
+    """The axis recovered by lifting and projecting: lift the second
+    corresponding point pair out of x_{n+1} = 0 through w, span the two
+    lifted simplexes, and project their meet back into the hyperplane
+    from w.  A vector x projects to w[-1] x - x[-1] w, whose last
+    coordinate is 0: a linear map whose kernel is w.  The first lifted
+    hyperplane misses w, else it would hold every A_i and so be
+    x_{n+1} = 0, which the lifted point is off; so the projected basis rows
+    of the meet span its projection.
 
     The result equals axis_hyperplane(pair) in canonical form.  With w off
-    h, the lifted simplexes span distinct hyperplanes: equal ones would
-    give the pair a shared face, which its constructor rejects.
+    the hyperplane, the lifted simplexes span distinct hyperplanes: equal
+    ones would give the pair a shared face, which its constructor rejects.
     """
-    check_hyperplane(h, pair.field, pair.n + 1)
-    if w.field != h.field or w.n != h.n:
+    field, n = pair.field, pair.n
+    if w.field != field or w.n != n + 1:
         raise AmbientMismatch("w must live in the ambient PG(n+1, q)")
-    if h.contains_point(w):
+    if w.coords[-1] == 0:
         raise WInH("the projection centre must lie off the hyperplane")
 
-    v = find_vertex(pair)
-    v_amb = point_from(h, v)
-    a_amb = [point_from(h, p) for p in pair.a]
-    b_amb = [point_from(h, p) for p in pair.b]
+    v_amb = _embed(find_vertex(pair))
+    a_amb = [_embed(p) for p in pair.a]
+    b_amb = [_embed(p) for p in pair.b]
     a2, b2 = a_amb[1], b_amb[1]
 
     lift_line = join(w, a2)
@@ -557,5 +539,7 @@ def conway_lift_axis(pair: PerspectivePair, h: Subspace, w: ProjPoint) -> Subspa
 
     h1 = join(*([a_amb[0], a2_star] + a_amb[2:]))
     h2 = join(*([b_amb[0], b2_star] + b_amb[2:]))
-    projected = meet(join(w, meet(h1, h2)), h)
-    return subspace_in(h, projected)
+    sub_row, scale_row = field.sub_row, field.scale_row
+    rows = [sub_row(x[-1], scale_row(w.coords[-1], x), w.coords)[:-1]
+            for x in meet(h1, h2).basis]
+    return Subspace(field, n, rows)

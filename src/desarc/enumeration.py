@@ -54,8 +54,7 @@ from .errors import (
     WrongCount,
 )
 from .field import GF
-from .projlin import (Subspace, all_points, check_hyperplane, coordinate_hyperplane, join,
-                      num_points)
+from .projlin import Subspace, all_points, join, num_points
 
 
 def pgl_order(n: int, q: int) -> int:
@@ -79,17 +78,15 @@ class _ArcSearch:
     points above its last.  The level before the last counts by popcount
     the pool points above each child, m! times each, and charges that."""
 
-    def __init__(self, field: GF, n: int, m: int, avoid: Subspace, budget: int):
+    def __init__(self, field: GF, n: int, m: int, avoid: bool, budget: int):
         if n < 1:
             raise DimensionTooSmall(
                 f"enumeration needs dimension n >= 1, the search space is PG({n}, q)")
         if budget < 0:
             raise NegativeBudget(f"the node budget must be at least 0, got {budget}")
-        if avoid is not None:
-            check_hyperplane(avoid, field, n)
-        # the root's first charge is its pool: every point, less the
-        # avoided hyperplane's
-        pool_size = num_points(field, n) - (0 if avoid is None else num_points(field, n - 1))
+        # the root's first charge is its pool: every point, less those of
+        # the avoided hyperplane x_n = 0
+        pool_size = num_points(field, n) - (num_points(field, n - 1) if avoid else 0)
         if pool_size > budget:
             raise BudgetExceeded(f"search exceeded {budget} nodes")
         self.n = n
@@ -106,8 +103,8 @@ class _ArcSearch:
         self.rows = {}
         self.span_points = {}
         self.pool0 = (1 << len(self.points)) - 1
-        if avoid is not None:
-            self.pool0 &= ~self._points_mask(avoid)
+        if avoid:
+            self.pool0 &= ~_mask(i for i, p in enumerate(self.points) if p.coords[-1] == 0)
 
     def _points_mask(self, span: Subspace) -> int:
         """Mask of the points of a subspace, shared by every subset that
@@ -211,11 +208,11 @@ def _ids(mask: int):
     return out
 
 
-def count_arcs(n: int, field: GF, m: int, avoid: Subspace = None,
+def count_arcs(n: int, field: GF, m: int, avoid: bool = False,
                budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of ordered m-tuples of points of PG(n, q) in general
-    position (every subset of at most n+1 points independent), optionally
-    with every point off the avoided hyperplane."""
+    position (every subset of at most n+1 points independent), with avoid
+    only those with every point off the hyperplane x_n = 0."""
     return run_job("arcs", n, field, m=m, avoid=avoid, budget=budget).raw_count
 
 
@@ -240,16 +237,17 @@ class EnumResult(namedtuple("EnumResult", "raw_count unordered_count nodes "
     __slots__ = ()
 
 
-def _check_orbits(n: int, field: GF, h: Subspace, raw_count: int) -> int:
-    """The number N of normal forms of PG(n, q).  The stabilizer of h acts
-    freely on the ordered arcs off h with N orbits, so its order
+def _check_orbits(n: int, field: GF, raw_count: int) -> int:
+    """The number N of normal forms of PG(n, q).  The stabilizer of the
+    hyperplane x_{n+1} = 0 of PG(n+1, q) acts freely on the ordered
+    (n+3)-arcs off it with N orbits, so its order
     q^(n+1) (q-1) |PGL(n+1, q)| times N is the count; where sections exist
     (n >= 2, q > 2) each normal form must lift and section back to itself."""
     q = field.q
     orbits = 0
     for s in normal_forms(n, field):
         orbits += 1
-        if n >= 2 and q > 2 and not lift_round_trips(*normal_form_pair(n, field, s), h):
+        if n >= 2 and q > 2 and not lift_round_trips(*normal_form_pair(n, field, s)):
             raise WrongCount(f"the normal form s = {s} does not section back to its pair")
     expected = q ** (n + 1) * (q - 1) * pgl_order(n, q) * orbits
     if raw_count != expected:
@@ -258,13 +256,13 @@ def _check_orbits(n: int, field: GF, h: Subspace, raw_count: int) -> int:
     return orbits
 
 
-def run_job(kind: str, n: int, field: GF, m: int = None, avoid: Subspace = None,
+def run_job(kind: str, n: int, field: GF, m: int = None, avoid: bool = False,
             budget: int = DEFAULT_BUDGET) -> EnumResult:
     """Run an enumeration job and collect its statistics.
 
-    "arcs" counts the ordered m-arcs of PG(n, q), off the hyperplane `avoid`
-    if given; "frames" the ordered (n+2)-arcs of PG(n, q); and
-    "sectioned-configs" the ordered (n+3)-arcs of PG(n+1, q) off x_{n+1} = 0,
+    "arcs" counts the ordered m-arcs of PG(n, q), with `avoid` only those
+    off the hyperplane x_n = 0; "frames" the ordered (n+2)-arcs of PG(n, q);
+    and "sectioned-configs" the ordered (n+3)-arcs of PG(n+1, q) off x_{n+1} = 0,
     which is every hyperplane's count, as PGL(n+2, q) is transitive on them.
     `nodes` counts the ordered k-arcs for k = 1..m (see `EnumResult`).  A
     sectioned-config count is checked by `_check_orbits`, whose cost the
@@ -274,18 +272,17 @@ def run_job(kind: str, n: int, field: GF, m: int = None, avoid: Subspace = None,
         if m is None or m < 1:
             raise WrongCount("arc jobs need a tuple size m of at least 1")
         search = _ArcSearch(field, n, m, avoid, budget)
-    elif m is not None or avoid is not None:
+    elif m is not None or avoid:
         raise WrongCount(f"m and avoid apply to arc jobs only, not {kind}")
     elif kind == "frames":
-        search = _ArcSearch(field, n, n + 2, None, budget)
+        search = _ArcSearch(field, n, n + 2, False, budget)
     elif kind == "sectioned-configs":
         if n < 1:
             raise DimensionTooSmall(f"sectioned-config jobs need n >= 1, got n = {n}")
-        h = coordinate_hyperplane(field, n + 1, n + 1)
-        search = _ArcSearch(field, n + 1, n + 3, h, budget)
+        search = _ArcSearch(field, n + 1, n + 3, True, budget)
     else:
         raise WrongCount(f"unknown job kind {kind!r}")
     search.run()
-    orbits = _check_orbits(n, field, h, search.count) if kind == "sectioned-configs" else 0
+    orbits = _check_orbits(n, field, search.count) if kind == "sectioned-configs" else 0
     return EnumResult(search.count, search.count // factorial(search.m), search.nodes,
                       time.perf_counter() - start, search.joins, orbits)

@@ -28,7 +28,6 @@ from itertools import product
 
 from .errors import (
     AmbientMismatch,
-    DimensionTooSmall,
     InvalidField,
     NotAHyperplane,
     NotNormalized,
@@ -361,25 +360,6 @@ def hyperplane_from_dual(field: GF, coeffs) -> Subspace:
     return Subspace(field, n, rows, _pivots=[row.index(1) for row in rows])
 
 
-def coordinate_hyperplane(field: GF, n: int, index: int) -> Subspace:
-    """The hyperplane x_{index} = 0 of PG(n, q) (index is 0-based)."""
-    if n < 1:
-        raise DimensionTooSmall(f"a hyperplane needs dimension n >= 1, got n = {n}")
-    coeffs = [0] * (n + 1)
-    coeffs[index] = 1
-    return hyperplane_from_dual(field, coeffs)
-
-
-def check_hyperplane(h: Subspace, field: GF, n: int) -> None:
-    """Require h to be a hyperplane of PG(n) over field: AmbientMismatch
-    when it lives in another space, NotAHyperplane when it has another
-    dimension."""
-    if h.field != field or h.n != n:
-        raise AmbientMismatch(f"the hyperplane must lie in PG({n}, {field.q})")
-    if not h.is_hyperplane:
-        raise NotAHyperplane(f"dimension {h.dim} in PG({n})")
-
-
 # -- subspace-relative coordinates -------------------------------------------
 
 def _combine(field: GF, coeffs, rows, width: int):
@@ -421,16 +401,3 @@ def point_from(h: Subspace, cpoint) -> ProjPoint:
     """Ambient point of h with the given internal coordinates."""
     coords = cpoint.coords if isinstance(cpoint, ProjPoint) else tuple(cpoint)
     return normalize(h.field, _combine(h.field, coords, h.basis, h.n + 1))
-
-
-def subspace_in(h: Subspace, s: Subspace) -> Subspace:
-    """Rewrite a subspace contained in h in h's internal coordinates."""
-    common_ambient((h, s))
-    rows = []
-    for row in s.basis:
-        c = _vector_in(h, row)
-        if c is None:
-            raise PointNotInSubspace("subspace is not contained in the carrier")
-        rows.append(c)
-    return _span(h.field, h.dim, rows)
-

@@ -34,7 +34,7 @@ from desarc.desargues import (
 from desarc.enumeration import count_arcs, count_frames, pgl_order
 from desarc.errors import FieldTooSmall
 from desarc.field import GF
-from desarc.projlin import all_points, coordinate_hyperplane, join, meet
+from desarc.projlin import all_points, join, meet
 
 SECTION_CASES = [(2, 5), (3, 3), (3, 5), (4, 3), (4, 5)]
 
@@ -141,12 +141,11 @@ def test_criterion_5_round_trip():
     for n in (2, 3):
         for q in (5, 7):
             field = GF(q)
-            h = coordinate_hyperplane(field, n + 1, n + 1)
             rng = random.Random(50_000 + 10 * n + q)
             for _ in range(25):
                 pair, vertex = random_perspective_pair(n, field, rng)
-                arc = lift_to_arc(pair, vertex, h, rng)
-                config = section_arc(arc, h)
+                arc = lift_to_arc(pair, vertex, rng)
+                config = section_arc(arc)
                 if not all(config.point(1, i + 3) == pair.a[i]
                            for i in range(n + 1)):
                     ok = False
@@ -162,7 +161,7 @@ def test_criterion_6_gf2_impossibility():
     f2 = GF(2)
     raised_frame = False
     try:
-        frame_off_hyperplane(coordinate_hyperplane(f2, 2, 2))
+        frame_off_hyperplane(f2, 2)
     except FieldTooSmall:
         raised_frame = True
     raised_section = False
@@ -170,8 +169,7 @@ def test_criterion_6_gf2_impossibility():
         sectioned_config(2, f2)
     except FieldTooSmall:
         raised_section = True
-    h = coordinate_hyperplane(f2, 3, 3)
-    zero = count_arcs(3, f2, 5, avoid=h)
+    zero = count_arcs(3, f2, 5, avoid=True)
     ok = raised_frame and raised_section and zero == 0
     _report(6, ok, f"GF(2): FieldTooSmall raised, 5-arcs off a plane = {zero}")
 
@@ -180,13 +178,12 @@ def test_criterion_7_fourth_proof_agreement():
     ok = True
     for q in (5, 7):
         field = GF(q)
-        h = coordinate_hyperplane(field, 3, 3)
-        off_h = [p for p in all_points(field, 3) if not h.contains_point(p)]
+        off_h = [p for p in all_points(field, 3) if p.coords[-1]]
         rng = random.Random(70_000 + q)
         for _ in range(50):
             pair, _ = random_perspective_pair(2, field, rng)
             w = rng.choice(off_h)
-            if conway_lift_axis(pair, h, w) != axis_hyperplane(pair):
+            if conway_lift_axis(pair, w) != axis_hyperplane(pair):
                 ok = False
     _report(7, ok, "100 planar pairs: lift-and-project axis equals the direct axis")
 

@@ -15,8 +15,8 @@ from desarc.arcs import (
     random_arc_off_hyperplane,
 )
 from desarc.errors import (
+    DimensionTooSmall,
     FieldTooSmall,
-    NotAHyperplane,
     NotAnArc,
     TooFew,
     WrongCount,
@@ -24,8 +24,6 @@ from desarc.errors import (
 from desarc.field import GF
 from desarc.projlin import (
     ProjPoint,
-    Subspace,
-    all_points,
     hyperplane_from_dual,
     join,
     normalize,
@@ -106,7 +104,7 @@ def test_arc_too_few():
 
 
 def test_subsequences_of_arc_are_arcs():
-    base = frame_off_hyperplane(hyperplane_from_dual(F5, (1, 1, 1, 1)))
+    base = frame_off_hyperplane(F5, 3)
     pts = list(base)
     for sub in combinations(pts, 4):
         assert is_arc(list(sub))
@@ -115,7 +113,7 @@ def test_subsequences_of_arc_are_arcs():
 def test_arc_subset_span_dimensions():
     # any t points of an arc span a (t-1)-space, t <= n+1
     f = GF(7)
-    arc = frame_off_hyperplane(hyperplane_from_dual(f, (1, 1, 1, 1, 1)))
+    arc = frame_off_hyperplane(f, 4)
     for t in range(1, 5):
         for sub in combinations(arc.points, t):
             assert join(*sub).dim == t - 1
@@ -123,63 +121,77 @@ def test_arc_subset_span_dimensions():
 
 # -- frames off a hyperplane -------------------------------------------------------
 
-def test_frame_off_k_itself():
-    k = hyperplane_from_dual(F5, (1, 1, 1))
-    arc = frame_off_hyperplane(k)
-    assert list(arc) == unit_points(F5, 2) + [pt(F5, 1, 1, 1)]
-
-
 def test_frame_off_hyperplane_gf2_fails():
-    h = hyperplane_from_dual(GF(2), (1, 0, 0))
     with pytest.raises(FieldTooSmall):
-        frame_off_hyperplane(h)
+        frame_off_hyperplane(GF(2), 2)
+
+
+def test_frame_off_hyperplane_needs_dimension_one():
+    with pytest.raises(DimensionTooSmall):
+        frame_off_hyperplane(F5, 0)
+
+
+def test_frame_off_k_itself():
+    # the standard frame e_0, e_1, e_2, (1, 1, 1) avoids K: x_0 + x_1 + x_2 = 0
+    # over GF(5), and x -> x + (x_1 + x_2) e_0 with coordinates 0 and 2 then
+    # swapped carries K onto x_2 = 0 and the standard frame onto the frame
+    k = hyperplane_from_dual(F5, (1, 1, 1))
+    standard = unit_points(F5, 2) + [pt(F5, 1, 1, 1)]
+    assert not any(k.contains_point(p) for p in standard)
+
+    def carry(x):
+        y = [(x[0] + x[1] + x[2]) % 5, x[1], x[2]]
+        return normalize(F5, [y[2], y[1], y[0]])
+
+    assert list(frame_off_hyperplane(F5, 2)) == [carry(p.coords) for p in standard]
 
 
 def test_frame_off_x1_zero():
+    # the first coordinate hyperplane x_1 = 0 (dual (1, 0, 0)) of PG(2, 5):
+    # swapping the first and last coordinates of the frame off x_3 = 0
+    # gives a frame off it
     h = hyperplane_from_dual(F5, (1, 0, 0))
-    arc = frame_off_hyperplane(h)
+    arc = [normalize(F5, p.coords[::-1]) for p in frame_off_hyperplane(F5, 2)]
     assert len(arc) == 4
+    assert is_arc(arc)
     for p in arc:
         assert p.coords[0] != 0
+        assert not h.contains_point(p)
 
 
-@pytest.mark.parametrize("q,n", [(3, 2), (3, 3), (4, 2), (5, 2), (5, 4), (9, 2), (7, 3)])
-def test_frame_avoids_arbitrary_hyperplanes(q, n):
-    field = {3: GF(3), 4: GF(2, 2), 5: GF(5), 7: GF(7), 9: GF(3, 2)}[q]
-    rng = random.Random(10 * q + n)
-    pts = list(all_points(field, n))
-    for _ in range(8):
-        h = hyperplane_from_dual(field, rng.choice(pts).coords)
-        arc = frame_off_hyperplane(h)
-        assert is_arc(list(arc))
-        assert len(arc) == n + 2
-        for p in arc:
-            assert not h.contains_point(p)
+_FIELDS = {3: GF(3), 4: GF(2, 2), 5: GF(5), 7: GF(7), 9: GF(3, 2)}
+
+
+@pytest.mark.parametrize("q,n", [(q, n) for q in _FIELDS for n in range(1, 7)])
+def test_frame_avoids_the_last_coordinate_hyperplane(q, n):
+    arc = frame_off_hyperplane(_FIELDS[q], n)
+    assert isinstance(arc, Arc)
+    assert len(arc) == n + 2
+    assert is_arc(list(arc))
+    assert all(p.coords[-1] != 0 for p in arc)
 
 
 def test_frame_z_choice_keeps_point_off_k():
-    # cases where the naive choice z = 1 would land the last point on K
+    # cases where the naive choice z = 1 would land the last point
+    # (1, ..., 1, z) of the standard frame on K: x_0 + ... + x_n = 0; its
+    # image in the frame has that sum, n + z, as its last coordinate
     for q, n in [(3, 2), (3, 5), (5, 4), (7, 6)]:
-        field = GF(q)
-        k = hyperplane_from_dual(field, (1,) * (n + 1))
-        arc = frame_off_hyperplane(k)
-        assert all(not k.contains_point(p) for p in arc)
+        arc = frame_off_hyperplane(GF(q), n)
+        assert arc[-1].coords[-1] != 0
 
 
 @pytest.mark.parametrize("field,n,digest", [
-    (GF(5), 2, "5947e73d7e8acfd7d6c025c76272b8213b7c06f6767128f2f34646875d6793ae"),
-    (GF(3), 3, "6aeb40daa44e69ed6c4dd96112c91b218588c494e747c470703eabd88eb8ffb2"),
-    (GF(2, 2), 2, "f348a44c72c1b753fd35b6de8340cba3259db24caf3febaed61cedc0ff230185"),
-    (GF(3, 2), 2, "9f02fac3fc0b0ea40bde22b14b6c0b0491df8d588f2e292094ba6c3927b20851"),
-])
+    (GF(5), 2, "b1ad2a28c09e0e968bd5d2b39bfb9dd893f905d988b34863ea6aa5eb106b8f39"),
+    (GF(3), 3, "5443346a8c5f90f7d2771b2f8fded6b9e2e2e93352552bc63b3869c69e3cb477"),
+    (GF(2, 2), 2, "8f02fbef92d484398652a0aad24279ce0572ef160a7499675d4e67c931c89476"),
+    (GF(3, 2), 2, "1648e7f810d2b8b130e549cd7b9c26ca40b223e990b863166dc9eb98621f2e74"),
+], ids=["q5-n2", "q3-n3", "q4-n2", "q9-n2"])
 def test_frames_are_the_recorded_ones(field, n, digest):
-    """sha256 of repr(frames), one frame per hyperplane of PG(n, q) in the
-    order of its dual vector among all_points, recorded when the frame was
-    moved onto h by an explicit matrix (transposition times elementary
-    row update) built from K's and h's dual vectors."""
-    frames = [[p.coords for p in frame_off_hyperplane(hyperplane_from_dual(field, u.coords))]
-              for u in all_points(field, n)]
-    assert hashlib.sha256(repr(frames).encode()).hexdigest() == digest
+    """sha256 of repr of the frame's coordinate tuples, recorded when the
+    frame was carried off any hyperplane by a coordinate rule built from
+    its dual vector, here x_n = 0."""
+    frame = [p.coords for p in frame_off_hyperplane(field, n)]
+    assert hashlib.sha256(repr(frame).encode()).hexdigest() == digest
 
 
 def test_face_of_simplex():
@@ -194,34 +206,28 @@ def test_face_of_simplex():
 # -- seeded random arcs ---------------------------------------------------------------
 
 def test_random_arc_off_hyperplane_valid_and_deterministic():
-    h = hyperplane_from_dual(F5, (0, 0, 0, 1))
-    a1 = random_arc_off_hyperplane(h, 5, random.Random(42))
-    a2 = random_arc_off_hyperplane(h, 5, random.Random(42))
+    a1 = random_arc_off_hyperplane(F5, 3, 5, random.Random(42))
+    a2 = random_arc_off_hyperplane(F5, 3, 5, random.Random(42))
     assert a1 == a2
     assert is_arc(list(a1))
     for p in a1:
-        assert not h.contains_point(p)
+        assert p.coords[-1] != 0
 
 
 def test_random_arc_gf2_fails():
-    h = hyperplane_from_dual(GF(2), (0, 0, 0, 1))
     with pytest.raises(FieldTooSmall):
-        random_arc_off_hyperplane(h, 5, random.Random(1))
-
-
-def test_random_arc_needs_a_hyperplane():
-    line = Subspace(F5, 3, [(1, 0, 0, 0), (0, 1, 0, 0)])
-    with pytest.raises(NotAHyperplane):
-        random_arc_off_hyperplane(line, 5, random.Random(1))
+        random_arc_off_hyperplane(GF(2), 3, 5, random.Random(1))
 
 
 @pytest.mark.parametrize("field,dual,m,seed,expected", [
-    (F5, (1, 2, 0, 1), 5, 42,
-     [(0, 0, 1, 3), (1, 1, 0, 4), (0, 1, 2, 0), (0, 0, 1, 1), (1, 3, 4, 0)]),
-    (GF(2, 2), (0, 1, 2), 4, 7, [(1, 0, 3), (0, 0, 1), (0, 1, 0), (1, 2, 0)]),
+    (F5, (0, 0, 0, 1), 5, 42,
+     [(0, 0, 1, 3), (1, 1, 0, 4), (0, 0, 1, 1), (1, 4, 3, 1), (0, 1, 0, 4)]),
+    (GF(2, 2), (0, 0, 1), 4, 7, [(1, 3, 2), (1, 0, 3), (0, 0, 1), (1, 1, 3)]),
 ])
 def test_random_arc_off_hyperplane_pinned(field, dual, m, seed, expected):
-    # the arcs these seeds gave when the sampler had its own dot product
+    # the arcs these seeds gave off x_n = 0, the hyperplane of the dual
+    # vector, when the sampler took any hyperplane
     h = hyperplane_from_dual(field, dual)
-    arc = random_arc_off_hyperplane(h, m, random.Random(seed))
+    arc = random_arc_off_hyperplane(field, h.n, m, random.Random(seed))
     assert [p.coords for p in arc] == expected
+    assert not any(h.contains_point(p) for p in arc)

@@ -24,7 +24,7 @@ from desarc.desargues import (
 )
 from desarc.errors import EdgesDisjoint, GeometryError, NoCommonVertex
 from desarc.field import GF
-from desarc.projlin import all_points, coordinate_hyperplane
+from desarc.projlin import all_points
 
 
 @pytest.fixture
@@ -63,8 +63,7 @@ def test_demo_dimension_too_small_exits_2(runner, n, p):
 
 def test_section_of_a_plane_arc_exits_2(runner, tmp_path):
     # a 4-arc of PG(2, 5) would section to a configuration of PG(1, 5)
-    h = coordinate_hyperplane(GF(5), 2, 2)
-    arc = random_arc_off_hyperplane(h, 4, random.Random(5))
+    arc = random_arc_off_hyperplane(GF(5), 2, 4, random.Random(5))
     arc_file = tmp_path / "arc.json"
     arc_file.write_text(gio.dumps(gio.arc_to_json(arc)))
     result = runner.invoke(main, ["section", str(arc_file)])
@@ -125,7 +124,7 @@ def test_a_file_whose_n_is_not_its_dimension_exits_2(runner, tmp_path, command, 
     # and section wrote the dimension of the points
     pair, vertex = random_perspective_pair(3, GF(5), random.Random(2))
     if command == "section":
-        doc = gio.arc_to_json(lift_to_arc(pair, vertex, coordinate_hyperplane(GF(5), 4, 4)))
+        doc = gio.arc_to_json(lift_to_arc(pair, vertex))
     else:
         doc = gio.pair_to_json(pair, vertex)
     doc["n"] = n
@@ -149,7 +148,7 @@ def _document(kind):
         field, n = GF(5), 3
     pair, vertex = random_perspective_pair(n, field, random.Random(2))
     if kind == "arc":
-        return gio.arc_to_json(lift_to_arc(pair, vertex, coordinate_hyperplane(field, 4, 4)))
+        return gio.arc_to_json(lift_to_arc(pair, vertex))
     return gio.pair_to_json(pair, vertex)
 
 
@@ -271,8 +270,7 @@ def test_help_exits_0_and_names_every_option(runner, command):
 ])
 def test_a_usage_error_exits_2_and_writes_nothing(runner, tmp_path, args, named):
     # ARC, PAIR and CONFIG stand for a file of that kind, MISSING for none
-    docs = {"ARC": ("arc.json", lambda: gio.arc_to_json(frame_off_hyperplane(
-                coordinate_hyperplane(GF(5), 3, 3)))),
+    docs = {"ARC": ("arc.json", lambda: gio.arc_to_json(frame_off_hyperplane(GF(5), 3))),
             "PAIR": ("pair.json", lambda: gio.pair_to_json(*extract_perspective_pair(
                 sectioned_config(2, GF(5)), 1, 2))),
             "CONFIG": ("config.json", lambda: gio.config_to_json(sectioned_config(2, GF(5)))),
@@ -302,6 +300,57 @@ def test_demo_byte_identical(runner, tmp_path):
                                       "--seed", "9", "--out", str(path)])
         assert result.exit_code == 0
     assert f1.read_bytes() == f2.read_bytes()
+
+
+# sha256 of each --out file: demo canonical and with --seed 5, the pair of
+# random_perspective_pair(n, field, Random(1)), its lift canonical and with
+# --seed 3, and the section of the seeded lift
+_GOLDEN = {
+    (2, 5, 1): {
+        "demo": "0e20624934f5b7f42eb57e63504aa1d42ea0e774f0dd55277e0bbf59e53c932e",
+        "demo-seed-5": "aa5539ee05c097b148398a3babacbc55e24c7732fb90d7f739ab41ff877ceb82",
+        "pair": "df4eee5f64df602e484592560fac1cba30a83fe9514a3496b64e839fd27a73de",
+        "lift": "8ddc010a4bb03058299aa17a46ba9504ac01ee52289b64fd462069a85d303ea9",
+        "lift-seed-3": "1e60c4e7b03a96643da254b6981fe489857fc7e675d071ca53c7427550866c48",
+        "section": "5f38acf24d912a361bd6e5f115ac376a7aee7c3db855dc04015d75881c0647ec",
+    },
+    (3, 3, 2): {
+        "demo": "470795d5b20ad85805dab57ae32e18482132f9fc921368f6e59ade44aa8a38c0",
+        "demo-seed-5": "6e52dbd45264fe939bd9d24c4ea71be2664d3f9488f9543de3c7deefae1fef11",
+        "pair": "1c8440122171467da69b223e86af95d5c42ad0e5c4a499ba086d1348ba5b008d",
+        "lift": "61335ed4f20680b3ea927b2d89a26fb6678104a66074001af35c8a81182c3b67",
+        "lift-seed-3": "549937c867f1168199aa59dd9d4b72913989879f5d1bd82b0540f8f148044e37",
+        "section": "40625aa669ad0ba939233626e8488506c957caba2c16be12e87676cf8ff074cc",
+    },
+    (4, 3, 3): {
+        "demo": "2ddad3cf157d54abbaa6dfb9762e7a77b60df828c9803f7e4ed236f7bf6fee29",
+        "demo-seed-5": "2a74a5a4d84e6db2c46cc03e593eb2e9d98cc1d15ea98b97f3dbd7d581e22384",
+        "pair": "da9998e67b0f04ec464b0a5299d9633959bd3b90da299c105ee31d6cc251d521",
+        "lift": "c69faaca590e0d303647743a9bceb04907cda1da8103a4b47f78d1ff366c8e17",
+        "lift-seed-3": "21db9c6ae905ed1364c58c3281603ffefe0cb7b1502954195201f8996ae785cd",
+        "section": "e532bf446d9559375bbeabdb3ae289fef41a2c8bc8fbd4f2c283690dd4eb1cfd",
+    },
+}
+
+
+@pytest.mark.parametrize("n,p,k", sorted(_GOLDEN), ids=lambda v: str(v))
+def test_out_files_are_the_recorded_bytes(runner, tmp_path, n, p, k):
+    # the seeded anchor and line draws of lift, the seeded arc of demo and
+    # the section, at (2, 5), (3, 9) and (4, 27)
+    flags = ["--n", str(n), "--p", str(p), "--k", str(k)]
+    files = {name: tmp_path / f"{name}.json" for name in _GOLDEN[(n, p, k)]}
+    pair, vertex = random_perspective_pair(n, GF(p, k), random.Random(1))
+    files["pair"].write_text(gio.dumps(gio.pair_to_json(pair, vertex)))
+    for name, args in (("demo", ["demo", *flags]),
+                       ("demo-seed-5", ["demo", *flags, "--seed", "5"]),
+                       ("lift", ["lift", str(files["pair"])]),
+                       ("lift-seed-3", ["lift", str(files["pair"]), "--seed", "3"]),
+                       ("section", ["section", str(files["lift-seed-3"])])):
+        result = runner.invoke(main, [*args, "--out", str(files[name])])
+        assert result.exit_code == 0, result.output
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for name, path in files.items()}
+    assert digests == _GOLDEN[(n, p, k)]
 
 
 def test_enumerate_sectioned_configs_n1(runner):
@@ -712,7 +761,7 @@ def test_pair_battery_meets_once_per_index_subset(monkeypatch, n, q):
     assert [(name, ok) for name, ok, _ in checks] == [(name, True) for name in BATTERY]
     subsets = 2 ** (n + 1) - (n + 1) - 2   # index subsets of size 2..n
     connectors = 2                          # find_vertex, again in the Conway lift
-    lifts = 3 + (n + 1)                     # Conway lift; lift_to_arc, one per point
+    lifts = 2 + (n + 1)                     # Conway lift; lift_to_arc, one per point
     sections = comb(n + 3, 2)               # section of the lifted arc
     assert len(calls) <= subsets + connectors + lifts + sections
     if n == 8:

@@ -39,8 +39,8 @@ from desarc.arcs import random_arc_off_hyperplane
 from desarc.projlin import (
     ProjPoint,
     all_points,
-    coordinate_hyperplane,
     coords_in,
+    hyperplane_from_dual,
     join,
     meet,
     rank,
@@ -101,7 +101,7 @@ def test_symbol_incidence_detects_corruption():
 
 def test_symbol_incidence_rejects_ten_points_on_a_line():
     # every triple spans a line, but so does every 4-subset
-    line = coordinate_hyperplane(GF(11), 2, 2)
+    line = hyperplane_from_dual(GF(11), (0, 0, 1))
     labels = list(combinations(range(1, 6), 2))
     config = LabeledConfiguration(GF(11), 2, dict(zip(labels, line.points())))
     assert all(config.span(t).dim == 1 for t in combinations(config.symbols, 3))
@@ -226,9 +226,9 @@ def _flat_table(field, rng):
     """Six symbols in PG(3, q) whose points all lie in a plane: the section
     of a 6-arc of PG(3, q) by a plane.  Every connector and edge is a line,
     but no simplex spans PG(3)."""
-    h = coordinate_hyperplane(field, 3, 3)
+    h = hyperplane_from_dual(field, (0, 0, 0, 1))
     while True:
-        arc = random_arc_off_hyperplane(h, 6, rng)
+        arc = random_arc_off_hyperplane(field, 3, 6, rng)
         pts = {(i + 1, j + 1): coords_in(h, meet(join(arc[i], arc[j]), h).point())
                for i, j in combinations(range(6), 2)}
         if len(set(pts.values())) == len(pts):
@@ -259,7 +259,7 @@ def _coincident_edges_table(field, rng):
     both simplexes on one line L: the points (1,2), (1,3), (1,4), (2,3),
     (2,4), (3,4) lie on L, (1,5) off it, and (2,5) on the line of (1,2)
     and (1,5).  Every connector through (1,2) is then a line."""
-    line = coordinate_hyperplane(field, 2, 2)
+    line = hyperplane_from_dual(field, (0, 0, 1))
     labels = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]
     off = [p for p in all_points(field, 2) if not line.contains_point(p)]
     while True:

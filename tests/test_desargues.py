@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from desarc.arcs import face, frame_off_hyperplane, random_arc_off_hyperplane
+from desarc.arcs import Arc, face, frame_off_hyperplane, random_arc_off_hyperplane
 from desarc.desargues import (
     LabeledConfiguration,
     PerspectivePair,
@@ -25,7 +25,6 @@ from desarc.desargues import (
     sectioned_config,
     tspace_intersections,
 )
-from desarc.enumeration import run_job
 from desarc.errors import (
     AmbientMismatch,
     BadSymbols,
@@ -35,7 +34,6 @@ from desarc.errors import (
     FieldTooSmall,
     GeometryError,
     NoCommonVertex,
-    NotAHyperplane,
     PointOnHyperplane,
     SharedFace,
     SharedPoint,
@@ -47,7 +45,6 @@ from desarc.projlin import (
     ProjPoint,
     Subspace,
     all_points,
-    coordinate_hyperplane,
     coords_in,
     hyperplane_from_dual,
     join,
@@ -73,35 +70,37 @@ def test_section_point_counts(n, q, expected):
     assert len(set(config.points())) == expected
 
 
+def _last_coordinate_hyperplane(field, n):
+    """x_n = 0 in PG(n, q), built from its equation."""
+    return hyperplane_from_dual(field, (0,) * n + (1,))
+
+
 def test_section_rejects_point_on_hyperplane():
-    h = hyperplane_from_dual(F5, (1, 0, 0, 0))
-    arc = frame_off_hyperplane(hyperplane_from_dual(F5, (0, 0, 0, 1)))
-    # the canonical frame contains e2, which lies on x1 = 0
+    # the standard frame of PG(3, 5) contains e0, which lies on x3 = 0
+    arc = Arc([pt(F5, *(int(i == j) for j in range(4))) for i in range(4)]
+              + [pt(F5, 1, 1, 1, 1)])
     with pytest.raises(PointOnHyperplane):
-        section_arc(arc, h)
+        section_arc(arc)
 
 
 @pytest.mark.parametrize("n,field", [(2, F5), (3, GF(2, 2)), (5, GF(3, 3)), (8, GF(11))])
 def test_section_points_are_where_the_lines_meet_h(n, field):
     # the oracle joins two arc points and meets the line with h, where
-    # section_arc evaluates h's equation
+    # section_arc reads the last coordinates
     rng = random.Random(n)
-    dual = [rng.randrange(1, field.q) for _ in range(n + 2)]
-    for h in (coordinate_hyperplane(field, n + 1, n + 1), hyperplane_from_dual(field, dual)):
-        arc = random_arc_off_hyperplane(h, n + 3, rng)
-        config = section_arc(arc, h)
-        for i, j in combinations(range(n + 3), 2):
-            expected = coords_in(h, meet(join(arc[i], arc[j]), h).point())
-            assert config.point(i + 1, j + 1) == expected
+    h = _last_coordinate_hyperplane(field, n + 1)
+    arc = random_arc_off_hyperplane(field, n + 1, n + 3, rng)
+    config = section_arc(arc)
+    for i, j in combinations(range(n + 3), 2):
+        expected = coords_in(h, meet(join(arc[i], arc[j]), h).point())
+        assert config.point(i + 1, j + 1) == expected
 
 
 def test_section_wrong_arc_size():
-    h = coordinate_hyperplane(F5, 3, 3)
-    small = frame_off_hyperplane(h)
+    small = frame_off_hyperplane(F5, 3)
     # drop a point: 4 points in PG(3) are a simplex-arc but not frame-sized
-    from desarc.arcs import Arc
     with pytest.raises(WrongCount):
-        section_arc(Arc(small.points[:4]), h)
+        section_arc(Arc(small.points[:4]))
 
 
 def test_section_unavailable_over_gf2():
@@ -477,9 +476,9 @@ def test_tspace_bad_t():
 
 # -- lifting ---------------------------------------------------------------------------
 
-def _round_trip(pair, vertex, h, rng=None):
-    arc = lift_to_arc(pair, vertex, h, rng)
-    config = section_arc(arc, h)
+def _round_trip(pair, vertex, rng=None):
+    arc = lift_to_arc(pair, vertex, rng)
+    config = section_arc(arc)
     n = pair.n
     assert all(config.point(1, i + 3) == pair.a[i] for i in range(n + 1))
     assert all(config.point(2, i + 3) == pair.b[i] for i in range(n + 1))
@@ -490,22 +489,20 @@ def _round_trip(pair, vertex, h, rng=None):
 def test_lift_planar_pair_gives_5_arc():
     config = sectioned_config(2, F5)
     pair, vertex = extract_perspective_pair(config, 1, 2)
-    h = coordinate_hyperplane(F5, 3, 3)
-    arc = _round_trip(pair, vertex, h)
+    arc = _round_trip(pair, vertex)
     assert arc.n == 3 and len(arc) == 5
     for p in arc:
-        assert not h.contains_point(p)
+        assert p.coords[-1] != 0
 
 
 @pytest.mark.parametrize("n,q", [(2, 5), (2, 7), (3, 5), (3, 7)])
 def test_lift_round_trip_seeded(n, q):
     f = GF(q)
-    h = coordinate_hyperplane(f, n + 1, n + 1)
     rng = random.Random(n * 100 + q)
     for _ in range(5):
         pair, vertex = random_perspective_pair(n, f, rng)
-        _round_trip(pair, vertex, h)
-        _round_trip(pair, vertex, h, rng)  # randomized free choices too
+        _round_trip(pair, vertex)
+        _round_trip(pair, vertex, rng)  # randomized free choices too
 
 
 @pytest.mark.parametrize("n,field", [(2, GF(3)), (2, GF(2, 2)), (2, F5), (2, GF(3, 2)),
@@ -518,14 +515,13 @@ def test_normal_forms_are_the_closed_form_and_each_round_trips(n, field):
     forms = list(normal_forms(n, field))
     assert len(forms) == units - (units - (-1) ** (n + 1)) // q
     assert forms == sorted(set(forms)) and all(all(s) for s in forms)
-    h = coordinate_hyperplane(field, n + 1, n + 1)
     for s in forms:
         pair, vertex = normal_form_pair(n, field, s)
         assert vertex.coords == (1,) * (n + 1)
         assert [p.coords for p in pair.a] == [
             tuple(int(i == j) for j in range(n + 1)) for i in range(n + 1)]
         assert all(join(a, vertex).contains_point(b) for a, b in zip(pair.a, pair.b))
-        assert lift_round_trips(pair, vertex, h)
+        assert lift_round_trips(pair, vertex)
 
 
 @pytest.mark.parametrize("n,field", [(2, F5), (3, F5), (2, GF(3, 2))])
@@ -548,8 +544,9 @@ def _anchor_from_list(h, rng=None):
     return pool[0] if rng is None else rng.choice(pool)
 
 
-@pytest.mark.parametrize("n,q,dual", [(2, 5, (0, 0, 0, 1)), (3, 3, (1, 2, 0, 1, 1))])
+@pytest.mark.parametrize("n,q,dual", [(2, 5, (0, 0, 0, 1)), (3, 3, (0, 0, 0, 0, 1))])
 def test_seeded_lift_matches_the_list_based_choice(monkeypatch, n, q, dual):
+    # dual is the equation of x_{n+1} = 0, the hyperplane lift_to_arc lifts from
     from desarc import desargues
     f = GF(q)
     h = hyperplane_from_dual(f, dual)
@@ -557,11 +554,12 @@ def test_seeded_lift_matches_the_list_based_choice(monkeypatch, n, q, dual):
 
     def lifts():
         rngs = [None] + [random.Random(seed) for seed in range(8)]
-        return [lift_to_arc(pair, vertex, h, rng) for rng in rngs]
+        return [lift_to_arc(pair, vertex, rng) for rng in rngs]
 
     arcs = lifts()
     assert len(set(arcs)) > 2
-    monkeypatch.setattr(desargues, "_anchor_off", _anchor_from_list)
+    monkeypatch.setattr(desargues, "_anchor_off",
+                        lambda field, dim, rng=None: _anchor_from_list(h, rng))
     assert lifts() == arcs
 
 
@@ -579,35 +577,38 @@ class _FixedDraw:
 
 @pytest.mark.parametrize("n,field,dual", [
     (3, GF(3), (0, 0, 0, 1)),
-    (3, GF(3), (1, 0, 0, 0)),
-    (3, GF(3), (1, 2, 0, 1)),
-    (3, GF(3), (0, 1, 1, 0)),
+    (3, GF(5), (0, 0, 0, 1)),
+    (3, GF(2, 2), (0, 0, 0, 1)),
+    (3, GF(7), (0, 0, 0, 1)),
     (2, GF(2, 2), (0, 0, 1)),
-    (2, GF(2, 2), (1, 3, 2)),
-    (2, GF(2, 2), (0, 1, 2)),
+    (2, GF(3, 2), (0, 0, 1)),
+    (2, GF(5), (0, 0, 1)),
+    (1, GF(5), (0, 1)),
+    (4, GF(2, 2), (0, 0, 0, 0, 1)),
 ])
 def test_anchor_unranks_every_index_of_the_list(n, field, dual):
+    # the list holds every point off x_n = 0, the hyperplane of the dual vector
     from desarc.desargues import _anchor_off
     h = hyperplane_from_dual(field, dual)
     pool = [p for p in all_points(field, n) if not h.contains_point(p)]
     assert len(pool) == field.q ** n
-    assert _anchor_off(h) == pool[0]
-    assert [_anchor_off(h, _FixedDraw(i, len(pool)))
+    assert _anchor_off(field, n) == pool[0]
+    assert [_anchor_off(field, n, _FixedDraw(i, len(pool)))
             for i in range(len(pool))] == pool
 
 
 def test_seeded_lift_round_trips_at_8_11():
     f = GF(11)
-    h = coordinate_hyperplane(f, 9, 9)
     pair, vertex = random_perspective_pair(8, f, random.Random(3))
-    arc = _round_trip(pair, vertex, h, random.Random(5))
-    assert len(arc) == 11 and not any(h.contains_point(p) for p in arc)
+    arc = _round_trip(pair, vertex, random.Random(5))
+    assert len(arc) == 11 and all(p.coords[-1] for p in arc)
 
 
-def _reference_lift(pair, vertex, h, rng=None):
+def _reference_lift(pair, vertex, rng=None):
     """lift_to_arc's points written with lists: the anchor is the choice
-    from every point off h, and points 1, 2 the sample from the points of
-    the anchor's line through the vertex that lie off h."""
+    from every point off h = {x_{n+1} = 0}, and points 1, 2 the sample from
+    the points of the anchor's line through the vertex that lie off h."""
+    h = _last_coordinate_hyperplane(pair.field, pair.n + 1)
     v = point_from(h, vertex)
     line = [p for p in join(v, _anchor_from_list(h, rng)).points()
             if not h.contains_point(p)]
@@ -624,20 +625,16 @@ def _reference_lift(pair, vertex, h, rng=None):
 ])
 def test_lift_matches_the_list_based_reference(n, field):
     rng = random.Random(10 * n + field.q)
-    duals = [(0,) * (n + 1) + (1,), (1,) + (0,) * (n + 1),
-             rng.choice(list(all_points(field, n + 1))).coords]
-    for dual in duals:
-        h = hyperplane_from_dual(field, dual)
+    for _ in range(3):
         pair, vertex = random_perspective_pair(n, field, rng)
-        assert list(lift_to_arc(pair, vertex, h)) == _reference_lift(pair, vertex, h)
+        assert list(lift_to_arc(pair, vertex)) == _reference_lift(pair, vertex)
         for seed in range(4):
-            got = lift_to_arc(pair, vertex, h, random.Random(seed))
-            assert list(got) == _reference_lift(pair, vertex, h, random.Random(seed))
+            got = lift_to_arc(pair, vertex, random.Random(seed))
+            assert list(got) == _reference_lift(pair, vertex, random.Random(seed))
 
 
 def test_lift_lists_no_line_at_4096(monkeypatch):
     f = GF(2, 12, (1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1))
-    h = coordinate_hyperplane(f, 4, 4)
     pair, vertex = random_perspective_pair(3, f, random.Random(1))
     walked = []
     real = Subspace.points
@@ -649,7 +646,7 @@ def test_lift_lists_no_line_at_4096(monkeypatch):
 
     monkeypatch.setattr(Subspace, "points", counted)
     for rng in (None, random.Random(1), random.Random(2)):
-        _round_trip(pair, vertex, h, rng)
+        _round_trip(pair, vertex, rng)
     assert len(walked) <= 4
 
 
@@ -657,10 +654,9 @@ def test_lift_rejects_vertex_on_face():
     # a valid pair whose vertex never lies on a face; move the vertex onto one
     config = sectioned_config(2, F5)
     pair, _ = extract_perspective_pair(config, 1, 2)
-    h = coordinate_hyperplane(F5, 3, 3)
     bad_vertex = pair.a[0]
     with pytest.raises(SharedFace):
-        lift_to_arc(pair, bad_vertex, h)
+        lift_to_arc(pair, bad_vertex)
 
 
 # -- lift-and-project axis ------------------------------------------------------------
@@ -668,30 +664,36 @@ def test_lift_rejects_vertex_on_face():
 @pytest.mark.parametrize("q", [5, 7])
 def test_conway_axis_matches_seeded(q):
     f = GF(q)
-    h = coordinate_hyperplane(f, 3, 3)
-    off_h = [p for p in all_points(f, 3) if not h.contains_point(p)]
+    off_h = [p for p in all_points(f, 3) if p.coords[-1]]
     rng = random.Random(q)
     for _ in range(10):
         pair, _ = random_perspective_pair(2, f, rng)
         w = rng.choice(off_h)
-        assert conway_lift_axis(pair, h, w) == axis_hyperplane(pair)
+        assert conway_lift_axis(pair, w) == axis_hyperplane(pair)
 
 
 def test_conway_w_in_h_rejected():
     f = GF(5)
-    h = coordinate_hyperplane(f, 3, 3)
     pair, _ = extract_perspective_pair(sectioned_config(2, f), 1, 2)
-    w = next(iter(h.points()))
-    with pytest.raises(WInH):
-        conway_lift_axis(pair, h, w)
+    for w in _last_coordinate_hyperplane(f, 3).points():
+        with pytest.raises(WInH):
+            conway_lift_axis(pair, w)
+
+
+@pytest.mark.parametrize("w", [ProjPoint(GF(7), (0, 0, 0, 1)), ProjPoint(F5, (0, 0, 1)),
+                               ProjPoint(F5, (0, 0, 0, 0, 1))], ids=str)
+def test_conway_w_must_live_in_the_ambient_space(w):
+    # a point of PG(3, 7), of PG(2, 5) and of PG(4, 5), for a pair of PG(2, 5)
+    pair, _ = extract_perspective_pair(sectioned_config(2, F5), 1, 2)
+    with pytest.raises(AmbientMismatch):
+        conway_lift_axis(pair, w)
 
 
 def test_conway_higher_dimension():
     f = GF(3)
-    h = coordinate_hyperplane(f, 4, 4)
     pair, _ = extract_perspective_pair(sectioned_config(3, f), 1, 2)
-    w = next(p for p in all_points(f, 4) if not h.contains_point(p))
-    assert conway_lift_axis(pair, h, w) == axis_hyperplane(pair)
+    w = next(p for p in all_points(f, 4) if p.coords[-1])
+    assert conway_lift_axis(pair, w) == axis_hyperplane(pair)
 
 
 def _pairs_in_perspective(n, field, rng, count):
@@ -731,51 +733,19 @@ def test_pairs_in_perspective_lift_or_raise_a_typed_error(n, field):
     # would raise ValueError here, not one of the typed errors
     from desarc.desargues import _anchor_off
     rng = random.Random(n * 100 + field.q)
-    h = coordinate_hyperplane(field, n + 1, n + 1)
     on_a_face = 0
     for pair, v in _pairs_in_perspective(n, field, rng, 30):
         try:
             assert find_vertex(pair) == v
-            assert conway_lift_axis(pair, h, _anchor_off(h, rng)) == axis_hyperplane(pair)
-            lift_to_arc(pair, v, h, rng)
-            assert lift_round_trips(pair, v, h)
+            w = _anchor_off(field, n + 1, rng)
+            assert conway_lift_axis(pair, w) == axis_hyperplane(pair)
+            lift_to_arc(pair, v, rng)
+            assert lift_round_trips(pair, v)
         except SharedFace:
             on_a_face += 1
         except (NoCommonVertex, EdgesDisjoint):
             pass
     assert on_a_face >= 20
-
-
-# -- the hyperplane check ---------------------------------------------------------------
-
-def _takes_a_hyperplane_of_pg3_5():
-    """Each call that takes a hyperplane h of PG(3, 5): the section of an
-    arc, the lift and the lift-and-project axis of a pair of PG(2, 5), and
-    the count of 5-arcs of PG(3, 5) off h."""
-    arc = frame_off_hyperplane(coordinate_hyperplane(F5, 3, 3))
-    pair, vertex = extract_perspective_pair(sectioned_config(2, F5), 1, 2)
-    return {
-        "section_arc": lambda h: section_arc(arc, h),
-        "lift_to_arc": lambda h: lift_to_arc(pair, vertex, h),
-        # w is a point of h's own space, off the last-coordinate hyperplane
-        "conway_lift_axis": lambda h: conway_lift_axis(
-            pair, h, ProjPoint(h.field, (0, 0, 0, 1))),
-        "run_job": lambda h: run_job("arcs", 3, F5, m=5, avoid=h),
-    }
-
-
-@pytest.mark.parametrize("call", ["section_arc", "lift_to_arc", "conway_lift_axis",
-                                  "run_job"])
-@pytest.mark.parametrize("h,error", [
-    (coordinate_hyperplane(GF(7), 3, 3), AmbientMismatch),
-    (Subspace(F5, 3, [(0, 0, 1, 0), (0, 0, 0, 1)]), NotAHyperplane),
-], ids=["other-field", "line"])
-def test_a_bad_hyperplane_raises_one_error_everywhere(call, h, error):
-    # a hyperplane over GF(7) once gave conway_lift_axis a GF(7) axis and
-    # lift_to_arc a DegenerateLift; a line gave section_arc PointOnHyperplane
-    with pytest.raises(error) as caught:
-        _takes_a_hyperplane_of_pg3_5()[call](h)
-    assert type(caught.value) is error
 
 
 # -- configuration table basics ---------------------------------------------------------
@@ -819,11 +789,9 @@ def test_full_pipeline_extension_fields(field, n):
     assert len(config) == comb(n + 3, 2)
     assert vertex_sweep(config).all_ok
     pair, vertex = extract_perspective_pair(config, 1, 2)
-    h = coordinate_hyperplane(field, n + 1, n + 1)
-    arc = lift_to_arc(pair, vertex, h)
-    again = section_arc(arc, h)
+    arc = lift_to_arc(pair, vertex)
+    again = section_arc(arc)
     assert all(again.point(1, i + 3) == pair.a[i] for i in range(n + 1))
     assert conway_lift_axis(
-        pair, h,
-        next(p for p in all_points(field, n + 1) if not h.contains_point(p)),
+        pair, next(p for p in all_points(field, n + 1) if p.coords[-1]),
     ) == axis_hyperplane(pair)

@@ -8,6 +8,7 @@ from math import comb, factorial
 import pytest
 
 from desarc import enumeration
+from desarc.desargues import normal_forms
 from desarc.enumeration import (
     count_arcs,
     count_frames,
@@ -15,20 +16,13 @@ from desarc.enumeration import (
     run_job,
 )
 from desarc.errors import (
-    AmbientMismatch,
     BudgetExceeded,
     DimensionTooSmall,
     NegativeBudget,
-    NotAHyperplane,
     WrongCount,
 )
 from desarc.field import GF
-from desarc.projlin import (
-    Subspace,
-    coordinate_hyperplane,
-    hyperplane_from_dual,
-    join,
-)
+from desarc.projlin import join
 
 
 # -- independent oracle machinery (no shared code with the search kernel) ----------
@@ -140,8 +134,7 @@ def test_frames_brute_force_oracle_pg22():
 # -- arcs off a hyperplane ---------------------------------------------------------------
 
 def test_no_5_arc_off_plane_in_pg32():
-    h = coordinate_hyperplane(GF(2), 3, 3)
-    assert count_arcs(3, GF(2), 5, avoid=h) == 0
+    assert count_arcs(3, GF(2), 5, avoid=True) == 0
 
 
 def test_5_arcs_exist_in_pg32_without_avoidance():
@@ -150,45 +143,33 @@ def test_5_arcs_exist_in_pg32_without_avoidance():
 
 def test_avoidance_monotonicity():
     f = GF(3)
-    h = coordinate_hyperplane(f, 2, 2)
     for m in (3, 4):
-        assert count_arcs(2, f, m, avoid=h) <= count_arcs(2, f, m)
+        assert count_arcs(2, f, m, avoid=True) <= count_arcs(2, f, m)
 
 
 def test_avoided_counts_with_subset_oracle():
-    # ordered 4-arcs of PG(2,3) off x3 = 0 and off x1 + x2 + x3 = 0,
-    # re-counted independently; the second line is not a coordinate one
+    # ordered 4-arcs of PG(2,3) off x2 = 0, re-counted independently
     mul, add = _prime_ops(3)
     from itertools import permutations
-    for dual in ((0, 0, 1), (1, 1, 1)):
-        pts = [p for p in _oracle_points(3, 3, mul, add)
-               if sum(u * x for u, x in zip(dual, p)) % 3 != 0]
-        assert len(pts) == 9
-        count = 0
-        for quad in permutations(pts, 4):
-            if all(_oracle_rank(list(t), 3) == 3 for t in combinations(quad, 3)):
-                count += 1
-        h = hyperplane_from_dual(GF(3), dual)
-        assert count_arcs(2, GF(3), 4, avoid=h) == count
+    pts = [p for p in _oracle_points(3, 3, mul, add) if p[2]]
+    assert len(pts) == 9
+    count = 0
+    for quad in permutations(pts, 4):
+        if all(_oracle_rank(list(t), 3) == 3 for t in combinations(quad, 3)):
+            count += 1
+    assert count_arcs(2, GF(3), 4, avoid=True) == count
 
 
-def test_avoided_hyperplane_must_be_one_of_the_searched_space():
-    f = GF(3)
-    # a plane of PG(3, 3), a line over GF(5), and a point, each against PG(2, 3)
-    with pytest.raises(AmbientMismatch):
-        count_arcs(2, f, 4, avoid=coordinate_hyperplane(f, 3, 3))
-    with pytest.raises(AmbientMismatch):
-        count_arcs(2, f, 4, avoid=coordinate_hyperplane(GF(5), 2, 2))
-    with pytest.raises(NotAHyperplane):
-        count_arcs(2, f, 4, avoid=Subspace(f, 2, [(0, 0, 1)]))
-    # a plane of PG(3, 3) over GF(5), a solid of PG(4, 3) and a line of
-    # PG(3, 3), against the searched PG(3, 3)
-    with pytest.raises(AmbientMismatch):
-        run_job("arcs", 3, f, m=5, avoid=coordinate_hyperplane(GF(5), 3, 3))
-    with pytest.raises(AmbientMismatch):
-        run_job("arcs", 3, f, m=5, avoid=coordinate_hyperplane(f, 4, 4))
-    with pytest.raises(NotAHyperplane):
-        run_job("arcs", 3, f, m=5, avoid=Subspace(f, 3, [(0, 0, 1, 0), (0, 0, 0, 1)]))
+@pytest.mark.parametrize("field,orbits", [(GF(5), 13), (GF(2, 2), 7)])
+def test_avoided_4_arcs_of_a_plane_are_the_normal_form_count(field, orbits):
+    # the ordered 4-arcs of PG(2, q) off x2 = 0 are the sectioned
+    # configurations of PG(1, q): q^2 (q-1) |PGL(2, q)| times the N normal
+    # forms (s0, s1) with 1 + s0 + s1 != 0
+    q = field.q
+    assert len(list(normal_forms(1, field))) == orbits
+    expected = q ** 2 * (q - 1) * pgl_order(1, q) * orbits
+    assert count_arcs(2, field, 4, avoid=True) == expected
+    assert run_job("sectioned-configs", 1, field).raw_count == expected
 
 
 # -- sectioned configurations ----------------------------------------------------------
@@ -271,19 +252,17 @@ def test_a_negative_budget_is_rejected_before_the_search(count):
 
 def test_run_job_arcs_with_avoid():
     f = GF(3)
-    h = hyperplane_from_dual(f, (0, 0, 1))
-    result = run_job("arcs", 2, f, m=4, avoid=h)
-    assert result.raw_count == count_arcs(2, f, 4, avoid=h)
+    result = run_job("arcs", 2, f, m=4, avoid=True)
+    assert result.raw_count == count_arcs(2, f, 4, avoid=True)
     assert result.nodes > 0
 
 
 def test_run_job_rejects_flags_its_kind_ignores():
     f = GF(3)
-    line, plane = coordinate_hyperplane(f, 2, 2), coordinate_hyperplane(f, 3, 3)
-    for kind, extra in (("frames", {"m": 7}), ("frames", {"avoid": line}),
+    for kind, extra in (("frames", {"m": 7}), ("frames", {"avoid": True}),
                         ("sectioned-configs", {"m": 5}),
-                        ("sectioned-configs", {"avoid": plane}),
-                        ("sectioned-configs", {"m": 5, "avoid": plane})):
+                        ("sectioned-configs", {"avoid": True}),
+                        ("sectioned-configs", {"m": 5, "avoid": True})):
         with pytest.raises(WrongCount, match="m and avoid apply to arc jobs only"):
             run_job(kind, 2, f, **extra)
 
@@ -320,10 +299,10 @@ def test_counts_and_nodes_match_the_list_search(kind, n, field, expected):
 @pytest.mark.parametrize("job", [
     dict(kind="frames", n=2, field=GF(3)),
     dict(kind="frames", n=1, field=GF(13, 2, (11, 0, 1))),
-    dict(kind="arcs", n=2, field=GF(3), m=4, avoid=coordinate_hyperplane(GF(3), 2, 2)),
+    dict(kind="arcs", n=2, field=GF(3), m=4, avoid=True),
     dict(kind="arcs", n=2, field=GF(5), m=1),
     dict(kind="arcs", n=2, field=GF(5), m=2),
-    dict(kind="arcs", n=3, field=GF(2), m=5, avoid=coordinate_hyperplane(GF(2), 3, 3)),
+    dict(kind="arcs", n=3, field=GF(2), m=5, avoid=True),
     dict(kind="sectioned-configs", n=1, field=GF(5)),
     dict(kind="sectioned-configs", n=2, field=GF(3)),
     dict(kind="arcs", n=2, field=GF(2, 2), m=6),
@@ -383,7 +362,7 @@ def test_a_normal_form_that_does_not_round_trip_raises(monkeypatch):
     f = GF(3)
     last = enumeration.normal_form_pair(2, f, (2, 2, 2))[0]
     monkeypatch.setattr(enumeration, "lift_round_trips",
-                        lambda pair, vertex, h: pair.b != last.b)
+                        lambda pair, vertex: pair.b != last.b)
     with pytest.raises(WrongCount, match=r"s = \(2, 2, 2\)"):
         run_job("sectioned-configs", 2, f)
 
@@ -470,11 +449,11 @@ def _gf4_independent(vecs):
 @pytest.mark.parametrize("q,width,keep,m,nodes,job", [
     (3, 3, None, 4, 7189, dict(kind="arcs", n=2, field=GF(3), m=4)),
     (3, 3, 2, 4, 1809, dict(kind="arcs", n=2, field=GF(3), m=4,
-                            avoid=coordinate_hyperplane(GF(3), 2, 2))),
+                            avoid=True)),
     (4, 3, None, 6, 309561, dict(kind="arcs", n=2, field=GF(2, 2), m=6)),
     (2, 4, None, 5, None, dict(kind="frames", n=3, field=GF(2))),
     (5, 3, 2, 5, None, dict(kind="arcs", n=2, field=GF(5), m=5,
-                            avoid=coordinate_hyperplane(GF(5), 2, 2))),
+                            avoid=True)),
     (5, 3, 2, 4, None, dict(kind="sectioned-configs", n=1, field=GF(5))),
     (3, 4, 3, 5, 1837161, dict(kind="sectioned-configs", n=2, field=GF(3))),
 ], ids=["pg23-m4", "pg23-m4-avoid", "hyperovals-pg24", "frames-pg32", "pg25-m5-avoid",

@@ -16,7 +16,6 @@ import pytest
 from desarc import io as gio
 from desarc.desargues import lift_to_arc, random_perspective_pair, section_arc
 from desarc.field import GF
-from desarc.projlin import coordinate_hyperplane
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 _IMPORTED = re.compile(r"^import time:\s+\d+ \|\s+\d+ \| *(\S+)$")
@@ -49,11 +48,10 @@ def _imported(args, cwd):
 def imported(tmp_path_factory):
     workdir = tmp_path_factory.mktemp("commands")
     pair, vertex = random_perspective_pair(2, GF(5), random.Random(1))
-    h = coordinate_hyperplane(pair.field, 3, 3)
-    arc = lift_to_arc(pair, vertex, h, random.Random(1))
+    arc = lift_to_arc(pair, vertex, random.Random(1))
     (workdir / "pair.json").write_text(gio.dumps(gio.pair_to_json(pair, vertex)))
     (workdir / "arc.json").write_text(gio.dumps(gio.arc_to_json(arc)))
-    (workdir / "config.json").write_text(gio.dumps(gio.config_to_json(section_arc(arc, h))))
+    (workdir / "config.json").write_text(gio.dumps(gio.config_to_json(section_arc(arc))))
     return {name: _imported(["-m", "desarc", *args], workdir)
             for name, args in COMMANDS.items()}
 

@@ -11,7 +11,7 @@ from desarc.arcs import frame_off_hyperplane
 from desarc.desargues import extract_perspective_pair, sectioned_config
 from desarc.errors import AmbientMismatch
 from desarc.field import GF
-from desarc.projlin import hyperplane_from_dual, normalize
+from desarc.projlin import normalize
 
 
 @pytest.mark.parametrize("field", [GF(5), GF(7), GF(2, 2), GF(3, 2)])
@@ -39,7 +39,7 @@ def test_extension_field_coords_are_coefficient_arrays():
 @pytest.mark.parametrize("kind", ["arc", "pair"])
 def test_a_document_n_that_is_not_its_points_dimension_is_rejected(kind):
     if kind == "arc":
-        doc = gio.arc_to_json(frame_off_hyperplane(hyperplane_from_dual(GF(5), (1, 1, 1, 1))))
+        doc = gio.arc_to_json(frame_off_hyperplane(GF(5), 3))
         load = gio.arc_from_json
     else:
         doc = gio.pair_to_json(*extract_perspective_pair(sectioned_config(3, GF(5)), 1, 2))
@@ -51,7 +51,7 @@ def test_a_document_n_that_is_not_its_points_dimension_is_rejected(kind):
 
 
 def test_arc_round_trip():
-    arc = frame_off_hyperplane(hyperplane_from_dual(GF(5), (1, 1, 1, 1)))
+    arc = frame_off_hyperplane(GF(5), 3)
     doc = gio.arc_to_json(arc)
     assert gio.arc_from_json(json.loads(json.dumps(doc))) == arc
 
@@ -86,7 +86,7 @@ def test_load_geometry_dispatch():
     kind, obj = gio.load_geometry(gio.dumps(gio.pair_to_json(pair, vertex)))
     assert kind == "pair"
 
-    arc = frame_off_hyperplane(hyperplane_from_dual(GF(5), (1, 1, 1, 1)))
+    arc = frame_off_hyperplane(GF(5), 3)
     kind, obj = gio.load_geometry(gio.dumps(gio.arc_to_json(arc)))
     assert kind == "arc" and obj == arc
 

@@ -18,7 +18,6 @@ from desarc.projlin import (
     ProjPoint,
     Subspace,
     all_points,
-    coordinate_hyperplane,
     coords_in,
     hyperplane_from_dual,
     join,
@@ -266,9 +265,10 @@ def test_coords_in_point_from_round_trip():
 
 
 def test_coordinate_hyperplane():
-    h = coordinate_hyperplane(F5, 3, 3)
+    # x_3 = 0, the hyperplane that sections arcs of PG(3, q)
+    h = hyperplane_from_dual(F5, (0, 0, 0, 1))
     assert h.dual_vector() == (0, 0, 0, 1)
-    assert all(p.coords[3] == 0 for p in h.points())
+    assert list(h.points()) == [p for p in all_points(F5, 3) if p.coords[3] == 0]
 
 
 @settings(max_examples=60, deadline=None)
