@@ -45,15 +45,6 @@ def _arc_violation(field, n, points):
     return None
 
 
-def is_arc(points) -> bool:
-    """True iff every (n+1)-subset of the points is a simplex."""
-    field, n = common_ambient(points)
-    points = list(points)
-    if len(points) < n + 1:
-        raise TooFew(f"an arc of PG({n}) needs at least {n + 1} points")
-    return _arc_violation(field, n, points) is None
-
-
 def face(points, k: int) -> Subspace:
     """Face k of a simplex: the hyperplane spanned by every point except
     the one at index k."""
@@ -62,13 +53,17 @@ def face(points, k: int) -> Subspace:
 
 
 class Arc:
-    """An ordered arc; construction verifies the arc property."""
+    """An ordered arc of PG(n, q) with n >= 1; construction verifies the arc
+    property.  In PG(0, q) every point spans the space, so the property
+    could not tell a repeated point."""
 
     __slots__ = ("field", "n", "points")
 
     def __init__(self, points):
         points = tuple(points)
         field, n = common_ambient(points)
+        if n < 1:
+            raise DimensionTooSmall(f"an arc needs dimension n >= 1, got n = {n}")
         if len(points) < n + 1:
             raise TooFew(f"an arc of PG({n}) needs at least {n + 1} points")
         bad = _arc_violation(field, n, points)
@@ -152,11 +147,13 @@ def _extends_arc(field, n, prefix_coords, cand) -> bool:
 
 
 def random_arc_off_hyperplane(field: GF, n: int, m: int, rng) -> Arc:
-    """A uniformly seeded arc of m points of PG(n, q) avoiding the
+    """A uniformly seeded arc of m points of PG(n, q), n >= 1, avoiding the
     hyperplane x_n = 0, built by rejection sampling with restarts, from at
     most _MAX_TRIES sampled points."""
     if field.q == 2:
         raise FieldTooSmall("no arc of interest avoids a hyperplane over GF(2)")
+    if n < 1:
+        raise DimensionTooSmall(f"an arc needs dimension n >= 1, got n = {n}")
     tries = 0
     while True:
         prefix = []

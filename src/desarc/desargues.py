@@ -43,11 +43,9 @@ from .field import GF
 from .projlin import (
     ProjPoint,
     Subspace,
-    coords_in,
     join,
     meet,
     normalize,
-    point_from,
 )
 
 
@@ -396,20 +394,23 @@ def tspace_intersections(pair: PerspectivePair, t: int):
 # -- lifting -------------------------------------------------------------------
 
 def _line_points_but(line: Subspace, v: ProjPoint, picks):
-    """Points of the line other than v, by their indices 0..q-1 in
-    canonical order.  The line's points in canonical order have internal
-    coordinates (1, c) for the codes c = 0..q-1, then (0, 1).  So v is point
-    q if its first internal coordinate is 0 and point c otherwise, and
-    index i among the other q points is point i below v's index and point
-    i + 1 from it on."""
-    q = line.field.q
-    x = coords_in(line, v).coords
-    at = q if x[0] == 0 else x[1]
+    """Points of the line other than its point v, by their indices
+    0..q-1 in canonical order.  Let r0 and r1 be the line's reduced rows,
+    with pivots p0 < p1.  In canonical order its points are r0 + c r1 for
+    the codes c = 0..q-1, then r1, and each of these vectors is already
+    normalized: r0 + c r1 has 1 at p0 and c at p1, and r1 has 0 at p0.  So
+    v is point q if v[p0] = 0 and point v[p1] otherwise, and index i among
+    the other q points is point i below v's index and point i + 1 from it
+    on."""
+    field = line.field
+    q, sub_row, neg = field.q, field.sub_row, field.neg
+    (r0, r1), (p0, p1) = line.basis, line._pivots
+    at = q if v.coords[p0] == 0 else v.coords[p1]
     out = []
     for i in picks:
         if i >= at:
             i += 1
-        out.append(point_from(line, (1, i) if i < q else (0, 1)))
+        out.append(ProjPoint(field, sub_row(neg(i), r0, r1) if i < q else r1))
     return out
 
 
@@ -512,11 +513,13 @@ def conway_lift_axis(pair: PerspectivePair, w: ProjPoint) -> Subspace:
     """The axis recovered by lifting and projecting: lift the second
     corresponding point pair out of x_{n+1} = 0 through w, span the two
     lifted simplexes, and project their meet back into the hyperplane
-    from w.  A vector x projects to w[-1] x - x[-1] w, whose last
-    coordinate is 0: a linear map whose kernel is w.  The first lifted
-    hyperplane misses w, else it would hold every A_i and so be
-    x_{n+1} = 0, which the lifted point is off; so the projected basis rows
-    of the meet span its projection.
+    from w.  A_2 lifts to the first point of the line w-A_2 other than w
+    and A_2 in canonical order, one of the line's points 0 and 1 without w
+    (`_line_points_but`), so the line is never listed.  A vector x
+    projects to w[-1] x - x[-1] w, whose last coordinate is 0: a linear
+    map whose kernel is w.  The first lifted hyperplane misses w, else it
+    would hold every A_i and so be x_{n+1} = 0, which the lifted point is
+    off; so the projected basis rows of the meet span its projection.
 
     The result equals axis_hyperplane(pair) in canonical form.  With w off
     the hyperplane, the lifted simplexes span distinct hyperplanes: equal
@@ -534,7 +537,7 @@ def conway_lift_axis(pair: PerspectivePair, w: ProjPoint) -> Subspace:
     a2, b2 = a_amb[1], b_amb[1]
 
     lift_line = join(w, a2)
-    a2_star = next(p for p in lift_line.points() if p != w and p != a2)
+    a2_star = next(p for p in _line_points_but(lift_line, w, (0, 1)) if p != a2)
     b2_star = meet(join(v_amb, a2_star), join(w, b2)).point()
 
     h1 = join(*([a_amb[0], a2_star] + a_amb[2:]))

@@ -37,11 +37,6 @@ class NotAHyperplane(GeometryError):
     """A hyperplane (codimension-1 subspace) was required."""
 
 
-class PointNotInSubspace(GeometryError):
-    """Tried to express a point in the internal coordinates of a subspace
-    that does not contain it."""
-
-
 # simplexes and arcs
 
 class WrongCount(GeometryError):

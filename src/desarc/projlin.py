@@ -14,12 +14,12 @@ total, with no special cases.
 A join is one rref of the stacked bases.  A meet is one rref too: the rows
 of the smaller basis are reduced modulo the other basis, and the linear
 relations among the residues give the combinations that span the meet,
-already in reduced form (see `meet`).  The row operations of `rref`, `meet`
-and the coordinate helpers are the field's row kernels `sub_row` and
-`scale_row`, and every subspace keeps the pivot columns of its basis.
-`join` and `meet` build their results from codes that are already
-canonical, so only the public `Subspace(...)` constructor and `normalize`
-coerce their input.
+already in reduced form (see `meet`).  The row operations of `rref`,
+`meet`, `_combine` and the membership test `_vector_in` are the field's row
+kernels `sub_row` and `scale_row`, and every subspace keeps the pivot
+columns of its basis.  `join` and `meet` build their results from codes
+that are already canonical, so only the public `Subspace(...)` constructor
+and `normalize` coerce their input.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .errors import (
     InvalidField,
     NotAHyperplane,
     NotNormalized,
-    PointNotInSubspace,
     ZeroVector,
 )
 from .field import GF, _is_int
@@ -212,13 +211,13 @@ class Subspace:
             raise AmbientMismatch("point lives in a different space")
         if self.is_hyperplane:
             return self.equation_value(p.coords) == 0
-        return _vector_in(self, p.coords) is not None
+        return _vector_in(self, p.coords)
 
     def contains(self, other: "Subspace") -> bool:
         common_ambient((self, other))
         if self.is_hyperplane:
             return all(self.equation_value(row) == 0 for row in other.basis)
-        return all(_vector_in(self, row) is not None for row in other.basis)
+        return all(_vector_in(self, row) for row in other.basis)
 
     def equation_value(self, vec) -> int:
         """u.vec for this hyperplane's cached dual vector u: zero exactly
@@ -360,7 +359,7 @@ def hyperplane_from_dual(field: GF, coeffs) -> Subspace:
     return Subspace(field, n, rows, _pivots=[row.index(1) for row in rows])
 
 
-# -- subspace-relative coordinates -------------------------------------------
+# -- combinations and membership --------------------------------------------
 
 def _combine(field: GF, coeffs, rows, width: int):
     """The vector sum c_i * row_i, as a list."""
@@ -372,32 +371,12 @@ def _combine(field: GF, coeffs, rows, width: int):
     return vec
 
 
-def _vector_in(h: Subspace, vec):
-    """Express a vector of <h> in the RREF basis of h; None if outside.
-    The coefficients are vec's entries in h's pivot columns, and vec lies
-    in h exactly when subtracting their combination leaves zero."""
-    c = [vec[pc] for pc in h._pivots]
+def _vector_in(h: Subspace, vec) -> bool:
+    """Whether a vector lies in <h>.  The basis of h is reduced, so vec
+    lies in h exactly when subtracting from it the combination of the rows
+    by vec's entries in h's pivot columns leaves zero."""
     sub_row = h.field.sub_row
-    for ci, row in zip(c, h.basis):
-        if ci:
-            vec = sub_row(ci, vec, row)
-    return None if any(vec) else c
-
-
-def coords_in(h: Subspace, p: ProjPoint) -> ProjPoint:
-    """Internal coordinates of a point of h, as a point of PG(dim h, q).
-
-    The map is determined by the canonical basis of h, so it is the same
-    for equal subspaces no matter how they were produced.
-    """
-    common_ambient((h, p))
-    c = _vector_in(h, p.coords)
-    if c is None:
-        raise PointNotInSubspace(f"{p} does not lie in the subspace")
-    return normalize(h.field, c)
-
-
-def point_from(h: Subspace, cpoint) -> ProjPoint:
-    """Ambient point of h with the given internal coordinates."""
-    coords = cpoint.coords if isinstance(cpoint, ProjPoint) else tuple(cpoint)
-    return normalize(h.field, _combine(h.field, coords, h.basis, h.n + 1))
+    for pc, row in zip(h._pivots, h.basis):
+        if vec[pc]:
+            vec = sub_row(vec[pc], vec, row)
+    return not any(vec)

@@ -10,7 +10,6 @@ from desarc.arcs import (
     Arc,
     face,
     frame_off_hyperplane,
-    is_arc,
     is_simplex,
     random_arc_off_hyperplane,
 )
@@ -78,7 +77,7 @@ def test_simplex_wrong_count():
 
 def test_frame_is_arc():
     pts = unit_points(F5, 3) + [pt(F5, 1, 1, 1, 1)]
-    assert is_arc(pts)
+    assert Arc(pts).points == tuple(pts)
 
 
 def test_conic_arc_in_pg2_5():
@@ -87,27 +86,47 @@ def test_conic_arc_in_pg2_5():
     for triple in combinations(pts, 3):
         assert det3_mod(triple, 5) != 0
     arc_pts = [normalize(F5, c) for c in pts]
-    assert is_arc(arc_pts)
+    Arc(arc_pts)
     assert len(arc_pts) == 6  # q + 1
 
 
 def test_collinear_triple_breaks_arc():
     pts = unit_points(F5, 2) + [pt(F5, 1, 1, 0)]
-    assert not is_arc(pts)
     with pytest.raises(NotAnArc):
         Arc(pts)
 
 
 def test_arc_too_few():
     with pytest.raises(TooFew):
-        is_arc([pt(F5, 1, 0, 0), pt(F5, 0, 1, 0)])
+        Arc([pt(F5, 1, 0, 0), pt(F5, 0, 1, 0)])
+
+
+def test_arc_needs_dimension_one():
+    # every point of PG(0, q) spans it, so the arc check cannot see a repeat
+    p = pt(F5, 1)
+    with pytest.raises(DimensionTooSmall):
+        Arc([p, p, p])
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(DimensionTooSmall):
+        random_arc_off_hyperplane(F5, 0, 3, rng)
+    assert rng.getstate() == state
+
+
+def test_random_arc_below_dimension_zero_is_rejected_before_sampling():
+    # PG(-1, q) has no point, so a sampler would draw empty vectors forever
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(DimensionTooSmall):
+        random_arc_off_hyperplane(F5, -1, 2, rng)
+    assert rng.getstate() == state
 
 
 def test_subsequences_of_arc_are_arcs():
     base = frame_off_hyperplane(F5, 3)
     pts = list(base)
     for sub in combinations(pts, 4):
-        assert is_arc(list(sub))
+        Arc(sub)
 
 
 def test_arc_subset_span_dimensions():
@@ -153,7 +172,7 @@ def test_frame_off_x1_zero():
     h = hyperplane_from_dual(F5, (1, 0, 0))
     arc = [normalize(F5, p.coords[::-1]) for p in frame_off_hyperplane(F5, 2)]
     assert len(arc) == 4
-    assert is_arc(arc)
+    Arc(arc)
     for p in arc:
         assert p.coords[0] != 0
         assert not h.contains_point(p)
@@ -167,7 +186,7 @@ def test_frame_avoids_the_last_coordinate_hyperplane(q, n):
     arc = frame_off_hyperplane(_FIELDS[q], n)
     assert isinstance(arc, Arc)
     assert len(arc) == n + 2
-    assert is_arc(list(arc))
+    Arc(arc.points)
     assert all(p.coords[-1] != 0 for p in arc)
 
 
@@ -209,7 +228,7 @@ def test_random_arc_off_hyperplane_valid_and_deterministic():
     a1 = random_arc_off_hyperplane(F5, 3, 5, random.Random(42))
     a2 = random_arc_off_hyperplane(F5, 3, 5, random.Random(42))
     assert a1 == a2
-    assert is_arc(list(a1))
+    Arc(a1.points)
     for p in a1:
         assert p.coords[-1] != 0
 

@@ -39,7 +39,6 @@ from desarc.arcs import random_arc_off_hyperplane
 from desarc.projlin import (
     ProjPoint,
     all_points,
-    coords_in,
     hyperplane_from_dual,
     join,
     meet,
@@ -229,11 +228,10 @@ def _flat_table(field, rng):
     h = hyperplane_from_dual(field, (0, 0, 0, 1))
     while True:
         arc = random_arc_off_hyperplane(field, 3, 6, rng)
-        pts = {(i + 1, j + 1): coords_in(h, meet(join(arc[i], arc[j]), h).point())
+        pts = {(i + 1, j + 1): meet(join(arc[i], arc[j]), h).point()
                for i, j in combinations(range(6), 2)}
         if len(set(pts.values())) == len(pts):
-            return LabeledConfiguration(
-                field, 3, {lab: _embedded(p) for lab, p in pts.items()})
+            return LabeledConfiguration(field, 3, pts)
 
 
 def _shared_face_table(field, rng):

@@ -45,13 +45,12 @@ from desarc.projlin import (
     ProjPoint,
     Subspace,
     all_points,
-    coords_in,
     hyperplane_from_dual,
     join,
     meet,
     normalize,
+    nullspace,
     num_points,
-    point_from,
 )
 
 F5 = GF(5)
@@ -75,6 +74,11 @@ def _last_coordinate_hyperplane(field, n):
     return hyperplane_from_dual(field, (0,) * n + (1,))
 
 
+def _in_h(point):
+    """A point of PG(n, q) as the point of x_{n+1} = 0 in PG(n+1, q)."""
+    return ProjPoint(point.field, point.coords + (0,))
+
+
 def test_section_rejects_point_on_hyperplane():
     # the standard frame of PG(3, 5) contains e0, which lies on x3 = 0
     arc = Arc([pt(F5, *(int(i == j) for j in range(4))) for i in range(4)]
@@ -92,8 +96,8 @@ def test_section_points_are_where_the_lines_meet_h(n, field):
     arc = random_arc_off_hyperplane(field, n + 1, n + 3, rng)
     config = section_arc(arc)
     for i, j in combinations(range(n + 3), 2):
-        expected = coords_in(h, meet(join(arc[i], arc[j]), h).point())
-        assert config.point(i + 1, j + 1) == expected
+        on_h = meet(join(arc[i], arc[j]), h).point()
+        assert config.point(i + 1, j + 1) == ProjPoint(field, on_h.coords[:-1])
 
 
 def test_section_wrong_arc_size():
@@ -185,12 +189,11 @@ def test_pair_rejects_shared_face():
 
 def test_simplex_with_vertex_is_a_frame():
     # each simplex of a pair, augmented by the vertex, is an (n+2)-point arc
-    from desarc.arcs import is_arc
     for n, q in [(2, 5), (3, 3), (4, 5)]:
         config = sectioned_config(n, GF(q))
         pair, vertex = extract_perspective_pair(config, 1, 2)
-        assert is_arc(list(pair.a) + [vertex])
-        assert is_arc(list(pair.b) + [vertex])
+        Arc(pair.a + (vertex,))
+        Arc(pair.b + (vertex,))
 
 
 def test_vertex_equals_label_point():
@@ -609,13 +612,13 @@ def _reference_lift(pair, vertex, rng=None):
     from every point off h = {x_{n+1} = 0}, and points 1, 2 the sample from
     the points of the anchor's line through the vertex that lie off h."""
     h = _last_coordinate_hyperplane(pair.field, pair.n + 1)
-    v = point_from(h, vertex)
+    v = _in_h(vertex)
     line = [p for p in join(v, _anchor_from_list(h, rng)).points()
             if not h.contains_point(p)]
     p1, p2 = line[:2] if rng is None else rng.sample(line, 2)
     pts = [p1, p2]
     for a, b in zip(pair.a, pair.b):
-        pts.append(meet(join(p1, point_from(h, a)), join(p2, point_from(h, b))).point())
+        pts.append(meet(join(p1, _in_h(a)), join(p2, _in_h(b))).point())
     return pts
 
 
@@ -633,7 +636,9 @@ def test_lift_matches_the_list_based_reference(n, field):
             assert list(got) == _reference_lift(pair, vertex, random.Random(seed))
 
 
-def test_lift_lists_no_line_at_4096(monkeypatch):
+def _pair_at_4096_and_walked_points(monkeypatch):
+    """A seeded pair of PG(3, 4096) with its vertex, and the list that
+    collects every point `Subspace.points` yields from then on."""
     f = GF(2, 12, (1, 1, 0, 0, 1, 0, 1, 0, 0, 0, 0, 0, 1))
     pair, vertex = random_perspective_pair(3, f, random.Random(1))
     walked = []
@@ -645,9 +650,77 @@ def test_lift_lists_no_line_at_4096(monkeypatch):
             yield p
 
     monkeypatch.setattr(Subspace, "points", counted)
+    return pair, vertex, walked
+
+
+def test_lift_lists_no_line_at_4096(monkeypatch):
+    pair, vertex, walked = _pair_at_4096_and_walked_points(monkeypatch)
     for rng in (None, random.Random(1), random.Random(2)):
         _round_trip(pair, vertex, rng)
-    assert len(walked) <= 4
+    assert len(walked) == 0
+
+
+def test_pair_battery_lists_no_line_at_4096(monkeypatch):
+    # the Conway lift reads its lifted point from the line's reduced rows
+    from desarc.cli import _pair_battery
+    pair, vertex, walked = _pair_at_4096_and_walked_points(monkeypatch)
+    checks = _pair_battery(pair, vertex)
+    assert [name for name, ok, _ in checks if not ok] == []
+    assert len(walked) == 0
+
+
+def _random_line(field, n, p0, p1, rng):
+    """A line of PG(n, q) from random reduced rows with pivots p0 < p1."""
+    r0 = [0] * (n + 1)
+    r1 = [0] * (n + 1)
+    r0[p0] = r1[p1] = 1
+    for c in range(p0 + 1, n + 1):
+        if c != p1:
+            r0[c] = rng.randrange(field.q)
+        if c > p1:
+            r1[c] = rng.randrange(field.q)
+    line = Subspace(field, n, [r0, r1])
+    assert line.basis == (tuple(r0), tuple(r1)) and line._pivots == (p0, p1)
+    return line
+
+
+@pytest.mark.parametrize("field", [GF(2, 2), F5, GF(7), GF(3, 2)], ids=str)
+def test_line_points_are_read_from_the_reduced_rows(field):
+    # every pivot pair of PG(3, q) and every point v of each line, r1 (the
+    # point q of the canonical order) among them: the q points other than v
+    # are the canonical list without v
+    from desarc.desargues import _line_points_but
+    rng = random.Random(field.q)
+    q = field.q
+    for p0, p1 in combinations(range(4), 2):
+        for _ in range(3):
+            line = _random_line(field, 3, p0, p1, rng)
+            canonical = list(line.points())
+            assert len(canonical) == q + 1 and canonical[q].coords == line.basis[1]
+            for v in canonical:
+                assert _line_points_but(line, v, range(q)) == [
+                    p for p in canonical if p != v]
+
+
+@pytest.mark.parametrize("n,field", [(3, F5), (4, GF(3)), (2, GF(3, 2))], ids=str)
+def test_tspace_meets_are_the_closed_form_on_every_normal_form(n, field):
+    # for |I| = t+1 <= n, span(A_I) = {x_j = 0 : j not in I} meets span(B_I)
+    # in the points with sum over I of s_i x_i = 0: sum c_i B_i lies in
+    # span(A_I) exactly when sum c_i s_i = 0, and is then sum c_i e_i
+    unit = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    cases = 0
+    for s in normal_forms(n, field):
+        pair, _ = normal_form_pair(n, field, s)
+        for t in range(1, n):
+            got = tspace_intersections(pair, t)
+            idx_sets = list(combinations(range(n + 1), t + 1))
+            assert len(got) == len(idx_sets)
+            for x, idxs in zip(got, idx_sets):
+                eqs = [unit[j] for j in range(n + 1) if j not in idxs]
+                eqs.append([s[i] if i in idxs else 0 for i in range(n + 1)])
+                assert x == Subspace(field, n, nullspace(field, eqs, n + 1))
+                cases += 1
+    assert cases == {3: 2050, 4: 525, 2: 1365}[n]
 
 
 def test_lift_rejects_vertex_on_face():
