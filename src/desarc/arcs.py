@@ -19,9 +19,7 @@ from .errors import (
 from .field import GF
 from .projlin import (
     ProjPoint,
-    Subspace,
     common_ambient,
-    join,
     normalize,
     rank,
 )
@@ -43,13 +41,6 @@ def _arc_violation(field, n, points):
         if rank(field, [coords[i] for i in idxs], n + 1) != n + 1:
             return idxs
     return None
-
-
-def face(points, k: int) -> Subspace:
-    """Face k of a simplex: the hyperplane spanned by every point except
-    the one at index k."""
-    pts = list(points)
-    return join(*(p for i, p in enumerate(pts) if i != k))
 
 
 class Arc:

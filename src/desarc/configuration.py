@@ -12,9 +12,13 @@ down, with
     C(n+1, 2) = 2(n-1) + 1 + C(n-1, 2).
 
 Every check reads the geometry through `LabeledConfiguration.span`, one
-span per symbol set.  At a vertex label (a, b) with remaining symbols R,
-the edge A_iA_j is span{a,i,j}, the connector A_iB_i is span{a,b,i}, and
-face k of A is span({a} | R - {k}).  The vertex sweep passes (a, b) iff
+span per symbol set.  Each is grown from the span without its last symbol
+l by the labels of l that no symbol triple already places: (f, l) for the
+first symbol f, and (j, l) only where span{f, j, l} is no line (see
+`LabeledConfiguration._added`).  At a vertex label (a, b) with remaining
+symbols R, the edge A_iA_j is span{a,i,j}, the connector A_iB_i is
+span{a,b,i}, and face k of A is span({a} | R - {k}).  The vertex sweep
+passes (a, b) iff
 
   1. span{a,b,i} is a line for every i in R;
   2. for i < j in R, span{a,i,j} and span{b,i,j} are distinct lines;

@@ -100,20 +100,33 @@ class LabeledConfiguration:
 
     def span(self, symbols) -> Subspace:
         """The join of the points labeled by pairs of the symbols, kept per
-        symbol set and built from the span without the last symbol.  The
-        vertex sweep reads only these: (a, b) with the other symbols R
-        passes iff (1) each span{a,b,i} is a line, (2) span{a,i,j} and
-        span{b,i,j} are distinct lines, (3) span({a} | R) and span({b} | R)
-        have dimension n, and (4) span({a} | R - {k}) != span({b} | R - {k}).
-        No meet is needed, as two distinct lines through (i, j) meet there;
-        the configuration module gives the whole argument."""
+        symbol set and built from the span without the last symbol and the
+        labels that symbol adds (`_added`), which skip every label a
+        symbol triple already places.  The vertex sweep reads only these:
+        (a, b) with the other symbols R passes iff (1) each span{a,b,i} is
+        a line, (2) span{a,i,j} and span{b,i,j} are distinct lines, (3)
+        span({a} | R) and span({b} | R) have dimension n, and (4)
+        span({a} | R - {k}) != span({b} | R - {k}).  No meet is needed, as
+        two distinct lines through (i, j) meet there; the configuration
+        module gives the whole argument."""
         return _prefix_span(self._spans, tuple(sorted(symbols)), self._added)
 
     def _added(self, key):
-        """The points the last symbol of a span key adds: its labels with
-        the symbols before it."""
-        last = key[-1]
-        return [self.point(i, last) for i in key[:-1]]
+        """The points the last symbol l of a span key adds to the span of
+        the symbols before it, with f the first: (f, l), and (j, l) for
+        each symbol j between f and l whose triple span{f, j, l}, a
+        proper sub-key kept in the same map, is no line.  The rule holds
+        on every table, with no check to pass first.  If span{f, j, l} is
+        a line, it is the line through (f, j) and (f, l), which the
+        constructor makes two distinct points; (f, j) is in the span
+        before l and (f, l) is added, so (j, l) is in the join already.  A
+        key of at most three symbols has no proper triple, so there l adds
+        all its labels."""
+        f, l = key[0], key[-1]
+        if len(key) <= 3:
+            return [self.point(i, l) for i in key[:-1]]
+        return [self.point(f, l)] + [self.point(j, l) for j in key[1:-1]
+                                     if self.span((f, j, l)).dim != 1]
 
     def point(self, i: int, j: int) -> ProjPoint:
         try:
@@ -166,8 +179,8 @@ class PerspectivePair:
     Every check on the pair computes each of its objects once.  `span_a`
     and `span_b` keep the span of the points at each ascending index tuple;
     each is joined from the span of the tuple without its last index and
-    that index's point by `_prefix_span`, the rule of
-    `LabeledConfiguration.span`.  The faces are read from these spans.
+    that index's point by `_prefix_span`, which grows the spans of
+    `LabeledConfiguration.span` too.  The faces are read from these spans.
     `_meets` keeps the meet of the two spans per index tuple (see
     `_subset_meet`), and `_axis` keeps the axis hyperplane once it is
     found.
@@ -235,8 +248,9 @@ def _face_keys(n: int):
 def _prefix_span(spans, key, added) -> Subspace:
     """spans[key] for an ascending key, the one span rule of configurations
     and pairs: the join of the span of key[:-1] and the points added(key)
-    that key[-1] adds, kept in spans, which holds the empty key's span.  A
-    key whose last entry adds no point reuses its prefix's span."""
+    that key[-1] adds, kept in spans, which holds the empty key's span.
+    The join extends the prefix's reduced basis.  A key whose last entry
+    adds no point reuses its prefix's span."""
     found = spans.get(key)
     if found is None:
         found = _prefix_span(spans, key[:-1], added)

@@ -11,19 +11,25 @@ formula
 
 total, with no special cases.
 
-A join is one rref of the stacked bases.  A meet is one rref too: the rows
-of the smaller basis are reduced modulo the other basis, and the linear
-relations among the residues give the combinations that span the meet,
-already in reduced form (see `meet`).  The row operations of `rref`,
-`meet`, `_combine` and the membership test `_vector_in` are the field's row
-kernels `sub_row` and `scale_row`, and every subspace keeps the pivot
-columns of its basis.  `join` and `meet` build their results from codes
-that are already canonical, so only the public `Subspace(...)` constructor
-and `normalize` coerce their input.
+A join of loose points is one rref of the stacked rows.  A join whose
+first part is a subspace extends that part's reduced basis instead: each
+new row is reduced against the pivot rows only, and what is left becomes
+one more pivot row (see `_extend`), so a span grown from its prefix never
+reduces the prefix's rows again.  A meet is one rref: the rows of the
+smaller basis are reduced modulo the other basis, and the linear relations
+among the residues give the combinations that span the meet, already in
+reduced form (see `meet`).  `_residue` is the one reduction of a row
+against a reduced basis, shared by `_extend`, `meet` and the membership
+test `_vector_in`.  Their row operations, and those of `rref` and
+`_combine`, are the field's row kernels `sub_row` and `scale_row`, and
+every subspace keeps the pivot columns of its basis.  `join` and `meet`
+build their results from codes that are already canonical, so only the
+public `Subspace(...)` constructor and `normalize` coerce their input.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from itertools import product
 
 from .errors import (
@@ -284,17 +290,50 @@ def _span(field: GF, n: int, rows) -> Subspace:
 
 
 def join(*parts) -> Subspace:
-    """Smallest subspace containing every part (points and subspaces mix)."""
+    """Smallest subspace containing every part (points and subspaces mix).
+
+    A first part that is a subspace is already reduced, so the rows of the
+    other parts extend its basis one at a time (`_extend`); otherwise the
+    stacked rows go through one rref."""
     field, n = common_ambient(parts)
+    first = parts[0]
+    extend = isinstance(first, Subspace)
     rows = []
-    for part in parts:
+    for part in parts[1:] if extend else parts:
         if isinstance(part, ProjPoint):
             rows.append(part.coords)
         elif isinstance(part, Subspace):
             rows.extend(part.basis)
         else:
             raise TypeError(f"cannot join {type(part).__name__}")
-    return _span(field, n, rows)
+    return _extend(first, rows) if extend else _span(field, n, rows)
+
+
+def _extend(s: Subspace, rows) -> Subspace:
+    """The span of s and the rows, grown from s's reduced basis with no
+    second rref.  Each row is reduced against the pivot rows so far
+    (`_residue`).  A nonzero residue is 0 in every pivot column; scaled to
+    lead with 1 at its first nonzero column c, it is cleared from the old
+    rows at c and inserted in pivot order.  An old row with its pivot
+    after c is 0 at c, and one with its pivot before c changes only from c
+    on, so every row keeps its leading 1 and the basis stays reduced."""
+    field = s.field
+    sub_row, scale_row, inv = field.sub_row, field.scale_row, field.inv
+    basis, pivots = list(s.basis), list(s._pivots)
+    for vec in rows:
+        res = _residue(field, basis, pivots, vec)
+        for c, x in enumerate(res):
+            if x:
+                break
+        else:
+            continue  # vec is in the span already
+        if x != 1:
+            res = scale_row(inv(x), res)
+        basis = [sub_row(row[c], row, res) if row[c] else row for row in basis]
+        at = bisect(pivots, c)
+        pivots.insert(at, c)
+        basis.insert(at, res)
+    return Subspace(field, s.n, [tuple(row) for row in basis], _pivots=pivots)
 
 
 def meet(s1: Subspace, s2: Subspace) -> Subspace:
@@ -327,10 +366,7 @@ def meet(s1: Subspace, s2: Subspace) -> Subspace:
     w_free = [c for c in range(n + 1) if c not in w._pivots]
     cols = []  # cols[r-1-i] = residue of u_i on W's free columns
     for urow in reversed(u.basis):
-        res = urow
-        for p, wrow in zip(w._pivots, w.basis):
-            if urow[p]:
-                res = sub_row(urow[p], res, wrow)
+        res = _residue(field, w.basis, w._pivots, urow)
         cols.append([res[c] for c in w_free])
     reduced, pivots = rref(field, zip(*cols), r)
     pivot_set = set(pivots)
@@ -348,17 +384,6 @@ def meet(s1: Subspace, s2: Subspace) -> Subspace:
     return Subspace(field, n, basis, _pivots=leads)
 
 
-def hyperplane_from_dual(field: GF, coeffs) -> Subspace:
-    """The hyperplane of all points x with coeffs . x = 0."""
-    coeffs = _coerce_coords(field, coeffs)
-    if not any(coeffs):
-        raise ZeroVector("hyperplane coefficients cannot all be zero")
-    n = len(coeffs) - 1
-    rows = nullspace(field, [coeffs], n + 1)
-    # a reduced row has only zeros before its leading 1
-    return Subspace(field, n, rows, _pivots=[row.index(1) for row in rows])
-
-
 # -- combinations and membership --------------------------------------------
 
 def _combine(field: GF, coeffs, rows, width: int):
@@ -371,12 +396,19 @@ def _combine(field: GF, coeffs, rows, width: int):
     return vec
 
 
-def _vector_in(h: Subspace, vec) -> bool:
-    """Whether a vector lies in <h>.  The basis of h is reduced, so vec
-    lies in h exactly when subtracting from it the combination of the rows
-    by vec's entries in h's pivot columns leaves zero."""
-    sub_row = h.field.sub_row
-    for pc, row in zip(h._pivots, h.basis):
+def _residue(field: GF, basis, pivots, vec):
+    """vec minus the combination of the reduced rows by vec's entries in
+    their pivot columns: 0 in every pivot column, and 0 exactly when vec
+    lies in the rows' span.  Each row is 0 in the other rows' pivot
+    columns, so one pass clears them all."""
+    sub_row = field.sub_row
+    for pc, row in zip(pivots, basis):
         if vec[pc]:
             vec = sub_row(vec[pc], vec, row)
-    return not any(vec)
+    return vec
+
+
+def _vector_in(h: Subspace, vec) -> bool:
+    """Whether a vector lies in <h>: whether its residue modulo h's
+    reduced basis is zero."""
+    return not any(_residue(h.field, h.basis, h._pivots, vec))

@@ -8,7 +8,6 @@ import pytest
 
 from desarc.arcs import (
     Arc,
-    face,
     frame_off_hyperplane,
     is_simplex,
     random_arc_off_hyperplane,
@@ -23,10 +22,11 @@ from desarc.errors import (
 from desarc.field import GF
 from desarc.projlin import (
     ProjPoint,
-    hyperplane_from_dual,
     join,
     normalize,
 )
+
+from support import face, hyperplane_from_dual
 
 F5 = GF(5)
 

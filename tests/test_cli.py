@@ -26,6 +26,8 @@ from desarc.errors import EdgesDisjoint, GeometryError, NoCommonVertex
 from desarc.field import GF
 from desarc.projlin import all_points
 
+from support import perturbed_section, random_points_table
+
 
 @pytest.fixture
 def runner():
@@ -351,6 +353,87 @@ def test_out_files_are_the_recorded_bytes(runner, tmp_path, n, p, k):
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest()
                for name, path in files.items()}
     assert digests == _GOLDEN[(n, p, k)]
+
+
+_CHECKS = ("symbol_incidence", "substructure_counts", "vertex_sweep",
+           "triple_perspective_axis", "vertex_concurrence",
+           "edge_intersections_distinct", "edge_intersections_disjoint",
+           "axis_is_hyperplane", "axis_carries_intersections", "tspace_meets",
+           "face_meets_in_axis", "lift_project_axis", "lift_section_round_trip")
+
+
+def _failed_lines(sweep, edges, lift):
+    skew = f"(EdgesDisjoint: edges {edges} are skew)"
+    return [f"FAIL  {name}" for name in _CHECKS[:2]] + [
+        f"FAIL  vertex_sweep  ({sweep})",
+        "FAIL  triple_perspective_axis  "
+        "(DegenerateConfiguration: the three vertices are not collinear)",
+        *(f"FAIL  {name}  {skew}" for name in _CHECKS[4:-1]),
+        f"FAIL  lift_section_round_trip  ({lift})"]
+
+
+# exit code, sha256 of the verify --out report and its stderr lines, recorded
+# when each span still joined every label its last symbol adds
+_VERIFY_GOLDEN = {
+    "seeded-8-11": (0, "660a79c0a581a2b0cfb1b689c6dc09d77b2fde3c2550d2a8a3c6f2bc629d6541",
+                    [f"PASS  {name}" for name in _CHECKS]),
+    "canonical-6-11": (0, "660a79c0a581a2b0cfb1b689c6dc09d77b2fde3c2550d2a8a3c6f2bc629d6541",
+                       [f"PASS  {name}" for name in _CHECKS]),
+    "perturbed-4-7": (1, "8e48e68010790f4863a49eb445790b98ab25f22c77bccd647956f71652093edb",
+                      _failed_lines("21 of 21 labels fail, first (1, 2): "
+                                    "connector (1, 2, 3) is not a line", "0,1",
+                                    "NoCommonVertex: connector line 0 misses the given vertex")),
+    "random-3-5": (1, "3b83b60df5bc0154982bbfcdddd59f83e8cc4afba57b1214392aeee563f6bad5",
+                   _failed_lines("15 of 15 labels fail, first (1, 2): "
+                                 "connector (1, 2, 3) is not a line", "0,2",
+                                 "SharedFace: the vertex lies on a face of one of "
+                                 "the simplexes")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_VERIFY_GOLDEN))
+def test_verify_reports_are_the_recorded_bytes(runner, tmp_path, name):
+    # a seeded demo and the canonical one of the benchmark's enumerate
+    # workload pass; the perturbed section and a table of random points fail
+    cfg, report = tmp_path / "config.json", tmp_path / "verify.json"
+    tables = {"perturbed-4-7": perturbed_section,
+              "random-3-5": lambda: random_points_table(3, GF(5), random.Random(1))}
+    if name in tables:
+        cfg.write_text(gio.dumps(gio.config_to_json(tables[name]())))
+    else:
+        n, p = name.split("-")[1:]
+        seed = ["--seed", "5"] if name.startswith("seeded") else []
+        result = runner.invoke(main, ["demo", "--n", n, "--p", p, *seed, "--out", str(cfg)])
+        assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["verify", str(cfg), "--out", str(report)])
+    code, digest, lines = _VERIFY_GOLDEN[name]
+    assert result.exit_code == code
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+    assert result.stderr.splitlines() == lines
+
+
+def test_verify_of_a_seeded_config_stays_within_its_work(monkeypatch):
+    # each span joins only the labels no symbol triple places, and extends
+    # its prefix's reduced basis; joining every label with one rref each
+    # took 3,671 rref and 64,508 sub_row calls here
+    from desarc import cli, projlin
+    field = GF(11)
+    config = sectioned_config(8, field, random.Random(5))
+    calls = {"rref": 0, "sub_row": 0}
+    real_rref, real_sub_row = projlin.rref, field.sub_row
+
+    def rref(*args):
+        calls["rref"] += 1
+        return real_rref(*args)
+
+    def sub_row(*args):
+        calls["sub_row"] += 1
+        return real_sub_row(*args)
+
+    monkeypatch.setattr(projlin, "rref", rref)
+    object.__setattr__(field, "sub_row", sub_row)
+    assert all(ok for _, ok, _ in cli._verify_config(config))
+    assert calls["rref"] <= 650 and calls["sub_row"] <= 29000, calls
 
 
 def test_enumerate_sectioned_configs_n1(runner):

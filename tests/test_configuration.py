@@ -39,11 +39,12 @@ from desarc.arcs import random_arc_off_hyperplane
 from desarc.projlin import (
     ProjPoint,
     all_points,
-    hyperplane_from_dual,
     join,
     meet,
     rank,
 )
+
+from support import hyperplane_from_dual, perturbed_section, random_points_table
 
 F5 = GF(5)
 
@@ -149,6 +150,36 @@ def test_counts_match_all_pairs_join_on_a_corrupted_table():
     assert counts != substructure_counts(config)
 
 
+# -- spans -----------------------------------------------------------------------------
+
+def _span_oracle_tables():
+    rng = random.Random(4)
+    tables = {
+        # every symbol triple spans a line
+        "section-2-5": sectioned_config(2, F5),
+        "section-3-5": sectioned_config(3, F5, rng),
+        "section-4-7": sectioned_config(4, GF(7), rng),
+        "section-8-11": sectioned_config(8, GF(11), random.Random(5)),
+        # triples that are lines only by chance
+        "random-3-5": random_points_table(3, F5, rng),
+        "random-4-7": random_points_table(4, GF(7), rng),
+        # the triples {1, 3, k} span planes, the others lines
+        "perturbed-4-7": perturbed_section(),
+    }
+    return [pytest.param(config, id=name) for name, config in tables.items()]
+
+
+@pytest.mark.parametrize("config", _span_oracle_tables())
+def test_spans_are_the_join_of_every_label(config):
+    # one join of every label point of S, largest S first, so the triple
+    # spans the rule reads are built inside the first large spans
+    for k in range(min(6, len(config.symbols)), 1, -1):
+        for subset in combinations(config.symbols, k):
+            expected = join(*(config.point(i, j) for i, j in combinations(subset, 2)))
+            assert config.span(subset) == expected, subset
+    assert config.span(config.symbols[:1]).dim == -1
+
+
 # -- vertex sweep ----------------------------------------------------------------------
 
 @pytest.mark.parametrize("n,q", [(2, 5), (3, 3), (3, 5), (4, 3)])
@@ -207,13 +238,6 @@ def _swapped(config, lab1, lab2):
     table = dict(config.table)
     table[lab1], table[lab2] = table[lab2], table[lab1]
     return LabeledConfiguration(config.field, config.n, table)
-
-
-def _random_table(n, field, rng):
-    symbols = range(1, n + 4)
-    labels = list(combinations(symbols, 2))
-    pts = rng.sample(list(all_points(field, n)), len(labels))
-    return LabeledConfiguration(field, n, dict(zip(labels, pts)))
 
 
 def _embedded(point):
@@ -307,8 +331,8 @@ def _sweep_cases():
                  _swapped(valid[2], (1, 5), (2, 7)),
                  _moved_along_triple_line(sectioned_config(3, F5), (1, 2), 3),
                  _moved_along_triple_line(valid[6], (2, 4), 5),
-                 _random_table(2, F5, rng), _random_table(3, GF(3), rng),
-                 _random_table(2, GF(2, 2), rng),
+                 random_points_table(2, F5, rng), random_points_table(3, GF(3), rng),
+                 random_points_table(2, GF(2, 2), rng),
                  _flat_table(GF(7), rng), _shared_face_table(GF(7), rng),
                  _coincident_edges_table(GF(7), rng),
                  _not_concurrent_table(GF(7), rng)]
@@ -390,7 +414,7 @@ def test_sweep_partition_geometric():
 def test_vertex_partition_is_false_on_a_random_table(monkeypatch):
     # at (1, 2) and (1, 3) two edges of the pair are skew (EdgesDisjoint),
     # at (1, 4) a side is no simplex (NotASimplex); the check says False
-    table = _random_table(3, F5, random.Random(1))
+    table = random_points_table(3, F5, random.Random(1))
     assert [verify_vertex_partition(table, a, b) for a, b in table.labels()] == [False] * 15
     assert not any(e.ok for e in vertex_sweep(table).entries)
     config = sectioned_config(3, F5)

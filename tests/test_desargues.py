@@ -7,7 +7,7 @@ from math import comb
 
 import pytest
 
-from desarc.arcs import Arc, face, frame_off_hyperplane, random_arc_off_hyperplane
+from desarc.arcs import Arc, frame_off_hyperplane, random_arc_off_hyperplane
 from desarc.desargues import (
     LabeledConfiguration,
     PerspectivePair,
@@ -45,13 +45,14 @@ from desarc.projlin import (
     ProjPoint,
     Subspace,
     all_points,
-    hyperplane_from_dual,
     join,
     meet,
     normalize,
     nullspace,
     num_points,
 )
+
+from support import face, hyperplane_from_dual
 
 F5 = GF(5)
 

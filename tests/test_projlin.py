@@ -18,7 +18,6 @@ from desarc.projlin import (
     ProjPoint,
     Subspace,
     all_points,
-    hyperplane_from_dual,
     join,
     meet,
     normalize,
@@ -27,6 +26,8 @@ from desarc.projlin import (
     rank,
     rref,
 )
+
+from support import hyperplane_from_dual
 
 F5 = GF(5)
 
@@ -49,8 +50,6 @@ def test_constructors_take_int_coordinates_only():
         normalize(F5, [1.7, 0, True])
     with pytest.raises(InvalidField):
         Subspace(F5, 2, [[2.9, 0, 0]])
-    with pytest.raises(InvalidField):
-        hyperplane_from_dual(F5, [0, 0, "3"])
 
 
 @pytest.mark.parametrize("field,coords", [
@@ -165,6 +164,11 @@ def test_dimension_formula_randomized(q, n):
         f = _random_subspace(field, n, rng)
         assert join(e, f).dim + meet(e, f).dim == e.dim + f.dim
         assert join(e, f) == join(f, e)
+        # join extends e's reduced basis; the public constructor rrefs the
+        # stacked rows
+        joined = join(e, f)
+        assert joined == Subspace(field, n, e.basis + f.basis)
+        assert joined._pivots == _leads(joined)
         assert meet(e, f) == meet(f, e)
 
 
