@@ -31,14 +31,14 @@ def is_simplex(points) -> bool:
     points = list(points)
     if len(points) != n + 1:
         raise WrongCount(f"a simplex of PG({n}) needs {n + 1} points, got {len(points)}")
-    return rank(field, [p.coords for p in points], n + 1) == n + 1
+    return rank(field, [p.coords for p in points]) == n + 1
 
 
 def _arc_violation(field, n, points):
     """First (n+1)-subset of the points that fails to span, or None."""
     coords = [p.coords for p in points]
     for idxs in combinations(range(len(points)), n + 1):
-        if rank(field, [coords[i] for i in idxs], n + 1) != n + 1:
+        if rank(field, [coords[i] for i in idxs]) != n + 1:
             return idxs
     return None
 
@@ -129,10 +129,10 @@ _MAX_TRIES = 10000
 def _extends_arc(field, n, prefix_coords, cand) -> bool:
     r = len(prefix_coords)
     if r <= n:
-        return rank(field, prefix_coords + [cand], n + 1) == r + 1
+        return rank(field, prefix_coords + [cand]) == r + 1
     for idxs in combinations(range(r), n):
         rows = [prefix_coords[i] for i in idxs] + [cand]
-        if rank(field, rows, n + 1) != n + 1:
+        if rank(field, rows) != n + 1:
             return False
     return True
 

@@ -75,7 +75,7 @@ class SemiSimplexPair:
             raise WrongCount("the semi-simplexes must be equal-sized and nonempty")
         field, n = c[0].field, c[0].n
         for side in (c, d):
-            if rank(field, [p.coords for p in side], n + 1) != len(side):
+            if rank(field, [p.coords for p in side]) != len(side):
                 raise DegenerateConfiguration(
                     "a semi-simplex must span a space of one less dimension")
         object.__setattr__(self, "field", field)

@@ -11,20 +11,23 @@ formula
 
 total, with no special cases.
 
-A join of loose points is one rref of the stacked rows.  A join whose
-first part is a subspace extends that part's reduced basis instead: each
-new row is reduced against the pivot rows only, and what is left becomes
-one more pivot row (see `_extend`), so a span grown from its prefix never
-reduces the prefix's rows again.  A meet is one rref: the rows of the
-smaller basis are reduced modulo the other basis, and the linear relations
-among the residues give the combinations that span the meet, already in
-reduced form (see `meet`).  `_residue` is the one reduction of a row
-against a reduced basis, shared by `_extend`, `meet` and the membership
-test `_vector_in`.  Their row operations, and those of `rref` and
+There is one row reduction, `_extend`: it grows a reduced basis one row
+at a time.  Each new row is reduced against the pivot rows only, and what
+is left becomes one more pivot row.  `rref` runs it from the empty basis,
+and `rank`, `nullspace`, the `Subspace(...)` constructor and `meet` call
+`rref`.  `join` runs it from the first part's basis when that part is a
+subspace, so a span grown from its prefix never reduces the prefix's rows
+again, and from the empty basis otherwise.  A meet is one rref: the rows
+of the smaller basis are reduced modulo the other basis, and the linear
+relations among the residues give the combinations that span the meet,
+already in reduced form (see `meet`).  `_residue` is the one reduction of
+a row against a reduced basis, shared by `_extend`, `meet` and the
+membership test `_vector_in`.  Their row operations, and those of
 `_combine`, are the field's row kernels `sub_row` and `scale_row`, and
 every subspace keeps the pivot columns of its basis.  `join` and `meet`
 build their results from codes that are already canonical, so only the
-public `Subspace(...)` constructor and `normalize` coerce their input.
+public `Subspace(...)` constructor and `normalize` coerce their input; the
+constructor takes rows of n+1 coordinates only.
 """
 
 from __future__ import annotations
@@ -44,46 +47,20 @@ from .field import GF, _is_int
 
 # -- row reduction ----------------------------------------------------------
 
-def rref(field: GF, rows, width: int):
+def rref(field: GF, rows):
     """Reduced row echelon form. Returns (rows, pivot_columns) with zero
     rows dropped; the output rows are tuples and canonical for the span.
-    Row operations are the field's own kernels, and each makes a new row,
-    so the input rows are never modified."""
-    sub_row, scale_row, inv = field.sub_row, field.scale_row, field.inv
-    mat = list(rows)
-    pivots = []
-    r = 0
-    for c in range(width):
-        pr = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        if pv != 1:
-            mat[r] = scale_row(inv(pv), mat[r])
-        row_r = mat[r]
-        for i, row in enumerate(mat):
-            f = row[c]
-            if f and i != r:
-                mat[i] = sub_row(f, row, row_r)
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return [tuple(row) for row in mat[:r]], pivots
+    The basis grows from the empty one, one row at a time (`_extend`)."""
+    return _extend(field, (), (), rows)
 
 
-def rank(field: GF, rows, width: int) -> int:
-    return len(rref(field, rows, width)[0])
+def rank(field: GF, rows) -> int:
+    return len(rref(field, rows)[0])
 
 
 def nullspace(field: GF, rows, width: int):
     """Canonical (RREF) basis of {x : M x = 0} for the row matrix M."""
-    reduced, pivots = rref(field, rows, width)
+    reduced, pivots = rref(field, rows)
     pivot_set = set(pivots)
     free = [c for c in range(width) if c not in pivot_set]
     neg = field.neg
@@ -94,7 +71,7 @@ def nullspace(field: GF, rows, width: int):
         for i, pc in enumerate(pivots):
             v[pc] = neg(reduced[i][f])
         basis.append(v)
-    return rref(field, basis, width)[0]
+    return rref(field, basis)[0]
 
 
 # -- points -------------------------------------------------------------------
@@ -189,8 +166,12 @@ class Subspace:
 
     def __init__(self, field: GF, n: int, rows, *, _pivots=None):
         if _pivots is None:
-            rows, _pivots = rref(field, [_coerce_coords(field, r) for r in rows],
-                                 n + 1)
+            rows = [_coerce_coords(field, r) for r in rows]
+            for r in rows:
+                if len(r) != n + 1:
+                    raise AmbientMismatch(
+                        f"a row of {len(r)} coordinates is no vector of PG({n})")
+            rows, _pivots = rref(field, rows)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "basis", tuple(rows))
@@ -282,44 +263,41 @@ def common_ambient(objs):
     return field, n
 
 
-def _span(field: GF, n: int, rows) -> Subspace:
-    """Span of rows whose entries are already canonical codes: one rref,
-    no coercion."""
-    basis, pivots = rref(field, rows, n + 1)
-    return Subspace(field, n, basis, _pivots=pivots)
-
-
 def join(*parts) -> Subspace:
     """Smallest subspace containing every part (points and subspaces mix).
 
-    A first part that is a subspace is already reduced, so the rows of the
-    other parts extend its basis one at a time (`_extend`); otherwise the
-    stacked rows go through one rref."""
+    The rows of the parts extend a reduced basis one at a time
+    (`_extend`): the first part's basis when it is a subspace, and the
+    empty basis otherwise."""
     field, n = common_ambient(parts)
     first = parts[0]
-    extend = isinstance(first, Subspace)
+    basis = pivots = ()
+    if isinstance(first, Subspace):
+        basis, pivots, parts = first.basis, first._pivots, parts[1:]
     rows = []
-    for part in parts[1:] if extend else parts:
+    for part in parts:
         if isinstance(part, ProjPoint):
             rows.append(part.coords)
         elif isinstance(part, Subspace):
             rows.extend(part.basis)
         else:
             raise TypeError(f"cannot join {type(part).__name__}")
-    return _extend(first, rows) if extend else _span(field, n, rows)
+    basis, pivots = _extend(field, basis, pivots, rows)
+    return Subspace(field, n, basis, _pivots=pivots)
 
 
-def _extend(s: Subspace, rows) -> Subspace:
-    """The span of s and the rows, grown from s's reduced basis with no
-    second rref.  Each row is reduced against the pivot rows so far
+def _extend(field: GF, basis, pivots, rows):
+    """The reduced basis of the span of a reduced basis and the rows, with
+    its pivot columns: the one row reduction, which `rref` runs from the
+    empty basis.  Each row is reduced against the pivot rows so far
     (`_residue`).  A nonzero residue is 0 in every pivot column; scaled to
     lead with 1 at its first nonzero column c, it is cleared from the old
     rows at c and inserted in pivot order.  An old row with its pivot
     after c is 0 at c, and one with its pivot before c changes only from c
-    on, so every row keeps its leading 1 and the basis stays reduced."""
-    field = s.field
+    on, so every row keeps its leading 1 and the basis stays reduced.  Each
+    row operation makes a new row, so the input rows are never modified."""
     sub_row, scale_row, inv = field.sub_row, field.scale_row, field.inv
-    basis, pivots = list(s.basis), list(s._pivots)
+    basis, pivots = list(basis), list(pivots)
     for vec in rows:
         res = _residue(field, basis, pivots, vec)
         for c, x in enumerate(res):
@@ -333,7 +311,7 @@ def _extend(s: Subspace, rows) -> Subspace:
         at = bisect(pivots, c)
         pivots.insert(at, c)
         basis.insert(at, res)
-    return Subspace(field, s.n, [tuple(row) for row in basis], _pivots=pivots)
+    return [tuple(row) for row in basis], pivots
 
 
 def meet(s1: Subspace, s2: Subspace) -> Subspace:
@@ -368,7 +346,7 @@ def meet(s1: Subspace, s2: Subspace) -> Subspace:
     for urow in reversed(u.basis):
         res = _residue(field, w.basis, w._pivots, urow)
         cols.append([res[c] for c in w_free])
-    reduced, pivots = rref(field, zip(*cols), r)
+    reduced, pivots = rref(field, zip(*cols))
     pivot_set = set(pivots)
     basis, leads = [], []
     for i in range(r):

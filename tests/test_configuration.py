@@ -54,7 +54,7 @@ F5 = GF(5)
 def test_shared_symbol_triple_collinear():
     config = sectioned_config(3, F5)
     pts = [config.point(1, 2), config.point(1, 3), config.point(2, 3)]
-    assert rank(F5, [p.coords for p in pts], 4) == 2
+    assert rank(F5, [p.coords for p in pts]) == 2
 
 
 def test_disjoint_labels_not_collinear():
@@ -314,8 +314,8 @@ def _not_concurrent_table(field, rng):
             if edges.dim == 0:
                 table[(i, j)] = edges.point()
         if len(table) == 10 and len(set(table.values())) == 10 and rank(
-                field, [p.coords for p in (a3, a4, a5)], 3) == rank(
-                field, [p.coords for p in (b3, b4, b5)], 3) == 3:
+                field, [p.coords for p in (a3, a4, a5)]) == rank(
+                field, [p.coords for p in (b3, b4, b5)]) == 3:
             return LabeledConfiguration(field, 2, table)
 
 
@@ -480,7 +480,7 @@ def test_replicate_y4():
     # residual: 3 points on a line
     rpts = residual.points()
     assert len(rpts) == 3
-    assert rank(F5, [p.coords for p in rpts], 5) == 2
+    assert rank(F5, [p.coords for p in rpts]) == 2
 
 
 def test_replicate_partition_sizes():
@@ -533,7 +533,7 @@ def test_trace_terminal_three_point_line():
     last = config.restrict(levels[-1].symbols)
     pts = last.points()
     assert len(pts) == 3
-    assert rank(GF(3), [p.coords for p in pts], 5) == 2
+    assert rank(GF(3), [p.coords for p in pts]) == 2
 
 
 def test_semi_simplex_pair_validation():
@@ -556,7 +556,7 @@ def test_triple_perspective_common_axis(n, q):
     rest = config.symbols[3:]
     # the three vertices are collinear
     vs = [config.point(1, 2), config.point(1, 3), config.point(2, 3)]
-    assert rank(field, [v.coords for v in vs], n + 1) == 2
+    assert rank(field, [v.coords for v in vs]) == 2
     # Z equals the span of the points hanging off the first remaining symbol
     first = rest[0]
     alt = join(*(config.point(first, j) for j in rest[1:]))

@@ -52,7 +52,7 @@ from desarc.projlin import (
     num_points,
 )
 
-from support import face, hyperplane_from_dual
+from support import converse_census, face, hyperplane_from_dual
 
 F5 = GF(5)
 
@@ -820,6 +820,19 @@ def test_pairs_in_perspective_lift_or_raise_a_typed_error(n, field):
         except (NoCommonVertex, EdgesDisjoint):
             pass
     assert on_a_face >= 20
+
+
+@pytest.mark.parametrize("field,counts", [
+    (GF(3), {"tuples": 2197, "NotASimplex": 793, "SharedPoint": 816,
+             "SharedFace": 48, "both": 116, "neither": 424}),
+    (GF(2, 2), {"tuples": 9261, "NotASimplex": 2541, "SharedPoint": 2598,
+                "SharedFace": 270, "both": 666, "neither": 3186}),
+], ids=str)
+def test_converse_census_in_the_plane(field, counts):
+    # every pair with A = e_0, e_1, e_2, up to projectivity: the connectors
+    # are concurrent exactly when the edge meets are three distinct
+    # collinear points, so no pair is in perspective one way only
+    assert converse_census(2, field) == counts
 
 
 # -- configuration table basics ---------------------------------------------------------

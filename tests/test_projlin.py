@@ -27,7 +27,7 @@ from desarc.projlin import (
     rref,
 )
 
-from support import hyperplane_from_dual
+from support import hyperplane_from_dual, reference_nullspace, reference_rref
 
 F5 = GF(5)
 
@@ -119,10 +119,11 @@ def test_meet_idempotent_bit_identical():
 
 
 def _reference_meet(u, w):
-    """ann(ann U + ann W), built from `nullspace` and `rref` alone."""
+    """ann(ann U + ann W), built from the column-sweep reference alone."""
     field, width = u.field, u.n + 1
-    ann = list(nullspace(field, u.basis, width)) + list(nullspace(field, w.basis, width))
-    return tuple(nullspace(field, rref(field, ann, width)[0], width))
+    ann = (reference_nullspace(field, u.basis, width)
+           + reference_nullspace(field, w.basis, width))
+    return tuple(reference_nullspace(field, ann, width))
 
 
 @pytest.mark.parametrize("p,k,n", [(5, 1, 4), (3, 2, 3)])
@@ -138,7 +139,7 @@ def test_meet_matches_annihilator_oracle(p, k, n):
         for b in range(width + 1):
             for shared in range(max(0, a + b - width), min(a, b) + 1):
                 m = []
-                while rank(field, m, width) < width:
+                while rank(field, m) < width:
                     m = [[rng.randrange(field.q) for _ in range(width)]
                          for _ in range(width)]
                 u = Subspace(field, n, m[:a])
@@ -147,6 +148,69 @@ def test_meet_matches_annihilator_oracle(p, k, n):
                 assert meet(u, w).basis == expected
                 assert meet(w, u).basis == expected
                 assert meet(u, w).dim == shared - 1
+
+
+def _rows_to_reduce(field, width, count, rng):
+    """count rows of the given width: random rows, dense or sparse, then
+    zero rows, repeats and combinations of two earlier rows, shuffled."""
+    add, mul = field.add, field.mul
+    rows = []
+    for _ in range(count):
+        kind = rng.randrange(5) if rows else rng.randrange(2)
+        if kind == 0:
+            row = [rng.randrange(field.q) for _ in range(width)]
+        elif kind == 1:
+            row = [rng.randrange(field.q) if rng.random() < 0.4 else 0
+                   for _ in range(width)]
+        elif kind == 2:
+            row = [0] * width
+        elif kind == 3:
+            row = list(rng.choice(rows))
+        else:
+            x, y = rng.choice(rows), rng.choice(rows)
+            s, t = rng.randrange(field.q), rng.randrange(field.q)
+            row = [add(mul(s, u), mul(t, v)) for u, v in zip(x, y)]
+        rows.append(row)
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("field", [GF(5), GF(7), GF(2, 2), GF(2, 3), GF(3, 2)], ids=str)
+def test_rref_matches_the_column_sweep_reference(field):
+    """rref grows its basis one row at a time; RREF is unique, so its rows
+    and pivots must be the column sweep's, for every width 1..7 and 0 to
+    width+2 rows, and rank and nullspace follow.  The input rows stay as
+    they were."""
+    rng = random.Random(field.q)
+    for width in range(1, 8):
+        for count in range(width + 3):
+            for _ in range(6):
+                rows = _rows_to_reduce(field, width, count, rng)
+                before = [list(row) for row in rows]
+                expected = reference_rref(field, rows, width)
+                reduced, pivots = rref(field, rows)
+                assert (reduced, pivots) == expected
+                assert all(type(row) is tuple for row in reduced)
+                assert rank(field, rows) == len(expected[0])
+                assert nullspace(field, rows, width) == reference_nullspace(
+                    field, rows, width)
+                assert rows == before
+
+
+def test_rank_reads_every_column():
+    # rank once took a width and swept only that many columns: these two
+    # rows had rank 1 at width 2
+    assert rank(F5, [[0, 0, 1], [0, 1, 0]]) == 2
+    assert rref(F5, [[0, 0, 2], [0, 3, 0], [0, 3, 1]]) == ([(0, 1, 0), (0, 0, 1)], [1, 2])
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 2, 3, 4]], [[1, 2]], [[1, 0, 0], [0, 1]], [[]],
+])
+def test_a_subspace_row_has_n_plus_1_coordinates(rows):
+    # [[1, 2, 3, 4]] and [[1, 2]] were once taken as points of PG(2, 5)
+    with pytest.raises(AmbientMismatch):
+        Subspace(F5, 2, rows)
 
 
 def _random_subspace(field, n, rng):
@@ -164,10 +228,11 @@ def test_dimension_formula_randomized(q, n):
         f = _random_subspace(field, n, rng)
         assert join(e, f).dim + meet(e, f).dim == e.dim + f.dim
         assert join(e, f) == join(f, e)
-        # join extends e's reduced basis; the public constructor rrefs the
-        # stacked rows
+        # join extends e's reduced basis; the column-sweep reference
+        # reduces the stacked rows
         joined = join(e, f)
-        assert joined == Subspace(field, n, e.basis + f.basis)
+        rows, pivots = reference_rref(field, e.basis + f.basis, n + 1)
+        assert (list(joined.basis), list(joined._pivots)) == (rows, pivots)
         assert joined._pivots == _leads(joined)
         assert meet(e, f) == meet(f, e)
 
