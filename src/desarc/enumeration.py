@@ -8,24 +8,45 @@ one bit per point id.  A candidate extends a prefix of at most n-1 points
 exactly when it avoids the prefix's span, and a longer prefix exactly when
 it avoids the hyperplane through it and every (n-1)-subset of the prefix; so
 the next pool is `pool & ~forbidden`, with `forbidden` the union of those
-spans.  The level before the last counts each completion pool by popcount
-instead of walking its leaves.
+spans.  The level before the last counts the point pairs that complete its
+prefix instead of walking its leaves.
 
 Span rows.  Each prefix subset s of at most n-1 points has one row, a list
 indexed by point id: entry j is the point set of span(s + j).  The subset s
 is independent and every candidate j lies off span(s), so span(s + j) has
 dimension |s|, and any point i of it off span(s) spans the same subspace
-with s.  One `projlin.join` therefore fills the row at every such i.  The
-row's own span(s) is the entry of s's highest point in the row of the rest
-of s, and a point spans itself, so rows of the empty subset need no join.
-Point sets come from `Subspace.points` and are shared by canonical span.
+with s.  One fill therefore enters it at every such i.  The row's own
+span(s) is the entry of s's highest point in the row of the rest of s, and
+a point spans itself, so rows of the empty subset need no join.  The row of
+one point x holds lines: the `projlin.join` of x and j is the only join the
+kernel makes, and its point set comes from `Subspace.points`, shared by
+canonical line.  Above a line, span(s + j) is the union of the lines
+through j and the points x of span(s), each read from the row of x: a
+vector of span(s + j) is v + c j with v in <s>, which is j when v = 0 and
+lies on the line through the point v and j otherwise.  A node hands its
+children the rows they read: a child's (n-1)-subsets are the prefix's and
+the new point with each (n-2)-subset of the prefix.
+
+The last pair.  On a line or a plane (n <= 2) the level before the last
+may count by lines.  With P its prefix and C its candidates above the last
+point of P, the completions are the C(|C|, 2) pairs of C less
+sum over a in P of sum over the lines L through a of C(|L & C|, 2).  A
+pair {j, k} of C fails only if a point a of P is collinear with j and k;
+two such points a, b would put a, b and j on one line, which j's being in
+the pool forbids, so the pairs each a removes are disjoint.  On a line
+every pair completes.  A node counts by lines when the lines of its prefix
+points are fewer than the |C| |P| row entries its walk reads; the line
+total rides down the recursion, so the choice costs O(1) a node.  The
+lines through a are the distinct entries of a's row at the root pool
+points above a, the entries the node of the prefix (a) fills anyway, so a
+plane job joins the lines the walk joins.
 
 Set walk.  Every level extends a prefix by the pool points above its last
 point (any pool point at the root), so each point set P is walked once, as
 its ascending ordering, with weight |P|!.  The level before the last counts
-each candidate j's completions above j: each m-arc set is reached once,
-from its m-2 smallest points, and counts m!.  The outputs are those of the
-walk over every ordering:
+the completions by two points above its last: each m-arc set is reached
+once, from its m-2 smallest points, and counts m!.  The outputs are those
+of the walk over every ordering:
   * counts and nodes: the pool below P is the set of points off span(T)
     for every T in P with |T| = min(|P|, n), so it depends on the set of P
     only, and every ordering of an arc is an arc.  A node charges |P|!
@@ -76,7 +97,9 @@ class _ArcSearch:
     and the pool of points that keep it an arc; it charges |P|! per pool
     point, one budget node per ordered child, and extends P by the pool
     points above its last.  The level before the last counts by popcount
-    the pool points above each child, m! times each, and charges that."""
+    the pool points above each child or, on a line or a plane, the
+    candidate pairs less those on a line through a prefix point; it
+    charges them, m! each."""
 
     def __init__(self, field: GF, n: int, m: int, avoid: bool, budget: int):
         if n < 1:
@@ -102,6 +125,8 @@ class _ArcSearch:
         # span to its point mask, shared by every subset that spans it
         self.rows = {}
         self.span_points = {}
+        # lines[a] lists the lines through point a, by `_lines`, in a plane
+        self.lines = [None] * len(self.points)
         self.pool0 = (1 << len(self.points)) - 1
         if avoid:
             self.pool0 &= ~_mask(i for i, p in enumerate(self.points) if p.coords[-1] == 0)
@@ -123,26 +148,52 @@ class _ArcSearch:
         return row
 
     def _fill(self, s: int, row: list, j: int) -> int:
-        """Join span(s + j) and enter it in the row of s at every point that
-        spans it with s: the points of span(s + j) off span(s).  The row's
-        own span(s) is the entry of s's highest point in the row of the
-        rest of s."""
-        if s:
+        """Enter span(s + j) in the row of s at every point that spans it
+        with s: the points of span(s + j) off span(s).  The row's own
+        span(s) is the entry of s's highest point in the row of the rest of
+        s.  Only lines are joined: above a line, span(s + j) is the union
+        of the lines through j and each point of span(s)."""
+        if s & (s - 1):
             top = s.bit_length() - 1
             rest = s ^ (1 << top)
             parent = self._row(rest)
             own = parent[top]
             if own is None:
                 own = self._fill(rest, parent, top)
-            points = self.points
+            span = 0
+            for x in _ids(own):
+                through = self._row(1 << x)
+                line = through[j]
+                if line is None:
+                    line = self._fill(1 << x, through, j)
+                span |= line
+        elif s:
+            own = s
             self.joins += 1
-            span = self._points_mask(join(*(points[i] for i in _ids(s | 1 << j))))
+            span = self._points_mask(join(self.points[s.bit_length() - 1], self.points[j]))
         else:
             # a point spans itself
             own, span = 0, 1 << j
         for i in _ids(span & ~own):
             row[i] = span
         return span
+
+    def _lines(self, a: int) -> list:
+        """The distinct lines through the point a that hold a root pool
+        point above a, filled into the row of a as the search would."""
+        lines = self.lines[a]
+        if lines is None:
+            row = self._row(1 << a)
+            lines = self.lines[a] = []
+            rest = self.pool0 >> (a + 1) << (a + 1)
+            while rest:
+                j = (rest & -rest).bit_length() - 1
+                line = row[j]
+                if line is None:
+                    line = self._fill(1 << a, row, j)
+                lines.append(line)
+                rest &= ~line
+        return lines
 
     def _charge(self, amount):
         self.nodes += amount
@@ -154,24 +205,39 @@ class _ArcSearch:
             self._charge(self.pool0.bit_count())
             self.count = self.pool0.bit_count()
         else:
-            self._recurse((), self.pool0, 1)
+            self._recurse((), self.pool0, 1, [(0, self._row(0))], 0)
 
-    def _recurse(self, prefix, pool, weight):
+    def _recurse(self, prefix, pool, weight, rows, lines):
         """Walk the ascending prefix, of weight |prefix|!, below which
-        `pool` holds the points that keep it an arc."""
+        `pool` holds the points that keep it an arc.  `rows` pairs each
+        subset the walk reads with its row: the (n-1)-subsets of the
+        prefix, or the whole prefix while shorter.  In a plane, `lines`
+        counts the lines `_lines` holds for the prefix points."""
         self._charge(weight * pool.bit_count())
-        before_last = len(prefix) == self.m - 2
         # ascending extensions only: the pool points above the last one
         cand = pool >> (prefix[-1] + 1) << (prefix[-1] + 1) if prefix else pool
-        # once a candidate joins the prefix, later points must avoid its span
-        # with every n-1 prefix points (with the whole prefix, while shorter)
-        rows = [(s, self._row(s)) for s in map(
-            _mask, combinations(prefix, min(len(prefix), self.n - 1)))]
+        before_last = len(prefix) == self.m - 2
+        if before_last:
+            # by lines, when they are fewer than the row entries the walk reads
+            if self.n <= 2 and lines < cand.bit_count() * len(rows):
+                self._count_by_lines(prefix, cand, weight)
+                return
+        elif len(prefix) < self.n - 1:
+            # a child of at most n-1 points reads the row of its whole prefix
+            base, tails = [], [_mask(prefix)]
+        else:
+            # a child's (n-1)-subsets: the prefix's, and those with the new
+            # point, one per (n-2)-subset of the prefix (none on a line)
+            base = rows
+            tails = list(map(_mask, combinations(prefix, self.n - 2))) if self.n > 1 else []
+        plane = self.n == 2
         leaves = 0
         while cand:
             low = cand & -cand
             cand ^= low
             j = low.bit_length() - 1
+            # once j joins the prefix, later points must avoid its span with
+            # each subset the rows stand for
             forbidden = 0
             for s, row in rows:
                 span = row[j]
@@ -180,14 +246,36 @@ class _ArcSearch:
                 forbidden |= span
             nxt = pool & ~forbidden
             if before_last:
-                # the completions above j, each an m-set in its m! orderings
+                # the completions above j
                 leaves += (nxt >> (j + 1)).bit_count()
             elif nxt:
-                self._recurse(prefix + (j,), nxt, weight * (len(prefix) + 1))
+                child = base + [(t | low, self._row(t | low)) for t in tails]
+                self._recurse(prefix + (j,), nxt, weight * (len(prefix) + 1), child,
+                              lines + len(self._lines(j)) if plane else 0)
         if before_last:
-            leaves *= weight * self.m * (self.m - 1)
-            self.count += leaves
-            self._charge(leaves)
+            self._complete(leaves, weight)
+
+    def _count_by_lines(self, prefix, cand, weight):
+        """The completions of a prefix P of a plane or line by two points
+        of its candidates C: the pairs of C less, for each point a of P,
+        the pairs of C on a line through a.  Two points of P collinear with
+        a pair would be collinear with a candidate, so no pair is taken
+        twice; on a line every pair completes."""
+        size = cand.bit_count()
+        pairs = size * (size - 1)
+        if self.n == 2:
+            for a in prefix:
+                for line in self.lines[a]:
+                    k = (line & cand).bit_count()
+                    pairs -= k * (k - 1)
+        self._complete(pairs // 2, weight)
+
+    def _complete(self, pairs: int, weight: int):
+        """Count and charge the completions of a prefix of weight (m-2)! by
+        `pairs` point pairs: m-arc sets, m! orderings each."""
+        leaves = pairs * weight * self.m * (self.m - 1)
+        self.count += leaves
+        self._charge(leaves)
 
 
 def _mask(ids) -> int:
@@ -230,8 +318,9 @@ class EnumResult(namedtuple("EnumResult", "raw_count unordered_count nodes "
     """A job's counts and search statistics.  `nodes` is the number of
     ordered k-arcs of the searched space summed over k = 1..m, the size of
     the search tree over every ordering; the budget bounds it.  `joins`
-    counts the spans the kernel joined, each at most once per row, and
-    `orbits` the normal forms a sectioned-config job checked, 0 for other
+    counts the lines the kernel joined, each at most once in the row of
+    each of its points; every larger span is a union of lines.  `orbits`
+    counts the normal forms a sectioned-config job checked, 0 for other
     kinds.  A named tuple, not a frozen dataclass: `dataclasses` and its
     `inspect` chain would add their import to every `enumerate` process."""
     __slots__ = ()

@@ -59,7 +59,11 @@ def rank(field: GF, rows) -> int:
 
 
 def nullspace(field: GF, rows, width: int):
-    """Canonical (RREF) basis of {x : M x = 0} for the row matrix M."""
+    """Canonical (RREF) basis of {x : M x = 0} for the row matrix M, whose
+    rows have `width` entries each."""
+    for r in rows:
+        if len(r) != width:
+            raise AmbientMismatch(f"a row of {len(r)} entries in a matrix of width {width}")
     reduced, pivots = rref(field, rows)
     pivot_set = set(pivots)
     free = [c for c in range(width) if c not in pivot_set]

@@ -442,6 +442,14 @@ def _gf4_independent(vecs):
     return len(combos) == 4 ** len(vecs)
 
 
+def _oracle_independence(q):
+    """The field ops and the independence test of GF(q), q prime or 4."""
+    if q == 4:
+        return _gf4_ops(), _gf4_independent
+    mul, add = _prime_ops(q)
+    return (mul, add), lambda vecs: _oracle_rank(vecs, q) == len(vecs)
+
+
 # (q, width, keep, m, nodes, job): the brute force takes the points of
 # PG(width - 1, q) with coordinate `keep` nonzero (all of them for None),
 # the space the job searches, and tuple size m; nodes, when given, is the
@@ -461,14 +469,7 @@ def _gf4_independent(vecs):
 def test_nodes_are_the_ordered_arcs_of_every_size(q, width, keep, m, nodes, job):
     # nodes = sum over k = 1..m of the ordered k-arcs, counted by brute
     # force over point sets with no code of the search
-    if q == 4:
-        mul, add = _gf4_ops()
-        independent = _gf4_independent
-    else:
-        mul, add = _prime_ops(q)
-
-        def independent(vecs):
-            return _oracle_rank(vecs, q) == len(vecs)
+    (mul, add), independent = _oracle_independence(q)
     pts = [p for p in _oracle_points(q, width, mul, add) if keep is None or p[keep]]
     arcs = _oracle_ordered_arcs(pts, width - 1, m, independent)
     result = run_job(**job)
@@ -476,6 +477,43 @@ def test_nodes_are_the_ordered_arcs_of_every_size(q, width, keep, m, nodes, job)
     assert result.nodes == sum(arcs)
     if nodes is not None:
         assert result.nodes == nodes
+
+
+@pytest.mark.parametrize("n,q,top", [(2, 2, 6), (2, 3, 6), (2, 4, 6), (2, 5, 6), (1, 5, 4)])
+@pytest.mark.parametrize("avoid", [False, True], ids=["all", "avoid"])
+def test_the_last_pair_by_lines_or_by_walk_matches_the_brute_force(monkeypatch, n, q, top,
+                                                                  avoid):
+    # the level before the last counts its completing pairs by lines or by
+    # walking its candidates, whichever reads less; both give the brute
+    # force's ordered m-arcs and nodes for m = 2..top
+    (mul, add), independent = _oracle_independence(q)
+    pts = [p for p in _oracle_points(q, n + 1, mul, add) if not avoid or p[n]]
+    arcs = _oracle_ordered_arcs(pts, n, top, independent)
+    paths = {"lines": 0, "walk": 0}
+    count_by_lines = enumeration._ArcSearch._count_by_lines
+    recurse = enumeration._ArcSearch._recurse
+
+    def by_lines(self, *args):
+        paths["lines"] += 1
+        return count_by_lines(self, *args)
+
+    def counted(self, prefix, *args):
+        if len(prefix) == self.m - 2:
+            paths["walk"] += 1
+        return recurse(self, prefix, *args)
+
+    monkeypatch.setattr(enumeration._ArcSearch, "_count_by_lines", by_lines)
+    monkeypatch.setattr(enumeration._ArcSearch, "_recurse", counted)
+    field = GF(2, 2) if q == 4 else GF(q)
+    for m in range(2, top + 1):
+        result = run_job("arcs", n, field, m=m, avoid=avoid)
+        assert (result.raw_count, result.nodes) == (arcs[m - 1], sum(arcs[:m])), m
+    # every node of the level before the last counts by lines or walks; a
+    # plane takes both paths, and a line walks only an empty candidate set
+    paths["walk"] -= paths["lines"]
+    assert paths["lines"] > 0
+    if n == 2:
+        assert paths["walk"] > 0
 
 
 def test_each_point_set_is_counted_once_and_each_span_joined_once_per_row():
@@ -487,8 +525,35 @@ def test_each_point_set_is_counted_once_and_each_span_joined_once_per_row():
         assert run_job("frames", 2, field).joins == (q * q + q + 1) * q
     # a line of PG(1, q) needs no join: its row entries are single points
     assert run_job("frames", 1, GF(5)).joins == 0
-    sectioned = run_job("sectioned-configs", 2, GF(3))
-    assert sectioned.joins <= 2200
+    # above a line every span is a union of lines, so a row of two or more
+    # points joins nothing, and a line is joined at most once in the row of
+    # each of its points.  PG(3, 3) has 130 lines of 4 points, and its
+    # frames join a line in the rows of 519 of those 520 points.  The
+    # sectioned configurations at (2, 3) search the 27 points off a plane,
+    # on 117 lines: 332 joins in rows of those points, and 117 in the rows
+    # of the lines' points on the plane, which a span of two pool points
+    # holds (the search that joined whole spans made 1,287 joins)
+    assert run_job("frames", 3, GF(3)).joins == 519
+    assert run_job("sectioned-configs", 2, GF(3)).joins == 449
+
+
+@pytest.mark.parametrize("job", [
+    dict(kind="frames", n=3, field=GF(3)),
+    dict(kind="sectioned-configs", n=2, field=GF(3)),
+    dict(kind="arcs", n=4, field=GF(2), m=6),
+    dict(kind="arcs", n=2, field=GF(5), m=6, avoid=True),
+], ids=["frames-3-3", "sectioned-2-3", "arcs-4-2-m6", "arcs-2-5-m6-avoid"])
+def test_the_kernel_joins_only_lines(monkeypatch, job):
+    parts = []
+
+    def recorded(*args):
+        parts.append(len(args))
+        return join(*args)
+
+    monkeypatch.setattr(enumeration, "join", recorded)
+    result = run_job(**job)
+    assert len(parts) == result.joins > 0
+    assert set(parts) == {2}
 
 
 def test_the_level_before_the_last_is_entered_once_per_prefix_set(monkeypatch):
@@ -517,25 +582,37 @@ def test_hyperovals_of_pg24_count_nodes_and_joins():
         168 * factorial(6), 309561, 21 * 4)
 
 
-@pytest.mark.parametrize("n,field,m", [(3, GF(2), 5), (2, GF(2, 2), 6), (2, GF(3), 4)])
+@pytest.mark.parametrize("n,field,m", [(3, GF(2), 5), (2, GF(2, 2), 6), (2, GF(3), 4),
+                                       (3, GF(3), 5), (4, GF(2), 6)])
 def test_span_rows_hold_the_span_of_their_subset_and_point(n, field, m):
     # every filled entry j of the row of s is the point set of span(s + j),
-    # and j lies off span(s)
+    # and j lies off span(s).  An entry's span is joined afresh once per
+    # distinct entry of a row: s is independent, so span(s + j) has
+    # dimension |s| for every j off span(s), and equals any span of that
+    # dimension that holds s and j
     search = enumeration._ArcSearch(field, n, m, None, enumeration.DEFAULT_BUDGET)
     search.run()
     points = search.points
 
-    def mask(ids):
-        return sum(1 << search.index[p.coords]
-                   for p in join(*(points[i] for i in ids)).points()) if ids else 0
+    def span(ids):
+        return join(*(points[i] for i in ids))
+
+    def mask(subspace):
+        return sum(1 << search.index[p.coords] for p in subspace.points())
 
     filled = 0
     for s, row in search.rows.items():
         subset = [i for i in range(len(points)) if s >> i & 1]
-        own = mask(subset)
-        for j, span in enumerate(row):
-            if span is not None:
+        own = mask(span(subset)) if subset else 0
+        if subset:
+            assert span(subset).dim == len(subset) - 1
+        joined = {}
+        for j, entry in enumerate(row):
+            if entry is not None:
                 assert not own >> j & 1
-                assert span == mask(subset + [j])
+                assert entry >> j & 1
+                if entry not in joined:
+                    joined[entry] = mask(span(subset + [j]))
+                assert entry == joined[entry]
                 filled += 1
     assert filled > len(points)

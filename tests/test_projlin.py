@@ -213,6 +213,18 @@ def test_a_subspace_row_has_n_plus_1_coordinates(rows):
         Subspace(F5, 2, rows)
 
 
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 0]], [[0, 0, 1]], [[1]], [[1, 0], [0, 1, 0]], [[]],
+])
+def test_a_nullspace_row_has_width_entries(rows):
+    # [[1, 0, 0]] was once read as the 2-column row (1, 0), with nullspace
+    # [(0, 1)], and [[0, 0, 1]] raised a bare IndexError
+    with pytest.raises(AmbientMismatch):
+        nullspace(F5, rows, 2)
+    assert nullspace(F5, [[1, 0]], 2) == [(0, 1)]
+    assert nullspace(F5, [], 2) == [(1, 0), (0, 1)]
+
+
 def _random_subspace(field, n, rng):
     rows = [[rng.randrange(field.q) for _ in range(n + 1)]
             for _ in range(rng.randrange(0, n + 2))]
