@@ -5,11 +5,14 @@ geometry error.  With the same flags and the same seed the emitted files are
 byte-identical; wall-clock timings go to stderr only.
 
 Each command is a process of its own, and most of a short command's time is
-start-up, so this module imports only what `lift`, `section`, `export` and
-`verify` of a pair need (`io`, `desargues`, `arcs`, `projlin`, `field`,
-`errors`) and parses the command line with the standard library's
-`argparse`.  `demo` and `verify` of a configuration import `configuration`
-inside the command, and `enumerate` imports `enumeration`.
+start-up, so this module imports only what every command needs (`io`,
+`projlin`, `field`, `errors`) and parses the command line with the standard
+library's `argparse`.  Each command imports the rest inside itself: `lift`,
+`section`, `export` and `verify` load `desargues` and `arcs` (through the
+function they call or the file loader), `demo` and `verify` of a
+configuration also `configuration`, and `enumerate` loads `enumeration`,
+which loads `desargues` and `arcs` only for a sectioned-config job.  So a
+frames or arcs job compiles neither.
 
 Each command is a plain function that `main.command` registers with its
 arguments; `main` builds one argparse subparser per command and calls
@@ -28,19 +31,6 @@ import sys
 from math import comb
 
 from . import io as gio
-from .desargues import (
-    _anchor_off,
-    axis_hyperplane,
-    conway_lift_axis,
-    edge_intersections,
-    extract_perspective_pair,
-    find_vertex,
-    lift_round_trips,
-    lift_to_arc,
-    section_arc,
-    sectioned_config,
-    tspace_intersections,
-)
 from .errors import DEFAULT_BUDGET, GeometryError
 from .field import GF
 from .io import dumps
@@ -202,6 +192,7 @@ main = _Group("desarc", "Exact constructions and checks in PG(n, q): arc section
 def demo(n, p, k, modulus, seed, out):
     """Build a sectioned configuration and sweep all vertices."""
     from .configuration import vertex_sweep
+    from .desargues import sectioned_config
     field = _field_from_flags(p, k, modulus)
     rng = random.Random(seed) if seed is not None else None
     config = sectioned_config(n, field, rng)
@@ -233,6 +224,7 @@ def demo(n, p, k, modulus, seed, out):
     _arg("--out", help="write the configuration to this path"))
 def section(arc_file, out):
     """Section an arc file by the last-coordinate hyperplane."""
+    from .desargues import section_arc
     _, arc = _load(arc_file, "arc")
     config = section_arc(arc)
     _emit(dumps(gio.config_to_json(config)), out)
@@ -245,6 +237,7 @@ def section(arc_file, out):
     _arg("--out", help="write the arc to this path"))
 def lift(pair_file, seed, out):
     """Lift a perspective pair to an arc one dimension up."""
+    from .desargues import lift_to_arc
     _, (pair, vertex) = _load(pair_file, "pair")
     rng = random.Random(seed) if seed is not None else None
     arc = lift_to_arc(pair, vertex, rng)
@@ -262,6 +255,16 @@ def _pair_battery(pair, vertex):
     with the error type and message as its detail, and the other checks
     still run.  The pair keeps its edge meets, so a check that needs
     them raises the same error as every other such check."""
+    from .desargues import (
+        _anchor_off,
+        axis_hyperplane,
+        conway_lift_axis,
+        edge_intersections,
+        find_vertex,
+        lift_round_trips,
+        tspace_intersections,
+    )
+
     n = pair.n
 
     def carries_ok():
@@ -313,6 +316,7 @@ def _verify_config(config):
         verify_symbol_incidence,
         vertex_sweep,
     )
+    from .desargues import extract_perspective_pair
 
     # the pair battery runs first, so its pair is freed before the checks
     # below fill the configuration's span map

@@ -9,7 +9,8 @@ exactly when it avoids the prefix's span, and a longer prefix exactly when
 it avoids the hyperplane through it and every (n-1)-subset of the prefix; so
 the next pool is `pool & ~forbidden`, with `forbidden` the union of those
 spans.  The level before the last counts the point pairs that complete its
-prefix instead of walking its leaves.
+prefix instead of walking its leaves, and a plane 4-arc search counts the
+three points that complete each first point.
 
 Span rows.  Each prefix subset s of at most n-1 points has one row, a list
 indexed by point id: entry j is the point set of span(s + j).  The subset s
@@ -19,13 +20,15 @@ with s.  One fill therefore enters it at every such i.  The row's own
 span(s) is the entry of s's highest point in the row of the rest of s, and
 a point spans itself, so rows of the empty subset need no join.  The row of
 one point x holds lines: the `projlin.join` of x and j is the only join the
-kernel makes, and its point set comes from `Subspace.points`, shared by
-canonical line.  Above a line, span(s + j) is the union of the lines
-through j and the points x of span(s), each read from the row of x: a
-vector of span(s + j) is v + c j with v in <s>, which is j when v = 0 and
-lies on the line through the point v and j otherwise.  A node hands its
-children the rows they read: a child's (n-1)-subsets are the prefix's and
-the new point with each (n-2)-subset of the prefix.
+kernel makes, and its point set, from `Subspace.points`, is entered in the
+row of every point on the line that has a row and kept for the others,
+whose rows start with it when they are made; so each line is joined once,
+and a join makes no row the walk would not.  Above a line, span(s + j) is the union of the lines through j and the points x of
+span(s), each read from the row of x: a vector of span(s + j) is v + c j
+with v in <s>, which is j when v = 0 and lies on the line through the
+point v and j otherwise.  A node hands its children the rows they read: a
+child's (n-1)-subsets are the prefix's and the new point with each
+(n-2)-subset of the prefix.
 
 The last pair.  On a line or a plane (n <= 2) the level before the last
 may count by lines.  With P its prefix and C its candidates above the last
@@ -41,6 +44,31 @@ lines through a are the distinct entries of a's row at the root pool
 points above a, the entries the node of the prefix (a) fills anyway, so a
 plane job joins the lines the walk joins.
 
+The last three in a plane.  A plane 4-arc search (n = 2, m = 4) counts at
+the node of its first point a and enters no node of two points.  With C
+the pool points above a, c = |C| and k_L = |L & C| for each line L, the
+completions are
+  C(c, 3) - sum over L through a of [C(k_L, 2) (c - k_L) + C(k_L, 3)]
+          - sum over L not through a of C(k_L, 3).
+A 3-set T of C fails exactly when two of its points lie on a line through
+a, or all three on a line not through a.  Two pairs of T on lines through
+a share a point x, so both lines are line(a, x), and T is taken once by
+the first sum; a collinear T on a line not through a has no pair on a
+line through a, so the two sums are disjoint.  The C(k_L, 3) terms of
+both sums are one sum over the lines with three or more root pool points,
+each listed once from `_lines` of its lowest pool point, and the lines
+through a are `_lines(a)`; a line with fewer points of C adds nothing.  So
+the count joins no line the walk would not.  The node also charges what
+its children (a, j) would: 2! |pool(a) - line(a, j)| each, which is
+2 (c |pool(a)| - sum over L through a of k_L |L & pool(a)|) in all.
+Reading every line of the plane at the first node would cost a row per
+point before the budget could stop the job, so the node first charges
+that and a floor of its completions from the lines through a alone: each
+of the other lines holds k_L <= q + 1 points of C, so C(k_L, 3) <=
+C(k_L, 2) (q - 1) / 3, and the C(k_L, 2) over those lines sum to the
+pairs of C on no line through a.  The rest of the completions' charge
+follows the full count, so the node's total is unchanged.
+
 Set walk.  Every level extends a prefix by the pool points above its last
 point (any pool point at the root), so each point set P is walked once, as
 its ascending ordering, with weight |P|!.  The level before the last counts
@@ -50,7 +78,8 @@ of the walk over every ordering:
   * counts and nodes: the pool below P is the set of points off span(T)
     for every T in P with |T| = min(|P|, n), so it depends on the set of P
     only, and every ordering of an arc is an arc.  A node charges |P|!
-    |pool| and the last level what it counts, so the node count is the
+    |pool| (and a node that counts its last three, its children's
+    charges) and the last level what it counts, so the node count is the
     number of ordered k-arcs summed over k = 1..m;
   * budget: every charge is at least 0, so the budget is exceeded exactly
     when the total node count exceeds it.  The root charges its pool, so a
@@ -66,7 +95,6 @@ from collections import namedtuple
 from itertools import combinations
 from math import factorial
 
-from .desargues import lift_round_trips, normal_form_pair, normal_forms
 from .errors import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -75,7 +103,7 @@ from .errors import (
     WrongCount,
 )
 from .field import GF
-from .projlin import Subspace, all_points, join, num_points
+from .projlin import all_points, join, num_points
 
 
 def pgl_order(n: int, q: int) -> int:
@@ -99,7 +127,9 @@ class _ArcSearch:
     points above its last.  The level before the last counts by popcount
     the pool points above each child or, on a line or a plane, the
     candidate pairs less those on a line through a prefix point; it
-    charges them, m! each."""
+    charges them, m! each.  A plane 4-arc search counts instead at its
+    first point: the candidate triples less those that put three of the
+    four points on a line.  `joins` counts the distinct lines joined."""
 
     def __init__(self, field: GF, n: int, m: int, avoid: bool, budget: int):
         if n < 1:
@@ -121,38 +151,42 @@ class _ArcSearch:
         self.points = list(all_points(field, n))
         self.index = {p.coords: i for i, p in enumerate(self.points)}
         # rows[s][j] is the point mask of span(s + j), for a prefix subset
-        # mask s and a point id j off span(s); span_points maps a canonical
-        # span to its point mask, shared by every subset that spans it
+        # mask s and a point id j off span(s); pending[x] holds the lines,
+        # with their point ids, joined through a point x whose row is not
+        # made yet
         self.rows = {}
-        self.span_points = {}
-        # lines[a] lists the lines through point a, by `_lines`, in a plane
+        self.pending = {}
+        # lines[a] lists the lines through point a, by `_lines`, in a plane,
+        # and pool_lines those with three or more root pool points
         self.lines = [None] * len(self.points)
+        self.pool_lines = None
+        self.q = field.q
+        self.leaf = factorial(m)
         self.pool0 = (1 << len(self.points)) - 1
         if avoid:
             self.pool0 &= ~_mask(i for i, p in enumerate(self.points) if p.coords[-1] == 0)
-
-    def _points_mask(self, span: Subspace) -> int:
-        """Mask of the points of a subspace, shared by every subset that
-        spans it."""
-        mask = self.span_points.get(span.basis)
-        if mask is None:
-            index = self.index
-            mask = self.span_points[span.basis] = _mask(
-                index[p.coords] for p in span.points())
-        return mask
 
     def _row(self, s: int) -> list:
         row = self.rows.get(s)
         if row is None:
             row = self.rows[s] = [None] * len(self.points)
+            if not s & (s - 1):
+                # a point's row starts with the lines already joined through it
+                x = s.bit_length() - 1
+                for line, ids in self.pending.pop(x, ()):
+                    for i in ids:
+                        if i != x:
+                            row[i] = line
         return row
 
     def _fill(self, s: int, row: list, j: int) -> int:
         """Enter span(s + j) in the row of s at every point that spans it
         with s: the points of span(s + j) off span(s).  The row's own
         span(s) is the entry of s's highest point in the row of the rest of
-        s.  Only lines are joined: above a line, span(s + j) is the union
-        of the lines through j and each point of span(s)."""
+        s.  Only lines are joined, each once: a line is entered in the row
+        of every point on it that has one, and waits in `pending` for the
+        others, so the join makes no row.  Above a line, span(s + j) is the
+        union of the lines through j and each point of span(s)."""
         if s & (s - 1):
             top = s.bit_length() - 1
             rest = s ^ (1 << top)
@@ -168,9 +202,19 @@ class _ArcSearch:
                     line = self._fill(1 << x, through, j)
                 span |= line
         elif s:
-            own = s
             self.joins += 1
-            span = self._points_mask(join(self.points[s.bit_length() - 1], self.points[j]))
+            line = join(self.points[s.bit_length() - 1], self.points[j])
+            span = _mask(self.index[p.coords] for p in line.points())
+            ids = _ids(span)
+            for x in ids:
+                through = self.rows.get(1 << x)
+                if through is None:
+                    self.pending.setdefault(x, []).append((span, ids))
+                else:
+                    for i in ids:
+                        if i != x:
+                            through[i] = span
+            return span
         else:
             # a point spans itself
             own, span = 0, 1 << j
@@ -195,6 +239,16 @@ class _ArcSearch:
                 rest &= ~line
         return lines
 
+    def _pool_lines(self) -> list:
+        """The lines that hold three or more root pool points, each once:
+        a line of `_lines(x)` for the pool point x lowest on it."""
+        if self.pool_lines is None:
+            pool = self.pool0
+            self.pool_lines = [line for x in _ids(pool) for line in self._lines(x)
+                               if (line & pool).bit_count() > 2
+                               and not line & pool & ((1 << x) - 1)]
+        return self.pool_lines
+
     def _charge(self, amount):
         self.nodes += amount
         if self.nodes > self.budget:
@@ -212,15 +266,19 @@ class _ArcSearch:
         `pool` holds the points that keep it an arc.  `rows` pairs each
         subset the walk reads with its row: the (n-1)-subsets of the
         prefix, or the whole prefix while shorter.  In a plane, `lines`
-        counts the lines `_lines` holds for the prefix points."""
+        counts the lines `_lines` holds for the prefix points; a plane
+        4-arc search counts below its first point by `_count_last_three`."""
         self._charge(weight * pool.bit_count())
         # ascending extensions only: the pool points above the last one
         cand = pool >> (prefix[-1] + 1) << (prefix[-1] + 1) if prefix else pool
+        if self.n == 2 and self.m == 4 and prefix:
+            self._count_last_three(prefix[0], pool, cand)
+            return
         before_last = len(prefix) == self.m - 2
         if before_last:
             # by lines, when they are fewer than the row entries the walk reads
             if self.n <= 2 and lines < cand.bit_count() * len(rows):
-                self._count_by_lines(prefix, cand, weight)
+                self._count_by_lines(prefix, cand)
                 return
         elif len(prefix) < self.n - 1:
             # a child of at most n-1 points reads the row of its whole prefix
@@ -253,9 +311,9 @@ class _ArcSearch:
                 self._recurse(prefix + (j,), nxt, weight * (len(prefix) + 1), child,
                               lines + len(self._lines(j)) if plane else 0)
         if before_last:
-            self._complete(leaves, weight)
+            self._complete(leaves)
 
-    def _count_by_lines(self, prefix, cand, weight):
+    def _count_by_lines(self, prefix, cand):
         """The completions of a prefix P of a plane or line by two points
         of its candidates C: the pairs of C less, for each point a of P,
         the pairs of C on a line through a.  Two points of P collinear with
@@ -268,12 +326,42 @@ class _ArcSearch:
                 for line in self.lines[a]:
                     k = (line & cand).bit_count()
                     pairs -= k * (k - 1)
-        self._complete(pairs // 2, weight)
+        self._complete(pairs // 2)
 
-    def _complete(self, pairs: int, weight: int):
-        """Count and charge the completions of a prefix of weight (m-2)! by
-        `pairs` point pairs: m-arc sets, m! orderings each."""
-        leaves = pairs * weight * self.m * (self.m - 1)
+    def _count_last_three(self, a, pool, cand):
+        """The completions of a first point a of a plane 4-arc by three
+        points of its candidates C, and the charges of the children (a, j)
+        the walk would enter.  A 3-set of C fails when two of its points
+        lie on a line through a, or all three on a line not through a; each
+        failing set is counted once (see the module docstring)."""
+        size = cand.bit_count()
+        # each child (a, j) charges 2! per point of pool(a) off line(a, j)
+        children = size * pool.bit_count()
+        triples = size * (size - 1) * (size - 2) // 6
+        pairs = size * (size - 1) // 2
+        collinear = 0
+        for line in self._lines(a):
+            k = (line & cand).bit_count()
+            children -= k * (line & pool).bit_count()
+            triples -= k * (k - 1) // 2 * (size - k)
+            pairs -= k * (k - 1) // 2
+            collinear += k * (k - 1) * (k - 2) // 6
+        # charge a floor of the completions before every pool line is read:
+        # the pairs of C on no line through a lie on lines of at most q + 1
+        # points, so those lines hold at most (q - 1) / 3 collinear triples
+        # per pair
+        floor = max(triples - collinear - (self.q - 1) * pairs // 3, 0)
+        self._charge(2 * children + floor * self.leaf)
+        for line in self._pool_lines():
+            k = (line & cand).bit_count()
+            triples -= k * (k - 1) * (k - 2) // 6
+        self.count += triples * self.leaf
+        self._charge((triples - floor) * self.leaf)
+
+    def _complete(self, sets: int):
+        """Count and charge the completions of a prefix: `sets` m-arc
+        sets, m! orderings each."""
+        leaves = sets * self.leaf
         self.count += leaves
         self._charge(leaves)
 
@@ -318,8 +406,9 @@ class EnumResult(namedtuple("EnumResult", "raw_count unordered_count nodes "
     """A job's counts and search statistics.  `nodes` is the number of
     ordered k-arcs of the searched space summed over k = 1..m, the size of
     the search tree over every ordering; the budget bounds it.  `joins`
-    counts the lines the kernel joined, each at most once in the row of
-    each of its points; every larger span is a union of lines.  `orbits`
+    counts the distinct lines the kernel touched: each is joined once and
+    entered in the row of every point on it, and every larger span is a
+    union of lines.  `orbits`
     counts the normal forms a sectioned-config job checked, 0 for other
     kinds.  A named tuple, not a frozen dataclass: `dataclasses` and its
     `inspect` chain would add their import to every `enumerate` process."""
@@ -331,7 +420,11 @@ def _check_orbits(n: int, field: GF, raw_count: int) -> int:
     hyperplane x_{n+1} = 0 of PG(n+1, q) acts freely on the ordered
     (n+3)-arcs off it with N orbits, so its order
     q^(n+1) (q-1) |PGL(n+1, q)| times N is the count; where sections exist
-    (n >= 2, q > 2) each normal form must lift and section back to itself."""
+    (n >= 2, q > 2) each normal form must lift and section back to itself.
+    Only this check reads `desargues`, so a frames or arcs job never
+    imports it."""
+    from .desargues import lift_round_trips, normal_form_pair, normal_forms
+
     q = field.q
     orbits = 0
     for s in normal_forms(n, field):

@@ -5,18 +5,25 @@ Field specs serialize as {"p": ..., "k": ..., "modulus": [...]}; prime-field
 coordinates as residue integers, extension-field coordinates as coefficient
 arrays (constant term first).  Numbers are read as written: coordinates,
 coefficients, labels and "n" are ints, never bools, floats or strings.
+
+`Arc`, `LabeledConfiguration` and `PerspectivePair` are imported by the
+loaders that build them (and for type checkers only at module level), so a process that writes only counts and fields
+(`enumerate` of frames or arcs) compiles neither `arcs` nor `desargues`.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import combinations
+from typing import TYPE_CHECKING
 
-from .arcs import Arc
-from .desargues import LabeledConfiguration, PerspectivePair
 from .errors import AmbientMismatch, BadSymbols, InvalidField
 from .field import GF
 from .projlin import ProjPoint, normalize
+
+if TYPE_CHECKING:
+    from .arcs import Arc
+    from .desargues import LabeledConfiguration, PerspectivePair
 
 
 # -- fields -----------------------------------------------------------------
@@ -82,6 +89,8 @@ def _check_n(data, n: int = None) -> int:
 
 
 def arc_from_json(data) -> Arc:
+    from .arcs import Arc
+
     field = field_from_json(data["field"])
     arc = Arc([point_from_json(field, c) for c in data["points"]])
     _check_n(data, arc.n)
@@ -102,6 +111,8 @@ def config_to_json(config: LabeledConfiguration) -> dict:
 
 
 def config_from_json(data) -> LabeledConfiguration:
+    from .desargues import LabeledConfiguration
+
     field = field_from_json(data["field"])
     table = {}
     for item in data["points"]:
@@ -129,6 +140,8 @@ def pair_to_json(pair: PerspectivePair, vertex: ProjPoint) -> dict:
 
 
 def pair_from_json(data):
+    from .desargues import PerspectivePair
+
     field = field_from_json(data["field"])
     a = [point_from_json(field, c) for c in data["A"]]
     b = [point_from_json(field, c) for c in data["B"]]

@@ -3,11 +3,11 @@ independent oracles."""
 
 import time
 from itertools import combinations, product
-from math import comb, factorial
+from math import factorial
 
 import pytest
 
-from desarc import enumeration
+from desarc import desargues, enumeration
 from desarc.desargues import normal_forms
 from desarc.enumeration import (
     count_arcs,
@@ -117,6 +117,23 @@ def test_frames_pg33_against_group_order():
     assert count_frames(3, GF(3)) == _oracle_pgl(3, 3) == pgl_order(3, 3)
 
 
+# PG(2, q) for q up to 16, over the built-in moduli where q is no prime
+_PLANE_FIELDS = {2: GF(2), 3: GF(3), 4: GF(2, 2), 5: GF(5), 7: GF(7), 8: GF(2, 3),
+                 9: GF(3, 2), 11: GF(11), 13: GF(13), 16: GF(2, 4)}
+
+
+@pytest.mark.parametrize("q", sorted(_PLANE_FIELDS))
+def test_frames_of_a_plane_closed_form_oracle(q):
+    # the ordered k-arcs of PG(2, q), theta = q^2+q+1 points: theta points,
+    # theta (theta-1) pairs, a third point off their line, and the frames,
+    # |PGL(3, q)| = q^3 (q^3-1) (q^2-1) by sharp transitivity
+    theta = q * q + q + 1
+    frames = q ** 3 * (q ** 3 - 1) * (q ** 2 - 1)
+    nodes = theta + theta * (theta - 1) + theta * (theta - 1) * (theta - q - 1) + frames
+    result = run_job("frames", 2, _PLANE_FIELDS[q], budget=max(nodes, 10 ** 9))
+    assert (result.raw_count, result.nodes) == (frames, nodes)
+
+
 def test_frames_brute_force_oracle_pg22():
     # full independent enumeration over all ordered 4-tuples of PG(2, 2)
     mul, add = _prime_ops(2)
@@ -223,7 +240,7 @@ def test_run_job_deterministic():
 
 def test_a_result_is_immutable():
     result = run_job("frames", 2, GF(3))
-    assert (result.joins, result.orbits) == (39, 0)
+    assert (result.joins, result.orbits) == (13, 0)
     assert result.wall_seconds >= 0
     with pytest.raises(AttributeError):
         result.nodes = 0
@@ -360,8 +377,8 @@ def test_a_normal_form_that_does_not_round_trip_raises(monkeypatch):
     # at (2, 3) the normal forms are (1, 1, 1), (1, 1, 2), (1, 2, 1),
     # (2, 1, 1) and (2, 2, 2); only the last one fails here
     f = GF(3)
-    last = enumeration.normal_form_pair(2, f, (2, 2, 2))[0]
-    monkeypatch.setattr(enumeration, "lift_round_trips",
+    last = desargues.normal_form_pair(2, f, (2, 2, 2))[0]
+    monkeypatch.setattr(desargues, "lift_round_trips",
                         lambda pair, vertex: pair.b != last.b)
     with pytest.raises(WrongCount, match=r"s = \(2, 2, 2\)"):
         run_job("sectioned-configs", 2, f)
@@ -374,6 +391,29 @@ def test_a_root_pool_above_the_budget_fails_before_the_points_are_listed(kind):
     with pytest.raises(BudgetExceeded, match="exceeded 10 nodes"):
         run_job(kind, 3, GF(101), budget=10)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("kind,n,q,m", [("frames", 2, 101, None), ("arcs", 2, 101, 5),
+                                        ("frames", 3, 13, None)])
+def test_a_job_over_the_budget_makes_only_the_rows_its_walk_reads(monkeypatch, kind, n, q, m):
+    # a join makes no row: it enters its line in the rows that exist and
+    # leaves it for the others, so a job the default budget stops early
+    # holds a few rows of one entry per point, not one row per point.  A
+    # plane 4-arc job charges a floor of its first point's completions
+    # before it reads every line of the plane
+    searches = []
+    init = enumeration._ArcSearch.__init__
+
+    def kept(self, *args):
+        init(self, *args)
+        searches.append(self)
+
+    monkeypatch.setattr(enumeration._ArcSearch, "__init__", kept)
+    with pytest.raises(BudgetExceeded):
+        run_job(kind, n, GF(q), **({} if m is None else dict(m=m)))
+    (search,) = searches
+    assert len(search.rows) < len(search.points) // 10
+    assert search.pool_lines is None
 
 
 # -- prefixes longer than n: the level before the last is reached by many orderings --
@@ -479,62 +519,76 @@ def test_nodes_are_the_ordered_arcs_of_every_size(q, width, keep, m, nodes, job)
         assert result.nodes == nodes
 
 
-@pytest.mark.parametrize("n,q,top", [(2, 2, 6), (2, 3, 6), (2, 4, 6), (2, 5, 6), (1, 5, 4)])
+@pytest.mark.parametrize("n,q,top", [(2, 2, 6), (2, 3, 6), (2, 4, 6), (2, 5, 6), (2, 7, 4),
+                                     (1, 5, 4)])
 @pytest.mark.parametrize("avoid", [False, True], ids=["all", "avoid"])
 def test_the_last_pair_by_lines_or_by_walk_matches_the_brute_force(monkeypatch, n, q, top,
                                                                   avoid):
     # the level before the last counts its completing pairs by lines or by
-    # walking its candidates, whichever reads less; both give the brute
-    # force's ordered m-arcs and nodes for m = 2..top
+    # walking its candidates, whichever reads less, and a plane 4-arc job
+    # counts the last three points by lines at its first point; all give
+    # the brute force's ordered m-arcs and nodes for m = 2..top
     (mul, add), independent = _oracle_independence(q)
     pts = [p for p in _oracle_points(q, n + 1, mul, add) if not avoid or p[n]]
     arcs = _oracle_ordered_arcs(pts, n, top, independent)
     paths = {"lines": 0, "walk": 0}
+    entered = set()
+    charges = []
     count_by_lines = enumeration._ArcSearch._count_by_lines
     recurse = enumeration._ArcSearch._recurse
+    charge = enumeration._ArcSearch._charge
 
     def by_lines(self, *args):
         paths["lines"] += 1
         return count_by_lines(self, *args)
 
     def counted(self, prefix, *args):
+        entered.add((self.m, len(prefix)))
         if len(prefix) == self.m - 2:
             paths["walk"] += 1
         return recurse(self, prefix, *args)
 
+    def charged(self, amount):
+        charges.append(amount)
+        return charge(self, amount)
+
     monkeypatch.setattr(enumeration._ArcSearch, "_count_by_lines", by_lines)
     monkeypatch.setattr(enumeration._ArcSearch, "_recurse", counted)
+    monkeypatch.setattr(enumeration._ArcSearch, "_charge", charged)
     field = GF(2, 2) if q == 4 else GF(q)
     for m in range(2, top + 1):
         result = run_job("arcs", n, field, m=m, avoid=avoid)
         assert (result.raw_count, result.nodes) == (arcs[m - 1], sum(arcs[:m])), m
+    # no charge is negative, so the floor of the completions a plane 4-arc
+    # job charges before it reads every pool line is never above their count
+    assert min(charges) >= 0
     # every node of the level before the last counts by lines or walks; a
     # plane takes both paths, and a line walks only an empty candidate set
     paths["walk"] -= paths["lines"]
     assert paths["lines"] > 0
     if n == 2:
         assert paths["walk"] > 0
+        # a plane 4-arc job enters no node of two points
+        assert (4, 1) in entered and (4, 2) not in entered
 
 
 def test_each_point_set_is_counted_once_and_each_span_joined_once_per_row():
-    # frames of PG(2, q): the walk extends a point only by points above it,
-    # so each of the q^2+q+1 lines is joined once in the row of each of its
-    # points but its highest
+    # a line is joined once and entered in the row of every point on it, so
+    # `joins` is the number of distinct lines the search touches: frames of
+    # PG(2, q) touch all q^2+q+1 lines
     for field in (GF(3), GF(2, 2), GF(5), GF(7), GF(2, 3), GF(3, 2)):
         q = field.q
-        assert run_job("frames", 2, field).joins == (q * q + q + 1) * q
+        assert run_job("frames", 2, field).joins == q * q + q + 1
     # a line of PG(1, q) needs no join: its row entries are single points
     assert run_job("frames", 1, GF(5)).joins == 0
     # above a line every span is a union of lines, so a row of two or more
-    # points joins nothing, and a line is joined at most once in the row of
-    # each of its points.  PG(3, 3) has 130 lines of 4 points, and its
-    # frames join a line in the rows of 519 of those 520 points.  The
-    # sectioned configurations at (2, 3) search the 27 points off a plane,
-    # on 117 lines: 332 joins in rows of those points, and 117 in the rows
-    # of the lines' points on the plane, which a span of two pool points
-    # holds (the search that joined whole spans made 1,287 joins)
-    assert run_job("frames", 3, GF(3)).joins == 519
-    assert run_job("sectioned-configs", 2, GF(3)).joins == 449
+    # points joins nothing.  Frames of PG(3, 3) touch all its 130 lines;
+    # the sectioned configurations at (2, 3) search the 27 points off a
+    # plane of PG(3, 3) and touch the 117 lines that hold two of them, and
+    # at (2, 4) the 64 points off a plane of PG(3, 4) and its 336 such lines
+    assert run_job("frames", 3, GF(3)).joins == 130
+    assert run_job("sectioned-configs", 2, GF(3)).joins == 117
+    assert run_job("sectioned-configs", 2, GF(2, 2)).joins == 336
 
 
 @pytest.mark.parametrize("job", [
@@ -557,9 +611,10 @@ def test_the_kernel_joins_only_lines(monkeypatch, job):
 
 
 def test_the_level_before_the_last_is_entered_once_per_prefix_set(monkeypatch):
-    # frames of PG(2, 7): the prefixes before the last level are point
-    # pairs, and each of the C(57, 2) pair sets is entered once, not once
-    # per ordering
+    # frames of PG(3, 3): the prefixes before the last level are 3-arcs,
+    # and each of the 3-arc sets of the 40 points is entered once, not once
+    # per ordering: 40 * 39 * 36 / 3! of them, as the third point avoids
+    # the line of the first two
     entered = []
     recurse = enumeration._ArcSearch._recurse
 
@@ -569,17 +624,17 @@ def test_the_level_before_the_last_is_entered_once_per_prefix_set(monkeypatch):
         return recurse(self, prefix, *args)
 
     monkeypatch.setattr(enumeration._ArcSearch, "_recurse", counted)
-    assert run_job("frames", 2, GF(7)).raw_count == pgl_order(2, 7)
-    assert len(entered) == len(set(map(frozenset, entered))) == comb(57, 2)
+    assert run_job("frames", 3, GF(3)).raw_count == pgl_order(3, 3)
+    assert len(entered) == len(set(map(frozenset, entered))) == 40 * 39 * 36 // 6
 
 
 def test_hyperovals_of_pg24_count_nodes_and_joins():
     # 168 hyperovals in 6! orderings each; the nodes are those of the
     # search that walked every ordering, and each of the 21 lines is joined
-    # once in the row of each of its points but its highest
+    # once
     result = run_job("arcs", 2, GF(2, 2), m=6)
     assert (result.raw_count, result.nodes, result.joins) == (
-        168 * factorial(6), 309561, 21 * 4)
+        168 * factorial(6), 309561, 21)
 
 
 @pytest.mark.parametrize("n,field,m", [(3, GF(2), 5), (2, GF(2, 2), 6), (2, GF(3), 4),

@@ -29,6 +29,10 @@ COMMANDS = {
     "demo": ["demo", "--n", "2", "--p", "3", "--out", "demo.json"],
     "enumerate": ["enumerate", "--kind", "frames", "--n", "2", "--p", "3",
                   "--out", "frames.json"],
+    "enumerate-arcs": ["enumerate", "--kind", "arcs", "--n", "2", "--p", "3", "--m", "5",
+                       "--out", "arcs.json"],
+    "enumerate-sectioned": ["enumerate", "--kind", "sectioned-configs", "--n", "2",
+                            "--p", "3", "--out", "sectioned.json"],
 }
 PAIR_COMMANDS = ("lift", "section", "export", "verify-pair")
 
@@ -73,6 +77,21 @@ def test_pair_and_file_commands_load_no_configuration_or_enumeration(imported, c
 def test_enumerate_loads_no_configuration(imported):
     assert "desarc.enumeration" in imported["enumerate"]
     assert "desarc.configuration" not in imported["enumerate"]
+
+
+@pytest.mark.parametrize("command", ["enumerate", "enumerate-arcs"])
+def test_frames_and_arcs_jobs_load_no_desargues_or_arcs(imported, command):
+    # only the orbit check of a sectioned-config job reads `desargues`
+    names = imported[command]
+    assert "desarc.enumeration" in names and "desarc.io" in names
+    assert "desarc.desargues" not in names
+    assert "desarc.arcs" not in names
+
+
+def test_a_sectioned_configs_job_loads_desargues_and_arcs(imported):
+    names = imported["enumerate-sectioned"]
+    assert "desarc.desargues" in names and "desarc.arcs" in names
+    assert "desarc.configuration" not in names
 
 
 @pytest.mark.parametrize("command", ["demo", "verify-config"])
