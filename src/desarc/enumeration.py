@@ -2,15 +2,19 @@
 configurations.
 
 Counts are over ordered point tuples; the unordered figure count is the
-ordered count divided by m!.  The kernel backtracks over points in canonical
-order and prunes with the point sets of spans.  Point sets are Python ints,
-one bit per point id.  A candidate extends a prefix of at most n-1 points
-exactly when it avoids the prefix's span, and a longer prefix exactly when
-it avoids the hyperplane through it and every (n-1)-subset of the prefix; so
-the next pool is `pool & ~forbidden`, with `forbidden` the union of those
-spans.  The level before the last counts the point pairs that complete its
-prefix instead of walking its leaves, and a plane 4-arc search counts the
-three points that complete each first point.
+ordered count divided by m!.  The kernel backtracks over points in
+canonical order and prunes with the point sets of spans.  Point sets are
+Python ints, one bit per point id.  A candidate extends a prefix of at most
+n-1 points exactly when it avoids the prefix's span, and a longer prefix
+exactly when it avoids the hyperplane through it and every (n-1)-subset of
+the prefix; so the next pool is `pool & ~forbidden`, with `forbidden` the
+union of those spans.  The level before the last counts the point pairs
+that complete its prefix instead of walking its leaves, a plane 4-arc
+search counts the three points that complete each first point, and a 5-arc
+search of PG(3, q) the three that complete each pair of its first point
+(`solid`).
+Points are coordinate tuples indexed by id, in the order of
+`projlin.all_points`; the search builds no `ProjPoint` and no `Subspace`.
 
 Span rows.  Each prefix subset s of at most n-1 points has one row, a list
 indexed by point id: entry j is the point set of span(s + j).  The subset s
@@ -19,16 +23,18 @@ dimension |s|, and any point i of it off span(s) spans the same subspace
 with s.  One fill therefore enters it at every such i.  The row's own
 span(s) is the entry of s's highest point in the row of the rest of s, and
 a point spans itself, so rows of the empty subset need no join.  The row of
-one point x holds lines: the `projlin.join` of x and j is the only join the
-kernel makes, and its point set, from `Subspace.points`, is entered in the
-row of every point on the line that has a row and kept for the others,
-whose rows start with it when they are made; so each line is joined once,
-and a join makes no row the walk would not.  Above a line, span(s + j) is the union of the lines through j and the points x of
-span(s), each read from the row of x: a vector of span(s + j) is v + c j
-with v in <s>, which is j when v = 0 and lies on the line through the
-point v and j otherwise.  A node hands its children the rows they read: a
-child's (n-1)-subsets are the prefix's and the new point with each
-(n-2)-subset of the prefix.
+one point x holds lines: the line of x and j is the only join the kernel
+makes.  It is the `projlin.rref` of their two coordinate rows, r0 and r1,
+and its points are r1 and r0 - c r1 for each c in GF(q), normalized as the
+basis is reduced.  Its point set is entered in the row of every point on
+the line that has a row and kept for the others, whose rows start with it
+when they are made; so each line is joined once, and a join makes no row
+the walk would not.  Above a line, span(s + j) is the union of the lines
+through j and the points x of span(s), each read from the row of x: a
+vector of span(s + j) is v + c j with v in <s>, which is j when v = 0 and
+lies on the line through the point v and j otherwise.  A node hands its
+children the rows they read: a child's (n-1)-subsets are the prefix's and
+the new point with each (n-2)-subset of the prefix.
 
 The last pair.  On a line or a plane (n <= 2) the level before the last
 may count by lines.  With P its prefix and C its candidates above the last
@@ -67,7 +73,12 @@ that and a floor of its completions from the lines through a alone: each
 of the other lines holds k_L <= q + 1 points of C, so C(k_L, 3) <=
 C(k_L, 2) (q - 1) / 3, and the C(k_L, 2) over those lines sum to the
 pairs of C on no line through a.  The rest of the completions' charge
-follows the full count, so the node's total is unchanged.
+follows the full count, so the node's total is unchanged.  The collinear
+triples of C are a running sum: the first points come in ascending order,
+so C is the previous first point's candidates less a, and each line
+through a with k_L points of C loses C(k_L, 2) of them.  Every pool line
+is read once, at the first count, and each first point reads its own
+lines only.
 
 Set walk.  Every level extends a prefix by the pool points above its last
 point (any pool point at the root), so each point set P is walked once, as
@@ -83,7 +94,8 @@ of the walk over every ordering:
     number of ordered k-arcs summed over k = 1..m;
   * budget: every charge is at least 0, so the budget is exceeded exactly
     when the total node count exceeds it.  The root charges its pool, so a
-    pool larger than the budget fails before the points are listed.
+    pool larger than the budget fails before the points are listed; its
+    size is multiplied up only until it passes the budget.
 
 The kernel only counts: `run_job` checks a sectioned-config count after
 the search, on one normal form per orbit, with code that shares none of it."""
@@ -92,7 +104,7 @@ from __future__ import annotations
 
 import time
 from collections import namedtuple
-from itertools import combinations
+from itertools import combinations, product
 from math import factorial
 
 from .errors import (
@@ -103,7 +115,7 @@ from .errors import (
     WrongCount,
 )
 from .field import GF
-from .projlin import all_points, join, num_points
+from .projlin import rref
 
 
 def pgl_order(n: int, q: int) -> int:
@@ -129,7 +141,10 @@ class _ArcSearch:
     candidate pairs less those on a line through a prefix point; it
     charges them, m! each.  A plane 4-arc search counts instead at its
     first point: the candidate triples less those that put three of the
-    four points on a line.  `joins` counts the distinct lines joined."""
+    four points on a line; a 5-arc search of PG(3, q) counts at each pair
+    of its first point by the planes through the pair's line.  Points are
+    coordinate tuples, indexed by id; `joins` counts the distinct lines
+    joined."""
 
     def __init__(self, field: GF, n: int, m: int, avoid: bool, budget: int):
         if n < 1:
@@ -139,8 +154,8 @@ class _ArcSearch:
             raise NegativeBudget(f"the node budget must be at least 0, got {budget}")
         # the root's first charge is its pool: every point, less those of
         # the avoided hyperplane x_n = 0
-        pool_size = num_points(field, n) - (num_points(field, n - 1) if avoid else 0)
-        if pool_size > budget:
+        q = field.q
+        if _pool_exceeds(q, n, avoid, budget):
             raise BudgetExceeded(f"search exceeded {budget} nodes")
         self.n = n
         self.m = m
@@ -148,8 +163,11 @@ class _ArcSearch:
         self.nodes = 0
         self.count = 0
         self.joins = 0
-        self.points = list(all_points(field, n))
-        self.index = {p.coords: i for i, p in enumerate(self.points)}
+        self.field = field
+        # the points of PG(n, q) in the canonical order of `projlin.all_points`
+        self.points = [(0,) * lead + (1,) + tail for lead in range(n + 1)
+                       for tail in product(range(q), repeat=n - lead)]
+        self.index = {p: i for i, p in enumerate(self.points)}
         # rows[s][j] is the point mask of span(s + j), for a prefix subset
         # mask s and a point id j off span(s); pending[x] holds the lines,
         # with their point ids, joined through a point x whose row is not
@@ -157,14 +175,21 @@ class _ArcSearch:
         self.rows = {}
         self.pending = {}
         # lines[a] lists the lines through point a, by `_lines`, in a plane,
-        # and pool_lines those with three or more root pool points
+        # pool_lines those with three or more root pool points, and
+        # collinear the triples of the candidates of the latest first
+        # point on one of them
         self.lines = [None] * len(self.points)
         self.pool_lines = None
-        self.q = field.q
+        self.collinear = None
+        # a 5-arc search of PG(3, q) counts by planes (`solid`); space
+        # holds the incidences it reads, once they are built
+        self.by_planes = (n, m) == (3, 5)
+        self.space = None
+        self.q = q
         self.leaf = factorial(m)
         self.pool0 = (1 << len(self.points)) - 1
         if avoid:
-            self.pool0 &= ~_mask(i for i, p in enumerate(self.points) if p.coords[-1] == 0)
+            self.pool0 &= ~_mask(i for i, p in enumerate(self.points) if p[-1] == 0)
 
     def _row(self, s: int) -> list:
         row = self.rows.get(s)
@@ -178,6 +203,18 @@ class _ArcSearch:
                         if i != x:
                             row[i] = line
         return row
+
+    def _line(self, x: int, y: int):
+        """The line through the points x and y: its point mask, its point
+        ids and its reduced basis r0, r1 with their pivot columns.  Its
+        points are r1 and r0 - c r1 for each c in GF(q), each normalized,
+        as the basis is reduced."""
+        self.joins += 1
+        basis, pivots = rref(self.field, (self.points[x], self.points[y]))
+        r0, r1 = basis
+        index, sub_row = self.index, self.field.sub_row
+        ids = [index[r1]] + [index[tuple(sub_row(c, r0, r1))] for c in range(self.q)]
+        return _mask(ids), ids, basis, pivots
 
     def _fill(self, s: int, row: list, j: int) -> int:
         """Enter span(s + j) in the row of s at every point that spans it
@@ -202,10 +239,7 @@ class _ArcSearch:
                     line = self._fill(1 << x, through, j)
                 span |= line
         elif s:
-            self.joins += 1
-            line = join(self.points[s.bit_length() - 1], self.points[j])
-            span = _mask(self.index[p.coords] for p in line.points())
-            ids = _ids(span)
+            span, ids, _, _ = self._line(s.bit_length() - 1, j)
             for x in ids:
                 through = self.rows.get(1 << x)
                 if through is None:
@@ -267,11 +301,17 @@ class _ArcSearch:
         subset the walk reads with its row: the (n-1)-subsets of the
         prefix, or the whole prefix while shorter.  In a plane, `lines`
         counts the lines `_lines` holds for the prefix points; a plane
-        4-arc search counts below its first point by `_count_last_three`."""
+        4-arc search counts below its first point by `_count_last_three`,
+        and a 5-arc search of PG(3, q) by `solid.count_pairs`."""
         self._charge(weight * pool.bit_count())
         # ascending extensions only: the pool points above the last one
         cand = pool >> (prefix[-1] + 1) << (prefix[-1] + 1) if prefix else pool
-        if self.n == 2 and self.m == 4 and prefix:
+        if prefix and self.by_planes:
+            # a module that only a 5-arc search of PG(3, q) compiles
+            from .solid import count_pairs
+            count_pairs(self, prefix[0], pool, cand)
+            return
+        if prefix and self.n == 2 and self.m == 4:
             self._count_last_three(prefix[0], pool, cand)
             return
         before_last = len(prefix) == self.m - 2
@@ -307,7 +347,9 @@ class _ArcSearch:
                 # the completions above j
                 leaves += (nxt >> (j + 1)).bit_count()
             elif nxt:
-                child = base + [(t | low, self._row(t | low)) for t in tails]
+                # a first point that counts by planes reads no row
+                child = [] if self.by_planes else base + [(t | low, self._row(t | low))
+                                                          for t in tails]
                 self._recurse(prefix + (j,), nxt, weight * (len(prefix) + 1), child,
                               lines + len(self._lines(j)) if plane else 0)
         if before_last:
@@ -339,22 +381,31 @@ class _ArcSearch:
         children = size * pool.bit_count()
         triples = size * (size - 1) * (size - 2) // 6
         pairs = size * (size - 1) // 2
-        collinear = 0
+        through = leaving = 0
         for line in self._lines(a):
             k = (line & cand).bit_count()
             children -= k * (line & pool).bit_count()
-            triples -= k * (k - 1) // 2 * (size - k)
-            pairs -= k * (k - 1) // 2
-            collinear += k * (k - 1) * (k - 2) // 6
+            k2 = k * (k - 1) // 2
+            triples -= k2 * (size - k)
+            pairs -= k2
+            through += k2 * (k - 2) // 3
+            leaving += k2
         # charge a floor of the completions before every pool line is read:
         # the pairs of C on no line through a lie on lines of at most q + 1
         # points, so those lines hold at most (q - 1) / 3 collinear triples
         # per pair
-        floor = max(triples - collinear - (self.q - 1) * pairs // 3, 0)
+        floor = max(triples - through - (self.q - 1) * pairs // 3, 0)
         self._charge(2 * children + floor * self.leaf)
-        for line in self._pool_lines():
-            k = (line & cand).bit_count()
-            triples -= k * (k - 1) * (k - 2) // 6
+        if self.collinear is None:
+            pool0 = self.pool0
+            self.collinear = sum(k * (k - 1) * (k - 2) // 6
+                                 for k in ((line & pool0).bit_count()
+                                           for line in self._pool_lines()))
+        # the first points come in ascending order, so C is the previous
+        # first point's candidates less a: a line through a with k points
+        # of C loses C(k, 2) collinear triples
+        self.collinear -= leaving
+        triples -= self.collinear
         self.count += triples * self.leaf
         self._charge((triples - floor) * self.leaf)
 
@@ -364,6 +415,20 @@ class _ArcSearch:
         leaves = sets * self.leaf
         self.count += leaves
         self._charge(leaves)
+
+
+def _pool_exceeds(q: int, n: int, avoid: bool, budget: int) -> bool:
+    """Whether the root pool of PG(n, q) holds more than `budget` points:
+    the q^n points off x_n = 0 with `avoid`, all 1 + q + ... + q^n without.
+    The powers of q are multiplied up and left as soon as the pool passes
+    the budget, so a large n costs no more than a small one."""
+    size = power = 1
+    for _ in range(n):
+        power *= q
+        size = power if avoid else size + power
+        if size > budget:
+            return True
+    return size > budget
 
 
 def _mask(ids) -> int:
@@ -406,11 +471,11 @@ class EnumResult(namedtuple("EnumResult", "raw_count unordered_count nodes "
     """A job's counts and search statistics.  `nodes` is the number of
     ordered k-arcs of the searched space summed over k = 1..m, the size of
     the search tree over every ordering; the budget bounds it.  `joins`
-    counts the distinct lines the kernel touched: each is joined once and
-    entered in the row of every point on it, and every larger span is a
-    union of lines.  `orbits`
-    counts the normal forms a sectioned-config job checked, 0 for other
-    kinds.  A named tuple, not a frozen dataclass: `dataclasses` and its
+    counts the distinct lines the kernel touched: each is joined once,
+    and entered in the row of every point on it or, in a 5-arc search of
+    PG(3, q), listed with the planes through it; every larger span is a
+    union of lines.  `orbits` counts the normal forms a sectioned-config
+    job checked, 0 for other kinds.  A named tuple, not a frozen dataclass: `dataclasses` and its
     `inspect` chain would add their import to every `enumerate` process."""
     __slots__ = ()
 

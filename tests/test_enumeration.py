@@ -1,13 +1,17 @@
 """Exhaustive counting of arcs and frames, cross-checked against
 independent oracles."""
 
+import os
+import subprocess
+import sys
 import time
 from itertools import combinations, product
 from math import factorial
+from pathlib import Path
 
 import pytest
 
-from desarc import desargues, enumeration
+from desarc import desargues, enumeration, solid
 from desarc.desargues import normal_forms
 from desarc.enumeration import (
     count_arcs,
@@ -22,7 +26,7 @@ from desarc.errors import (
     WrongCount,
 )
 from desarc.field import GF
-from desarc.projlin import join
+from desarc.projlin import all_points, join, rref
 
 
 # -- independent oracle machinery (no shared code with the search kernel) ----------
@@ -131,6 +135,19 @@ def test_frames_of_a_plane_closed_form_oracle(q):
     frames = q ** 3 * (q ** 3 - 1) * (q ** 2 - 1)
     nodes = theta + theta * (theta - 1) + theta * (theta - 1) * (theta - q - 1) + frames
     result = run_job("frames", 2, _PLANE_FIELDS[q], budget=max(nodes, 10 ** 9))
+    assert (result.raw_count, result.nodes) == (frames, nodes)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_frames_of_a_solid_closed_form_oracle(q):
+    # the ordered k-arcs of PG(3, q), theta = q^3+q^2+q+1 points: theta
+    # points, theta (theta-1) pairs, a third point off their line, a fourth
+    # off their plane, and the frames, |PGL(4, q)| by sharp transitivity
+    theta = q ** 3 + q * q + q + 1
+    frames = q ** 6 * (q ** 4 - 1) * (q ** 3 - 1) * (q ** 2 - 1)
+    nodes = (theta + theta * (theta - 1) + theta * (theta - 1) * (theta - q - 1)
+             + theta * (theta - 1) * (theta - q - 1) * (theta - q * q - q - 1) + frames)
+    result = run_job("frames", 3, _PLANE_FIELDS[q], budget=max(nodes, 10 ** 9))
     assert (result.raw_count, result.nodes) == (frames, nodes)
 
 
@@ -323,6 +340,8 @@ def test_counts_and_nodes_match_the_list_search(kind, n, field, expected):
     dict(kind="sectioned-configs", n=1, field=GF(5)),
     dict(kind="sectioned-configs", n=2, field=GF(3)),
     dict(kind="arcs", n=2, field=GF(2, 2), m=6),
+    dict(kind="frames", n=3, field=GF(3)),
+    dict(kind="arcs", n=3, field=GF(2, 2), m=5, avoid=True),
 ], ids=lambda job: f"{job['kind']}-{job['n']}-{job['field'].q}-{job.get('m')}")
 def test_budget_boundary_is_the_node_count(job):
     nodes = run_job(**job).nodes
@@ -335,9 +354,10 @@ def test_budget_boundary_is_the_node_count(job):
 
 # (3, 2): the ordered 6-arcs of PG(4, 2) off a solid, one orbit of the
 # solid's stabilizer; a count asks for no section over GF(2)
-@pytest.mark.parametrize("n,q", [(1, 3), (1, 5), (1, 7), (2, 3), (3, 2)])
+@pytest.mark.parametrize("n,q", [(1, 3), (1, 5), (1, 7), (2, 3), (2, 4), (3, 2)])
 def test_sectioned_count_closed_form_oracle(n, q):
-    assert run_job("sectioned-configs", n, GF(q)).raw_count == _oracle_sectioned(n, q)
+    field = _PLANE_FIELDS[q]
+    assert run_job("sectioned-configs", n, field).raw_count == _oracle_sectioned(n, q)
 
 
 @pytest.mark.parametrize("kind,n,q,orbits", [
@@ -414,6 +434,51 @@ def test_a_job_over_the_budget_makes_only_the_rows_its_walk_reads(monkeypatch, k
     (search,) = searches
     assert len(search.rows) < len(search.points) // 10
     assert search.pool_lines is None
+
+
+@pytest.mark.parametrize("kind,n", [("frames", 3), ("sectioned-configs", 2)])
+def test_a_5_arc_job_of_a_solid_over_the_budget_reads_no_line(monkeypatch, kind, n):
+    # a 5-arc search of PG(3, 13): the first pair charges a floor of its
+    # completions before the lines and planes of the space are read, and
+    # under the default budget that floor stops the job
+    searches = []
+    init = enumeration._ArcSearch.__init__
+
+    def kept(self, *args):
+        init(self, *args)
+        searches.append(self)
+
+    monkeypatch.setattr(enumeration._ArcSearch, "__init__", kept)
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded):
+        run_job(kind, n, GF(13))
+    assert time.perf_counter() - start < 1
+    (search,) = searches
+    assert (search.space, search.joins, len(search.rows)) == (None, 0, 1)
+
+
+@pytest.mark.parametrize("q,n,avoid", [(2, 1, False), (2, 3, True), (3, 2, False),
+                                       (3, 3, True), (7, 2, False), (7, 4, True)])
+def test_the_root_check_compares_the_pool_with_the_budget(q, n, avoid):
+    # the pool is q^n points with avoid, (q^(n+1) - 1) / (q - 1) without
+    size = q ** n if avoid else (q ** (n + 1) - 1) // (q - 1)
+    for budget in (0, size - 1, size, size + 1, 10 ** 30):
+        assert enumeration._pool_exceeds(q, n, avoid, budget) == (size > budget)
+
+
+def test_a_root_pool_far_above_the_budget_fails_at_once():
+    # PG(10^8, 7) has (7^(10^8+1) - 1) / 6 points: the root check leaves the
+    # powers of 7 as soon as the pool passes the budget, so the command
+    # exits at once, where computing the pool in full would run for minutes
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "desarc", "enumerate", "--kind", "frames",
+                           "--n", "100000000", "--p", "7"], env=env, stdin=subprocess.DEVNULL,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2
+    assert "BudgetExceeded" in proc.stderr
+    assert proc.stdout == ""
 
 
 # -- prefixes longer than n: the level before the last is reached by many orderings --
@@ -572,6 +637,96 @@ def test_the_last_pair_by_lines_or_by_walk_matches_the_brute_force(monkeypatch, 
         assert (4, 1) in entered and (4, 2) not in entered
 
 
+@pytest.mark.parametrize("q,avoid", [(2, False), (2, True), (3, False), (3, True)])
+def test_the_last_three_of_a_solid_5_arc_match_the_brute_force(monkeypatch, q, avoid):
+    # a 5-arc search of PG(3, q) counts the completions of each pair (a, b)
+    # by the planes through the line ab and charges its children's nodes;
+    # it gives the brute force's ordered 5-arcs and the ordered k-arcs for
+    # k = 1..5 as its nodes, enters no node of two or three points, and
+    # charges nothing negative (its floor is never above the pair's charge)
+    (mul, add), independent = _oracle_independence(q)
+    pts = [p for p in _oracle_points(q, 4, mul, add) if not avoid or p[3]]
+    arcs = _oracle_ordered_arcs(pts, 3, 5, independent)
+    entered, charges = set(), []
+    recurse = enumeration._ArcSearch._recurse
+    charge = enumeration._ArcSearch._charge
+
+    def counted(self, prefix, *args):
+        entered.add(len(prefix))
+        return recurse(self, prefix, *args)
+
+    def charged(self, amount):
+        charges.append(amount)
+        return charge(self, amount)
+
+    monkeypatch.setattr(enumeration._ArcSearch, "_recurse", counted)
+    monkeypatch.setattr(enumeration._ArcSearch, "_charge", charged)
+    result = run_job("arcs", 3, GF(q), m=5, avoid=avoid)
+    assert (result.raw_count, result.nodes) == (arcs[-1], sum(arcs))
+    assert entered == {0, 1}
+    assert min(charges) >= 0
+
+
+@pytest.mark.parametrize("kind,n,q", [("frames", 3, 5), ("frames", 3, 7),
+                                    ("sectioned-configs", 2, 5), ("sectioned-configs", 2, 7)])
+def test_the_floor_of_a_first_pair_is_never_above_its_charge(monkeypatch, kind, n, q):
+    # from q = 5 on, the first pair of a first point charges a positive
+    # floor of its completions before it reads the planes; the rest of its
+    # charge, its total less the floor, is never negative
+    charges = []
+    charge = enumeration._ArcSearch._charge
+
+    def charged(self, amount):
+        charges.append(amount)
+        return charge(self, amount)
+
+    monkeypatch.setattr(enumeration._ArcSearch, "_charge", charged)
+    theta = (q ** 4 - 1) // (q - 1)
+    size = q ** 3 if kind == "sectioned-configs" else theta
+    result = run_job(kind, n, GF(q), budget=10 ** 18)
+    assert min(charges) >= 0
+    # the floor of the job's first pair: pool(a, b) holds at least
+    # size - q - 1 points and C at least size - 1 - q
+    rest, c = size - q - 1, size - 1 - q
+    sets = c * (c - q * q) * (c - 4 * q * q - 2 * q) // 6
+    assert sets > 0
+    assert 2 * rest + 6 * c * (rest - q * q) + 120 * sets in charges
+    assert result.nodes == sum(charges)
+
+
+@pytest.mark.parametrize("q,avoid", [(2, False), (3, True), (4, False), (5, True)])
+def test_the_space_tables_hold_lines_and_the_planes_through_them(q, avoid):
+    # each line with two root pool points is listed once, with the points
+    # of the join of two of them, and with the q + 1 distinct planes whose
+    # dual vectors vanish on it
+    field = _PLANE_FIELDS[q]
+    search = enumeration._ArcSearch(field, 3, 5, avoid, enumeration.DEFAULT_BUDGET)
+    solid.incidences(search)
+    points = list(all_points(field, 3))
+    assert search.points == [p.coords for p in points]
+    masks, points_on, pooled, planes_of = search.space[:4]
+    pool = search.pool0
+    # every pair of pool points lies on one of the lines
+    pairs = sum(k * (k - 1) // 2 for k in pooled)
+    assert pairs == pool.bit_count() * (pool.bit_count() - 1) // 2
+    assert len(set(masks)) == len(masks) == search.joins
+    for mask, ids, k, planes in zip(masks, points_on, pooled, planes_of):
+        line = join(points[ids[0]], points[ids[1]])
+        assert mask == sum(1 << search.index[p.coords] for p in line.points())
+        assert k == (mask & pool).bit_count() >= 2
+        assert len(set(planes)) == q + 1
+        for plane in planes:
+            dual = points[plane].coords
+            assert all(not _dot(field, dual, points[i].coords) for i in ids)
+
+
+def _dot(field, u, v):
+    total = 0
+    for x, y in zip(u, v):
+        total = field.add(total, field.mul(x, y))
+    return total
+
+
 def test_each_point_set_is_counted_once_and_each_span_joined_once_per_row():
     # a line is joined once and entered in the row of every point on it, so
     # `joins` is the number of distinct lines the search touches: frames of
@@ -598,23 +753,33 @@ def test_each_point_set_is_counted_once_and_each_span_joined_once_per_row():
     dict(kind="arcs", n=2, field=GF(5), m=6, avoid=True),
 ], ids=["frames-3-3", "sectioned-2-3", "arcs-4-2-m6", "arcs-2-5-m6-avoid"])
 def test_the_kernel_joins_only_lines(monkeypatch, job):
-    parts = []
+    # every row reduction is of two rows (two points, or the two duals of a
+    # line), and each line is joined once
+    sizes, lines = [], []
+    line = enumeration._ArcSearch._line
 
-    def recorded(*args):
-        parts.append(len(args))
-        return join(*args)
+    def reduced(field, rows):
+        sizes.append(len(rows))
+        return rref(field, rows)
 
-    monkeypatch.setattr(enumeration, "join", recorded)
+    def joined(self, x, y):
+        out = line(self, x, y)
+        lines.append(out[0])
+        return out
+
+    monkeypatch.setattr(enumeration, "rref", reduced)
+    monkeypatch.setattr(enumeration._ArcSearch, "_line", joined)
     result = run_job(**job)
-    assert len(parts) == result.joins > 0
-    assert set(parts) == {2}
+    assert len(lines) == len(set(lines)) == result.joins > 0
+    assert set(sizes) == {2}
 
 
 def test_the_level_before_the_last_is_entered_once_per_prefix_set(monkeypatch):
-    # frames of PG(3, 3): the prefixes before the last level are 3-arcs,
-    # and each of the 3-arc sets of the 40 points is entered once, not once
-    # per ordering: 40 * 39 * 36 / 3! of them, as the third point avoids
-    # the line of the first two
+    # 6-arcs of PG(3, 2), which holds none: the prefixes before the last
+    # level are 4-arcs, and each of the 4-arc sets of the 15 points is
+    # entered once, not once per ordering: 15 * 14 * 12 * 8 / 4! of them,
+    # as the third point avoids the line of the first two and the fourth
+    # their plane
     entered = []
     recurse = enumeration._ArcSearch._recurse
 
@@ -624,8 +789,8 @@ def test_the_level_before_the_last_is_entered_once_per_prefix_set(monkeypatch):
         return recurse(self, prefix, *args)
 
     monkeypatch.setattr(enumeration._ArcSearch, "_recurse", counted)
-    assert run_job("frames", 3, GF(3)).raw_count == pgl_order(3, 3)
-    assert len(entered) == len(set(map(frozenset, entered))) == 40 * 39 * 36 // 6
+    assert run_job("arcs", 3, GF(2), m=6).raw_count == 0
+    assert len(entered) == len(set(map(frozenset, entered))) == 15 * 14 * 12 * 8 // 24
 
 
 def test_hyperovals_of_pg24_count_nodes_and_joins():
@@ -637,8 +802,8 @@ def test_hyperovals_of_pg24_count_nodes_and_joins():
         168 * factorial(6), 309561, 21)
 
 
-@pytest.mark.parametrize("n,field,m", [(3, GF(2), 5), (2, GF(2, 2), 6), (2, GF(3), 4),
-                                       (3, GF(3), 5), (4, GF(2), 6)])
+@pytest.mark.parametrize("n,field,m", [(3, GF(2), 6), (2, GF(2, 2), 6), (2, GF(3), 4),
+                                       (3, GF(3), 4), (4, GF(2), 6)])
 def test_span_rows_hold_the_span_of_their_subset_and_point(n, field, m):
     # every filled entry j of the row of s is the point set of span(s + j),
     # and j lies off span(s).  An entry's span is joined afresh once per
@@ -647,7 +812,8 @@ def test_span_rows_hold_the_span_of_their_subset_and_point(n, field, m):
     # dimension that holds s and j
     search = enumeration._ArcSearch(field, n, m, None, enumeration.DEFAULT_BUDGET)
     search.run()
-    points = search.points
+    points = list(all_points(field, n))
+    assert search.points == [p.coords for p in points]
 
     def span(ids):
         return join(*(points[i] for i in ids))

@@ -86,12 +86,16 @@ def test_frames_and_arcs_jobs_load_no_desargues_or_arcs(imported, command):
     assert "desarc.enumeration" in names and "desarc.io" in names
     assert "desarc.desargues" not in names
     assert "desarc.arcs" not in names
+    # nor, in a plane, the count of a 5-arc search of PG(3, q)
+    assert "desarc.solid" not in names
 
 
 def test_a_sectioned_configs_job_loads_desargues_and_arcs(imported):
     names = imported["enumerate-sectioned"]
     assert "desarc.desargues" in names and "desarc.arcs" in names
     assert "desarc.configuration" not in names
+    # at n = 2 it is a 5-arc search of PG(3, q), counted by planes
+    assert "desarc.solid" in names
 
 
 @pytest.mark.parametrize("command", ["demo", "verify-config"])
