@@ -20,7 +20,15 @@ arguments; `main` builds one argparse subparser per command and calls
 and `main` alone turns the error into exit 2: a usage error prints
 `Error: <message>` and a geometry error `error: <Type>: <message>` on
 stderr.  Every input file goes through `_load`, which names the path when
-it cannot be read or parsed, or holds a kind the command does not take.
+it cannot be read or parsed, or holds a kind the command does not take,
+and every document through `_emit`, which flushes stdout, so a document
+that cannot be written is a usage error too.
+
+`main` exits through SystemExit, in-process as well (the tests' CliRunner
+and the benchmark's traced run call it so).  A `desarc` or `python -m
+desarc` process runs it through `desarc.__main__.run`, which flushes the
+standard streams and ends the process with `os._exit` and the same code,
+skipping the interpreter's teardown and with it any `atexit` handler.
 """
 
 from __future__ import annotations
@@ -163,14 +171,18 @@ def _load(path: str, *kinds):
 
 
 def _emit(text: str, out):
-    if out:
-        try:
+    """Write a command's document to `out`, or to stdout (flushed, so a
+    stream that cannot take it fails here); either failure is a usage
+    error."""
+    try:
+        if out:
             with open(out, "w") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise UsageError(f"cannot write {out}: {exc.strerror}") from exc
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        raise UsageError(f"cannot write {out or 'standard output'}: {exc.strerror}") from exc
 
 
 _FIELD_ARGUMENTS = (

@@ -1,10 +1,16 @@
 """Command-line interface: exit codes, file artifacts, determinism."""
 
+import errno
 import hashlib
+import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -849,3 +855,122 @@ def test_pair_battery_meets_once_per_index_subset(monkeypatch, n, q):
     assert len(calls) <= subsets + connectors + lifts + sections
     if n == 8:
         assert len(calls) <= 570
+
+
+# -- the process: `python -m desarc` ends through desarc.__main__.run --
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _process(args, cwd, stdout=subprocess.PIPE, **env):
+    """Run `python -m desarc args` as a process of its own; environment
+    variables given as None are unset."""
+    environ = dict(os.environ)
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC),
+                                                          environ.get("PYTHONPATH")]))
+    for name, value in env.items():
+        if value is None:
+            environ.pop(name, None)
+        else:
+            environ[name] = value
+    return subprocess.run([sys.executable, "-m", "desarc", *args], cwd=cwd, env=environ,
+                          stdin=subprocess.DEVNULL, stdout=stdout, stderr=subprocess.PIPE,
+                          timeout=120)
+
+
+_ENUMERATE_SECONDS = re.compile(rb", \d+\.\d+s\)$", re.MULTILINE)
+
+
+@pytest.mark.parametrize("args,code", [
+    (["demo", "--n", "3", "--p", "5"], 0),
+    (["verify", "PERTURBED"], 1),
+    (["demo", "--n", "2", "--p", "5", "--k", "2", "--modulus", "x"], 2),
+    (["demo", "--n", "2", "--p", "2", "--k", "7", "--modulus", "1,1,0,1,1,1,1,1"], 2),
+    (["enumerate", "--kind", "frames", "--n", "2", "--p", "3"], 0),
+    (["lift", "--help"], 0),
+], ids=["demo", "verify-fails", "usage-error", "geometry-error", "enumerate", "help"])
+def test_a_process_gives_the_bytes_and_code_of_cli_main(runner, tmp_path, monkeypatch,
+                                                        args, code):
+    # the process skips the interpreter's teardown; what it writes and the
+    # code it exits with are those of cli.main run in-process
+    monkeypatch.setenv("COLUMNS", "80")     # the width of --help in both
+    (tmp_path / "perturbed.json").write_text(
+        gio.dumps(gio.config_to_json(perturbed_section())))
+    args = [str(tmp_path / "perturbed.json") if a == "PERTURBED" else a for a in args]
+    proc = _process(args, tmp_path)
+    result = runner.invoke(main, args)
+    assert (proc.returncode, result.exit_code) == (code, code)
+    assert proc.stdout == result.stdout_bytes
+    assert (_ENUMERATE_SECONDS.sub(b")", proc.stderr)
+            == _ENUMERATE_SECONDS.sub(b")", result.stderr_bytes))
+    assert b"Traceback" not in proc.stderr
+    if args[0] == "demo" and code == 0:
+        out = tmp_path / "demo.json"
+        assert runner.invoke(main, [*args, "--out", str(out)]).exit_code == 0
+        assert proc.stdout == out.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
+def test_a_failed_write_to_stdout_exits_2(tmp_path, unbuffered):
+    # every write to /dev/full fails with ENOSPC; with a buffered stdout the
+    # interpreter would retry the bytes at exit, and exit 120
+    with open("/dev/full", "w") as full:
+        proc = _process(["demo", "--n", "3", "--p", "5"], tmp_path, stdout=full,
+                        PYTHONUNBUFFERED=unbuffered)
+    assert proc.returncode == 2
+    assert proc.stderr.decode() == (f"Error: cannot write standard output: "
+                                    f"{os.strerror(errno.ENOSPC)}\n")
+
+
+def _run_exiting_with(monkeypatch, raised):
+    """desarc.__main__.run over a main that raises `raised`, or returns if
+    it is None; the codes it ends the process with."""
+    from desarc import __main__ as entry
+
+    def command():
+        if raised is not None:
+            raise raised
+
+    ended = []
+    monkeypatch.setattr(entry, "main", command)
+    monkeypatch.setattr(entry.os, "_exit", ended.append)
+    entry.run()
+    return ended
+
+
+@pytest.mark.parametrize("raised,code,printed", [
+    (None, 0, ""), (SystemExit(), 0, ""), (SystemExit(0), 0, ""), (SystemExit(1), 1, ""),
+    (SystemExit(2), 2, ""), (SystemExit(True), 1, ""),
+    (SystemExit("no such thing"), 1, "no such thing\n"),
+], ids=repr)
+def test_run_ends_with_the_code_the_interpreter_gives(monkeypatch, capsys, raised, code,
+                                                      printed):
+    # cli.main returns (None) or raises SystemExit
+    assert _run_exiting_with(monkeypatch, raised) == [code]
+    assert capsys.readouterr() == ("", printed)
+
+
+def test_run_lets_any_other_exception_propagate(monkeypatch):
+    with pytest.raises(KeyError, match="x"):
+        _run_exiting_with(monkeypatch, KeyError("x"))
+
+
+class _Full(io.StringIO):
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("raised,code,reported", [
+    (None, 2, True), (SystemExit(0), 2, True), (SystemExit(1), 1, False),
+    (SystemExit(2), 2, False),
+], ids=repr)
+def test_run_reports_a_stdout_it_cannot_flush_after_a_success(monkeypatch, raised, code,
+                                                             reported):
+    # a failed command has reported why on stderr already and keeps its code
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", _Full())
+    monkeypatch.setattr(sys, "stderr", err)
+    assert _run_exiting_with(monkeypatch, raised) == [code]
+    message = f"Error: cannot write standard output: {os.strerror(errno.ENOSPC)}\n"
+    assert err.getvalue() == (message if reported else "")
