@@ -22,7 +22,9 @@ and `main` alone turns the error into exit 2: a usage error prints
 stderr.  Every input file goes through `_load`, which names the path when
 it cannot be read or parsed, or holds a kind the command does not take,
 and every document through `_emit`, which flushes stdout, so a document
-that cannot be written is a usage error too.
+that cannot be written is a usage error too.  So is a `--help` text:
+`_Parser.print_help` writes it through `_emit`, where argparse would drop
+the failed write.
 
 `main` exits through SystemExit, in-process as well (the tests' CliRunner
 and the benchmark's traced run call it so).  A `desarc` or `python -m
@@ -53,6 +55,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         raise UsageError(message)
+
+    def print_help(self, file=None):
+        """Write the help to stdout as `_emit` writes a document, so a help
+        text that stdout cannot take is a usage error; argparse's own write
+        drops the failure."""
+        if file is None:
+            _emit(self.format_help(), None)
+        else:
+            super().print_help(file)
 
 
 class _Command:
@@ -274,7 +285,7 @@ def _pair_battery(pair, vertex):
         edge_intersections,
         find_vertex,
         lift_round_trips,
-        tspace_intersections,
+        tspace_verdicts,
     )
 
     n = pair.n
@@ -283,16 +294,15 @@ def _pair_battery(pair, vertex):
         axis = axis_hyperplane(pair)
         return all(axis.contains_point(pt) for pt in edge_intersections(pair).values())
 
-    def tspace_ok():
-        axis = axis_hyperplane(pair)
-        return all(sub.dim == t - 1 and axis.contains(sub)
-                   for t in range(1, n) for sub in tspace_intersections(pair, t))
+    verdicts = {}
 
-    def face_meets_ok():
-        # face k spans the n-subset of indices without k: the (n-1)-space meets
+    def meets_in_axis(sizes):
+        # the verdict of each index-set size, found once in the frame of A;
+        # face k spans the n indices without k, so the face meets are size n
         axis = axis_hyperplane(pair)
-        return all(x.dim == n - 2 and axis.contains(x)
-                   for x in tspace_intersections(pair, n - 1))
+        if not verdicts:
+            verdicts.update(tspace_verdicts(pair, axis))
+        return all(verdicts[k] for k in sizes)
 
     w = _anchor_off(pair.field, n + 1)
     battery = [
@@ -304,8 +314,8 @@ def _pair_battery(pair, vertex):
                      for pt in edge_intersections(pair).values())),
         ("axis_is_hyperplane", lambda: axis_hyperplane(pair).dim == n - 1),
         ("axis_carries_intersections", carries_ok),
-        ("tspace_meets", tspace_ok),
-        ("face_meets_in_axis", face_meets_ok),
+        ("tspace_meets", lambda: meets_in_axis(range(2, n + 1))),
+        ("face_meets_in_axis", lambda: meets_in_axis((n,))),
         # lift-and-project agreement
         ("lift_project_axis",
          lambda: conway_lift_axis(pair, w) == axis_hyperplane(pair)),

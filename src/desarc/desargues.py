@@ -14,6 +14,27 @@ always x_{n+1} = 0: PGL(n+2, q) is transitive on hyperplanes, so any other
 gives the same configurations up to projectivity.  Configuration points are
 kept in the first n+1 coordinates, so they are honest points of PG(n, q),
 and a point of PG(n, q) embeds in the hyperplane by appending a 0.
+
+The extended Desargues theorem says that the corresponding t-spaces
+span(A_I) and span(B_I), |I| = t+1 <= n, of two simplexes in perspective
+meet in (t-1)-spaces, all on the axis.  `tspace_verdicts` checks this in
+the frame of A (coordinates relative to a simplex, as in Hirschfeld's
+Projective Geometries over Finite Fields), with no span or meet beyond the
+edges.  One rref of the rows (A_j | e_j) gives (I | M^-1), with M the
+matrix of rows A_j, and c_i = B_i M^-1 are the coordinates of B_i in the
+basis A: B_i = sum_j c_i[j] A_j.  So sum_{i in I} y_i B_i lies in span(A_I)
+exactly when its coordinates off I vanish, R_I y = 0 for the matrix R_I
+with a row j for each j not in I and entries c_i[j], i in I.  B is a
+simplex, so y -> sum y_i B_i is injective, and the meet is the image of
+the kernel of R_I: of projective dimension |I| - 1 - rank R_I.  It is a
+(|I|-2)-space exactly when rank R_I = 1, that is when R_I has a nonzero
+row r and every row is a multiple of r.  The meet is then the image of
+{y : r.y = 0}.  A subspace x is the common zero set of the rows d of a
+dual basis (the nullspace of x's basis; one row for a hyperplane), and d
+vanishes on the meet when the functional y -> sum y_i d.B_i vanishes on
+r's kernel, which is when (d.B_i)_{i in I} is a multiple of r.
+`tspace_intersections` keeps the meets themselves, for callers that want
+the subspaces.
 """
 
 from __future__ import annotations
@@ -43,9 +64,13 @@ from .field import GF
 from .projlin import (
     ProjPoint,
     Subspace,
+    _combine,
+    common_ambient,
     join,
     meet,
     normalize,
+    nullspace,
+    rref,
 )
 
 
@@ -403,6 +428,60 @@ def tspace_intersections(pair: PerspectivePair, t: int):
         raise BadT(f"t must lie in 1..{n - 1}, got {t}")
     return [_subset_meet(pair, idxs)
             for idxs in combinations(range(n + 1), t + 1)]
+
+
+def tspace_verdicts(pair: PerspectivePair, x: Subspace):
+    """For each size k = 2..n, whether span(A_I) meets span(B_I) in a
+    (k-2)-space of x for every index set I of k indices: the t-space meets
+    of `tspace_intersections` with t = k - 1, checked in the frame of A
+    with no span or meet (see the module docstring).  Returns a dict
+    keyed by k; a size stops at its first I that fails (`_frame_defect`)."""
+    field, n = pair.field, pair.n
+    width = n + 1
+    common_ambient((pair.a[0], x))
+    # (A | I) reduces to (I | M^-1), and c[i] = B_i M^-1; cols[j][i] = c_i[j]
+    unit = [tuple(int(i == j) for j in range(width)) for i in range(width)]
+    reduced, _ = rref(field, [a.coords + e for a, e in zip(pair.a, unit)])
+    inv_m = [row[width:] for row in reduced]
+    c = [_combine(field, b.coords, inv_m, width) for b in pair.b]
+    cols = list(zip(*c))
+    # duals[m][i] = d.B_i for the dual row d = dual_rows[m] of x
+    b_cols = list(zip(*(b.coords for b in pair.b)))
+    dual_rows = ([x.dual_vector()] if x.is_hyperplane
+                 else nullspace(field, x.basis, width))
+    duals = [_combine(field, d, b_cols, width) for d in dual_rows]
+    return {k: all(_frame_defect(field, cols, duals, idxs) is None
+                   for idxs in combinations(range(width), k))
+            for k in range(2, n + 1)}
+
+
+def _frame_defect(field: GF, cols, duals, idxs):
+    """Why span(A_I) and span(B_I), for I = idxs, do not meet in a
+    (|I|-2)-space of x, or None: "rank 0" or "rank > 1" for the rank of
+    R_I, whose row j (for j not in I) is cols[j] on I, and "off x" for a
+    dual row of x that is no multiple of R_I's first nonzero row r.  The
+    rows are compared with r scaled to 1 at its first nonzero entry p: a
+    row is a multiple of r exactly when it is its own entry at p times r."""
+    scale_row = field.scale_row
+    first = None
+    for j, col in enumerate(cols):
+        if j in idxs:
+            continue
+        row = [col[i] for i in idxs]
+        if first is None:
+            for p, lead in enumerate(row):
+                if lead:
+                    first = scale_row(field.inv(lead), row)
+                    break
+        elif row != scale_row(row[p], first):
+            return "rank > 1"
+    if first is None:
+        return "rank 0"
+    for dual in duals:
+        row = [dual[i] for i in idxs]
+        if row != scale_row(row[p], first):
+            return "off x"
+    return None
 
 
 # -- lifting -------------------------------------------------------------------

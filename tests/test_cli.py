@@ -418,6 +418,53 @@ def test_verify_reports_are_the_recorded_bytes(runner, tmp_path, name):
     assert result.stderr.splitlines() == lines
 
 
+def _tetrahedra_with_skew_edges():
+    """Two random tetrahedra of PG(3, 5) whose edges 0,1 are skew, and a
+    ninth random point."""
+    field = GF(5)
+    rng = random.Random(3)
+    pts = list(all_points(field, 3))
+    while True:
+        sample = rng.sample(pts, 9)
+        try:
+            pair = PerspectivePair(sample[:4], sample[4:8])
+            edge_intersections(pair)
+        except EdgesDisjoint:
+            return pair, sample[8]
+        except GeometryError:
+            continue
+
+
+# exit code, sha256 of the verify --out report and its stderr lines for
+# pair files, recorded when the t-space and face checks met the spans of
+# every index set
+_PAIR_GOLDEN = {
+    "seeded-8-11": (0, "09221dec6d0573da8cb109f9df1343e99c7b300332a9fda15f18d03b7141a7ba",
+                    [f"PASS  {name}" for name in _CHECKS[4:]]),
+    "seeded-5-7": (0, "09221dec6d0573da8cb109f9df1343e99c7b300332a9fda15f18d03b7141a7ba",
+                   [f"PASS  {name}" for name in _CHECKS[4:]]),
+    "skew-3-5": (1, "42c3d3aabf30710b6b1b98a8732cdac7be85bae1c62f6e5ffb1bb02dde16d694",
+                 _failed_lines("", "0,1", "NoCommonVertex: connector line 0 misses "
+                                          "the given vertex")[4:]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PAIR_GOLDEN))
+def test_verify_reports_of_pair_files_are_the_recorded_bytes(runner, tmp_path, name):
+    if name.startswith("skew"):
+        pair, vertex = _tetrahedra_with_skew_edges()
+    else:
+        n, q = map(int, name.split("-")[1:])
+        pair, vertex = random_perspective_pair(n, GF(q), random.Random(n * q))
+    pair_file, report = tmp_path / "pair.json", tmp_path / "verify.json"
+    pair_file.write_text(gio.dumps(gio.pair_to_json(pair, vertex)))
+    result = runner.invoke(main, ["verify", str(pair_file), "--out", str(report)])
+    code, digest, lines = _PAIR_GOLDEN[name]
+    assert result.exit_code == code
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == digest
+    assert result.stderr.splitlines() == lines
+
+
 def test_verify_of_a_seeded_config_stays_within_its_work(monkeypatch):
     # each span joins only the labels no symbol triple places, and extends
     # its prefix's reduced basis; joining every label with one rref each
@@ -781,20 +828,9 @@ def test_verify_reports_each_check_of_a_pair_not_in_perspective(runner, tmp_path
 def test_verify_gives_every_check_on_skew_edges_one_detail(runner, tmp_path):
     # two random tetrahedra of PG(3, 5) with skew edges 0,1: every check
     # that needs the edge meets fails with the one memoized error
-    field = GF(5)
-    rng = random.Random(3)
-    pts = list(all_points(field, 3))
-    while True:
-        sample = rng.sample(pts, 9)
-        try:
-            pair = PerspectivePair(sample[:4], sample[4:8])
-            edge_intersections(pair)
-        except EdgesDisjoint:
-            break
-        except GeometryError:
-            continue
+    pair, point = _tetrahedra_with_skew_edges()
     pair_file = tmp_path / "pair.json"
-    pair_file.write_text(gio.dumps(gio.pair_to_json(pair, sample[8])))
+    pair_file.write_text(gio.dumps(gio.pair_to_json(pair, point)))
     result = runner.invoke(main, ["verify", str(pair_file)])
     assert result.exit_code == 1
     checks = {c["name"]: c for c in json.loads(result.stdout)["checks"]}
@@ -834,8 +870,9 @@ def test_verify_passing_report_has_no_detail(runner, tmp_path):
     assert doc["checks"] == [{"name": name, "ok": True} for name in BATTERY]
 
 
-@pytest.mark.parametrize("n,q", [(4, 5), (8, 11)])
-def test_pair_battery_meets_once_per_index_subset(monkeypatch, n, q):
+def _battery_meets(monkeypatch, n, q):
+    """The meets the battery of a seeded pair of PG(n, q) makes, once every
+    check has passed."""
     from desarc import desargues
     pair, vertex = desargues.random_perspective_pair(n, GF(q), random.Random(n + q))
     calls = []
@@ -848,6 +885,12 @@ def test_pair_battery_meets_once_per_index_subset(monkeypatch, n, q):
     monkeypatch.setattr(desargues, "meet", counted)
     checks = _pair_battery(pair, vertex)
     assert [(name, ok) for name, ok, _ in checks] == [(name, True) for name in BATTERY]
+    return calls
+
+
+@pytest.mark.parametrize("n,q", [(4, 5), (8, 11)])
+def test_pair_battery_meets_once_per_index_subset(monkeypatch, n, q):
+    calls = _battery_meets(monkeypatch, n, q)
     subsets = 2 ** (n + 1) - (n + 1) - 2   # index subsets of size 2..n
     connectors = 2                          # find_vertex, again in the Conway lift
     lifts = 2 + (n + 1)                     # Conway lift; lift_to_arc, one per point
@@ -855,6 +898,15 @@ def test_pair_battery_meets_once_per_index_subset(monkeypatch, n, q):
     assert len(calls) <= subsets + connectors + lifts + sections
     if n == 8:
         assert len(calls) <= 570
+
+
+@pytest.mark.parametrize("n,q,meets", [(4, 5, 19), (8, 11, 49)])
+def test_pair_battery_meets_only_edges_connectors_and_lifts(monkeypatch, n, q, meets):
+    # the t-space and face checks read tspace_verdicts, found in the frame
+    # of A with no meet: what is left is the C(n+1, 2) edges, 2 connectors,
+    # 2 meets in the Conway lift and one per point in the lift to an arc
+    calls = _battery_meets(monkeypatch, n, q)
+    assert len(calls) == comb(n + 1, 2) + 2 + 2 + (n + 1) == meets
 
 
 # -- the process: `python -m desarc` ends through desarc.__main__.run --
@@ -911,13 +963,17 @@ def test_a_process_gives_the_bytes_and_code_of_cli_main(runner, tmp_path, monkey
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("unbuffered", [None, "1"], ids=["buffered", "unbuffered"])
-def test_a_failed_write_to_stdout_exits_2(tmp_path, unbuffered):
+@pytest.mark.parametrize("args,unbuffered", [
+    pytest.param(args, unbuffered, id=f"{name}{mode}")
+    for name, args in [("", ["demo", "--n", "3", "--p", "5"]), ("help-", ["--help"]),
+                       ("lift-help-", ["lift", "--help"])]
+    for mode, unbuffered in [("buffered", None), ("unbuffered", "1")]])
+def test_a_failed_write_to_stdout_exits_2(tmp_path, args, unbuffered):
     # every write to /dev/full fails with ENOSPC; with a buffered stdout the
-    # interpreter would retry the bytes at exit, and exit 120
+    # interpreter would retry the bytes at exit, and exit 120, and with an
+    # unbuffered one argparse would drop the failed write of a help text
     with open("/dev/full", "w") as full:
-        proc = _process(["demo", "--n", "3", "--p", "5"], tmp_path, stdout=full,
-                        PYTHONUNBUFFERED=unbuffered)
+        proc = _process(args, tmp_path, stdout=full, PYTHONUNBUFFERED=unbuffered)
     assert proc.returncode == 2
     assert proc.stderr.decode() == (f"Error: cannot write standard output: "
                                     f"{os.strerror(errno.ENOSPC)}\n")

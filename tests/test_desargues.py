@@ -2,6 +2,7 @@
 lift-and-project axis construction."""
 
 import random
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -24,6 +25,7 @@ from desarc.desargues import (
     section_arc,
     sectioned_config,
     tspace_intersections,
+    tspace_verdicts,
 )
 from desarc.errors import (
     AmbientMismatch,
@@ -44,6 +46,7 @@ from desarc.field import GF
 from desarc.projlin import (
     ProjPoint,
     Subspace,
+    _combine,
     all_points,
     join,
     meet,
@@ -722,6 +725,97 @@ def test_tspace_meets_are_the_closed_form_on_every_normal_form(n, field):
                 assert x == Subspace(field, n, nullspace(field, eqs, n + 1))
                 cases += 1
     assert cases == {3: 2050, 4: 525, 2: 1365}[n]
+
+
+def _reference_verdicts(pair, x):
+    """The verdict of each index-set size k = 2..n read from the meets."""
+    return {t + 1: all(sub.dim == t - 1 and x.contains(sub)
+                       for sub in tspace_intersections(pair, t))
+            for t in range(1, pair.n)}
+
+
+def _random_vector(field, width, rng):
+    while True:
+        vec = [rng.randrange(field.q) for _ in range(width)]
+        if any(vec):
+            return vec
+
+
+def _random_subspaces(pair, rng):
+    """Stand-ins for the axis: a random hyperplane, and the spans of n - 1
+    and of n + 1 random vectors (the latter as a rule the whole space)."""
+    field, n = pair.field, pair.n
+    return [hyperplane_from_dual(field, _random_vector(field, n + 1, rng)),
+            Subspace(field, n, [_random_vector(field, n + 1, rng) for _ in range(n - 1)]),
+            Subspace(field, n, [_random_vector(field, n + 1, rng) for _ in range(n + 1)])]
+
+
+@pytest.fixture
+def frame_defects(monkeypatch):
+    """Counts the reasons `_frame_defect` gives, None for an index set that
+    passes, and compares the frame verdicts with the meets'."""
+    from desarc import desargues
+    reasons = Counter()
+    real = desargues._frame_defect
+
+    def recorded(*args):
+        reason = real(*args)
+        reasons[reason] += 1
+        return reason
+
+    monkeypatch.setattr(desargues, "_frame_defect", recorded)
+
+    def agree(pair, xs):
+        for x in xs:
+            assert tspace_verdicts(pair, x) == _reference_verdicts(pair, x)
+        return reasons
+
+    return agree
+
+
+@pytest.mark.parametrize("n,field", [(3, F5), (4, GF(3)), (2, GF(3, 2))], ids=str)
+def test_tspace_verdicts_match_the_meets_on_every_normal_form(frame_defects, n, field):
+    rng = random.Random(n * field.q)
+    for s in normal_forms(n, field):
+        pair, _ = normal_form_pair(n, field, s)
+        reasons = frame_defects(pair, [axis_hyperplane(pair), *_random_subspaces(pair, rng)])
+    # the axis passes every index set, and a random hyperplane misses a meet
+    assert set(reasons) == {None, "off x"}
+
+
+@pytest.mark.parametrize("field", [F5, GF(11), GF(2, 3), GF(3, 2)], ids=str)
+@pytest.mark.parametrize("n", range(3, 9))
+def test_tspace_verdicts_match_the_meets_on_seeded_pairs(frame_defects, n, field):
+    rng = random.Random(10 * n + field.q)
+    for _ in range(2):
+        pair, _ = random_perspective_pair(n, field, rng)
+        reasons = frame_defects(pair, [axis_hyperplane(pair), *_random_subspaces(pair, rng)])
+    assert set(reasons) == {None, "off x"}
+
+
+@pytest.mark.parametrize("n,field", [(3, F5), (4, GF(3)), (5, GF(2, 3)), (6, GF(7))], ids=str)
+def test_tspace_verdicts_match_the_meets_on_pairs_not_in_perspective(frame_defects, n,
+                                                                     field):
+    # random simplexes, whose first edges are skew as a rule (rank R_I > 1),
+    # and ones with B_0..B_{k-1} in span(A_0..A_{k-1}) for some k < n, whose
+    # first index set of size k has span(A_I) = span(B_I) (rank R_I = 0)
+    rng = random.Random(n * field.q)
+    width, pairs = n + 1, 0
+    while pairs < 12:
+        a = [_random_vector(field, width, rng) for _ in range(width)]
+        b = [_random_vector(field, width, rng) for _ in range(width)]
+        if pairs % 2:
+            k = rng.randrange(2, n)
+            b[:k] = [_combine(field, _random_vector(field, k, rng), a[:k], width)
+                     for _ in range(k)]
+        try:
+            pair = PerspectivePair([normalize(field, v) for v in a],
+                                   [normalize(field, v) for v in b])
+        except GeometryError:
+            continue
+        pairs += 1
+        reasons = frame_defects(pair, _random_subspaces(pair, rng))
+    assert {"rank 0", "rank > 1"} <= set(reasons)
 
 
 def test_lift_rejects_vertex_on_face():
