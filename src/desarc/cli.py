@@ -276,8 +276,8 @@ def _pair_battery(pair, vertex):
 
     Each check runs on its own: a typed geometry error fails that check,
     with the error type and message as its detail, and the other checks
-    still run.  The pair keeps its edge meets, so a check that needs
-    them raises the same error as every other such check."""
+    still run.  The edge meets are read from the pair's frame, so a check
+    that needs them raises the same error as every other such check."""
     from .desargues import (
         _anchor_off,
         axis_hyperplane,

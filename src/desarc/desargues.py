@@ -17,24 +17,26 @@ and a point of PG(n, q) embeds in the hyperplane by appending a 0.
 
 The extended Desargues theorem says that the corresponding t-spaces
 span(A_I) and span(B_I), |I| = t+1 <= n, of two simplexes in perspective
-meet in (t-1)-spaces, all on the axis.  `tspace_verdicts` checks this in
-the frame of A (coordinates relative to a simplex, as in Hirschfeld's
-Projective Geometries over Finite Fields), with no span or meet beyond the
-edges.  One rref of the rows (A_j | e_j) gives (I | M^-1), with M the
-matrix of rows A_j, and c_i = B_i M^-1 are the coordinates of B_i in the
-basis A: B_i = sum_j c_i[j] A_j.  So sum_{i in I} y_i B_i lies in span(A_I)
-exactly when its coordinates off I vanish, R_I y = 0 for the matrix R_I
-with a row j for each j not in I and entries c_i[j], i in I.  B is a
-simplex, so y -> sum y_i B_i is injective, and the meet is the image of
-the kernel of R_I: of projective dimension |I| - 1 - rank R_I.  It is a
-(|I|-2)-space exactly when rank R_I = 1, that is when R_I has a nonzero
-row r and every row is a multiple of r.  The meet is then the image of
-{y : r.y = 0}.  A subspace x is the common zero set of the rows d of a
+meet in (t-1)-spaces, all on the axis.  A pair reads every such meet, the
+edges (|I| = 2) and the faces (|I| = n) among them, in its frame: the
+coordinates of B relative to the simplex A, as in Hirschfeld's Projective
+Geometries over Finite Fields, with no span or meet.  One rref of the
+columns (A_0 .. A_n | B_0 .. B_n) gives (I | C), and the column c_i of C
+holds the coordinates of B_i in the basis A: B_i = sum_j c_i[j] A_j.  So
+sum_{i in I} y_i B_i lies in span(A_I) exactly when its coordinates off I
+vanish, R_I y = 0 for the matrix R_I with a row j for each j not in I and
+entries c_i[j], i in I.  B is a simplex, so y -> sum y_i B_i is
+injective, and the meet is the image of the kernel of R_I: of projective
+dimension |I| - 1 - rank R_I.  It is a (|I|-2)-space exactly when rank
+R_I = 1, that is when R_I has a nonzero row r and every row is a multiple
+of r.  The meet is then the image of {y : r.y = 0}: for an edge I = (i, j)
+the point r_1 B_i - r_0 B_j, and rank 0 or rank > 1 make the edges the
+same line or skew.  Face k of A is the hyperplane of the points whose k-th
+coordinate is 0, so the faces k of A and B coincide exactly when c_i[k] = 0
+for every i != k.  A subspace x is the common zero set of the rows d of a
 dual basis (the nullspace of x's basis; one row for a hyperplane), and d
 vanishes on the meet when the functional y -> sum y_i d.B_i vanishes on
 r's kernel, which is when (d.B_i)_{i in I} is a multiple of r.
-`tspace_intersections` keeps the meets themselves, for callers that want
-the subspaces.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .arcs import Arc, frame_off_hyperplane, is_simplex, random_arc_off_hyperpla
 from .errors import (
     AmbientMismatch,
     BadSymbols,
-    BadT,
     DegenerateSection,
     DimensionTooSmall,
     EdgesDisjoint,
@@ -125,16 +126,25 @@ class LabeledConfiguration:
 
     def span(self, symbols) -> Subspace:
         """The join of the points labeled by pairs of the symbols, kept per
-        symbol set and built from the span without the last symbol and the
+        symbol set and joined from the span without the last symbol and the
         labels that symbol adds (`_added`), which skip every label a
-        symbol triple already places.  The vertex sweep reads only these:
-        (a, b) with the other symbols R passes iff (1) each span{a,b,i} is
-        a line, (2) span{a,i,j} and span{b,i,j} are distinct lines, (3)
-        span({a} | R) and span({b} | R) have dimension n, and (4)
-        span({a} | R - {k}) != span({b} | R - {k}).  No meet is needed, as
-        two distinct lines through (i, j) meet there; the configuration
-        module gives the whole argument."""
-        return _prefix_span(self._spans, tuple(sorted(symbols)), self._added)
+        symbol triple already places; the join extends the reduced basis of
+        the shorter span, and a symbol that adds no label reuses it.  The
+        vertex sweep reads only these: (a, b) with the other symbols R
+        passes iff (1) each span{a,b,i} is a line, (2) span{a,i,j} and
+        span{b,i,j} are distinct lines, (3) span({a} | R) and span({b} | R)
+        have dimension n, and (4) span({a} | R - {k}) != span({b} | R - {k}).
+        No meet is needed, as two distinct lines through (i, j) meet there;
+        the configuration module gives the whole argument."""
+        key = tuple(sorted(symbols))
+        found = self._spans.get(key)
+        if found is None:
+            found = self.span(key[:-1])
+            new = self._added(key)
+            if new:
+                found = join(found, *new)
+            self._spans[key] = found
+        return found
 
     def _added(self, key):
         """The points the last symbol l of a span key adds to the span of
@@ -201,17 +211,13 @@ class PerspectivePair:
     hypotheses, so violating them fails fast here instead of corrupting
     downstream geometry.
 
-    Every check on the pair computes each of its objects once.  `span_a`
-    and `span_b` keep the span of the points at each ascending index tuple;
-    each is joined from the span of the tuple without its last index and
-    that index's point by `_prefix_span`, which grows the spans of
-    `LabeledConfiguration.span` too.  The faces are read from these spans.
-    `_meets` keeps the meet of the two spans per index tuple (see
-    `_subset_meet`), and `_axis` keeps the axis hyperplane once it is
-    found.
+    The pair keeps its frame (see the module docstring): `_frame[j][i]`
+    is the j-th coordinate of B_i in the basis A, from which the edge
+    meets, the shared-face test and the t-space verdicts are all read.
+    `_axis` keeps the axis hyperplane once it is found.
     """
 
-    __slots__ = ("field", "n", "a", "b", "_spans_a", "_spans_b", "_meets", "_axis")
+    __slots__ = ("field", "n", "a", "b", "_frame", "_axis")
 
     def __init__(self, a, b):
         a = tuple(a)
@@ -230,60 +236,32 @@ class PerspectivePair:
                 f"perspective pairs need dimension n >= 2, got n = {n}")
         if set(a) & set(b):
             raise SharedPoint("the simplexes share a point")
+        frame = _coordinates(a, b)
+        for k, row in enumerate(frame):
+            if not any(row[:k] + row[k + 1:]):
+                raise SharedFace(f"corresponding faces {k} coincide")
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "_spans_a", {(): Subspace.empty(field, n)})
-        object.__setattr__(self, "_spans_b", {(): Subspace.empty(field, n)})
-        object.__setattr__(self, "_meets", {})
+        object.__setattr__(self, "_frame", frame)
         object.__setattr__(self, "_axis", None)
-        for k, (face_a, face_b) in enumerate(zip(self.faces_a, self.faces_b)):
-            if face_a == face_b:
-                raise SharedFace(f"corresponding faces {k} coincide")
 
     def __setattr__(self, name, value):
         raise AttributeError("PerspectivePair is immutable")
-
-    def span_a(self, idxs) -> Subspace:
-        """The span of A_i for i in idxs, an ascending index tuple."""
-        return _prefix_span(self._spans_a, idxs, lambda key: (self.a[key[-1]],))
-
-    def span_b(self, idxs) -> Subspace:
-        """The span of B_i for i in idxs, an ascending index tuple."""
-        return _prefix_span(self._spans_b, idxs, lambda key: (self.b[key[-1]],))
-
-    @property
-    def faces_a(self):
-        return tuple(map(self.span_a, _face_keys(self.n)))
-
-    @property
-    def faces_b(self):
-        return tuple(map(self.span_b, _face_keys(self.n)))
 
     def __repr__(self):
         return f"PerspectivePair(n={self.n}, q={self.field.q})"
 
 
-def _face_keys(n: int):
-    """Index tuples of a simplex's faces: face k spans every index but k."""
-    return [tuple(i for i in range(n + 1) if i != k) for k in range(n + 1)]
-
-
-def _prefix_span(spans, key, added) -> Subspace:
-    """spans[key] for an ascending key, the one span rule of configurations
-    and pairs: the join of the span of key[:-1] and the points added(key)
-    that key[-1] adds, kept in spans, which holds the empty key's span.
-    The join extends the prefix's reduced basis.  A key whose last entry
-    adds no point reuses its prefix's span."""
-    found = spans.get(key)
-    if found is None:
-        found = _prefix_span(spans, key[:-1], added)
-        new = added(key)
-        if new:
-            found = join(found, *new)
-        spans[key] = found
-    return found
+def _coordinates(basis, points):
+    """The coordinates of the points in the basis of a simplex's points:
+    row j holds the j-th coordinate of each point p, p = sum_j x_j basis_j.
+    One rref of the columns (basis | points), which reduces to (I | X)."""
+    width = len(basis)
+    columns = [p.coords for p in basis] + [p.coords for p in points]
+    reduced, _ = rref(basis[0].field, list(zip(*columns)))
+    return [row[width:] for row in reduced]
 
 
 # -- section -------------------------------------------------------------------
@@ -368,22 +346,17 @@ def extract_perspective_pair(config: LabeledConfiguration, a: int, b: int):
     return PerspectivePair(pa, pb), config.point(a, b)
 
 
-def _subset_meet(pair: PerspectivePair, idxs) -> Subspace:
-    """The meet of the spans of A_i and of B_i for i in idxs, an ascending
-    index tuple; computed once per pair from the pair's spans."""
-    x = pair._meets.get(idxs)
-    if x is None:
-        x = pair._meets[idxs] = meet(pair.span_a(idxs), pair.span_b(idxs))
-    return x
-
-
 def _edge_meet(pair: PerspectivePair, i: int, j: int) -> ProjPoint:
-    x = _subset_meet(pair, (i, j))
-    if x.dim == 1:  # two lines meet in a line only when they coincide
+    """The point where edges i, j of A and B meet, r_1 B_i - r_0 B_j for
+    the row r of R_I, I = (i, j), read from the pair's frame."""
+    field, b = pair.field, pair.b
+    r, reason = _rank_one_row(field, pair._frame, (i, j))
+    if reason == "rank 0":  # span(A_I) = span(B_I)
         raise EdgesDisjoint(f"edges {i},{j} are the same line")
-    if x.dim != 0:
+    if reason is not None:
         raise EdgesDisjoint(f"edges {i},{j} are skew")
-    return x.point()
+    return normalize(field, field.sub_row(r[0], field.scale_row(r[1], b[i].coords),
+                                          b[j].coords))
 
 
 def find_vertex(pair: PerspectivePair) -> ProjPoint:
@@ -420,68 +393,62 @@ def axis_hyperplane(pair: PerspectivePair) -> Subspace:
     return pair._axis
 
 
-def tspace_intersections(pair: PerspectivePair, t: int):
-    """Meets of corresponding t-spaces, one per (t+1)-subset of indices in
-    lexicographic order."""
-    n = pair.n
-    if not 1 <= t <= n - 1:
-        raise BadT(f"t must lie in 1..{n - 1}, got {t}")
-    return [_subset_meet(pair, idxs)
-            for idxs in combinations(range(n + 1), t + 1)]
-
-
 def tspace_verdicts(pair: PerspectivePair, x: Subspace):
     """For each size k = 2..n, whether span(A_I) meets span(B_I) in a
     (k-2)-space of x for every index set I of k indices: the t-space meets
-    of `tspace_intersections` with t = k - 1, checked in the frame of A
-    with no span or meet (see the module docstring).  Returns a dict
-    keyed by k; a size stops at its first I that fails (`_frame_defect`)."""
+    with t = k - 1, checked in the pair's frame with no span or meet (see
+    the module docstring).  Returns a dict keyed by k; a size stops at its
+    first I that fails (`_frame_defect`)."""
     field, n = pair.field, pair.n
     width = n + 1
     common_ambient((pair.a[0], x))
-    # (A | I) reduces to (I | M^-1), and c[i] = B_i M^-1; cols[j][i] = c_i[j]
-    unit = [tuple(int(i == j) for j in range(width)) for i in range(width)]
-    reduced, _ = rref(field, [a.coords + e for a, e in zip(pair.a, unit)])
-    inv_m = [row[width:] for row in reduced]
-    c = [_combine(field, b.coords, inv_m, width) for b in pair.b]
-    cols = list(zip(*c))
     # duals[m][i] = d.B_i for the dual row d = dual_rows[m] of x
     b_cols = list(zip(*(b.coords for b in pair.b)))
     dual_rows = ([x.dual_vector()] if x.is_hyperplane
                  else nullspace(field, x.basis, width))
     duals = [_combine(field, d, b_cols, width) for d in dual_rows]
-    return {k: all(_frame_defect(field, cols, duals, idxs) is None
+    return {k: all(_frame_defect(field, pair._frame, duals, idxs) is None
                    for idxs in combinations(range(width), k))
             for k in range(2, n + 1)}
 
 
-def _frame_defect(field: GF, cols, duals, idxs):
-    """Why span(A_I) and span(B_I), for I = idxs, do not meet in a
-    (|I|-2)-space of x, or None: "rank 0" or "rank > 1" for the rank of
-    R_I, whose row j (for j not in I) is cols[j] on I, and "off x" for a
-    dual row of x that is no multiple of R_I's first nonzero row r.  The
-    rows are compared with r scaled to 1 at its first nonzero entry p: a
-    row is a multiple of r exactly when it is its own entry at p times r."""
+def _rank_one_row(field: GF, frame, idxs):
+    """(r, None) when R_I, for I = idxs, has rank 1, with r its first
+    nonzero row scaled to 1 at its first nonzero entry; (None, "rank 0") or
+    (None, "rank > 1") otherwise.  Row j of R_I, for j not in I, is
+    frame[j] on I.  A row is a multiple of r exactly when it is its own
+    entry at r's leading 1 times r."""
     scale_row = field.scale_row
     first = None
-    for j, col in enumerate(cols):
+    for j, coords in enumerate(frame):
         if j in idxs:
             continue
-        row = [col[i] for i in idxs]
+        row = [coords[i] for i in idxs]
         if first is None:
             for p, lead in enumerate(row):
                 if lead:
                     first = scale_row(field.inv(lead), row)
                     break
         elif row != scale_row(row[p], first):
-            return "rank > 1"
+            return None, "rank > 1"
     if first is None:
-        return "rank 0"
-    for dual in duals:
-        row = [dual[i] for i in idxs]
-        if row != scale_row(row[p], first):
-            return "off x"
-    return None
+        return None, "rank 0"
+    return first, None
+
+
+def _frame_defect(field: GF, frame, duals, idxs):
+    """Why span(A_I) and span(B_I), for I = idxs, do not meet in a
+    (|I|-2)-space of x, or None: the rank of R_I when it is not 1
+    (`_rank_one_row`), or "off x" for a dual row of x that is no multiple
+    of R_I's row r."""
+    first, reason = _rank_one_row(field, frame, idxs)
+    if reason is None:
+        scale_row, p = field.scale_row, first.index(1)
+        for dual in duals:
+            row = [dual[i] for i in idxs]
+            if row != scale_row(row[p], first):
+                return "off x"
+    return reason
 
 
 # -- lifting -------------------------------------------------------------------
@@ -553,8 +520,11 @@ def lift_to_arc(pair: PerspectivePair, vertex: ProjPoint, rng=None) -> Arc:
     (not A_i, which is on no face), and differ, as line 1-2 meets the
     hyperplane only at the vertex: their meet is a point.
     """
-    for face_a, face_b in zip(pair.faces_a, pair.faces_b):
-        if face_a.contains_point(vertex) or face_b.contains_point(vertex):
+    if vertex.field != pair.field or vertex.n != pair.n:
+        raise AmbientMismatch("point lives in a different space")
+    # face k of a simplex holds the points whose k-th coordinate is 0
+    for simplex in (pair.a, pair.b):
+        if not all(x for (x,) in _coordinates(simplex, (vertex,))):
             raise SharedFace("the vertex lies on a face of one of the simplexes")
     for i in range(pair.n + 1):
         if not join(pair.a[i], pair.b[i]).contains_point(vertex):

@@ -93,10 +93,6 @@ class NoCommonVertex(GeometryError):
     """The lines through corresponding points are not concurrent."""
 
 
-class BadT(GeometryError):
-    """t is outside the valid range 1..n-1."""
-
-
 class WInH(GeometryError):
     """The projection centre must lie off the designated hyperplane."""
 

@@ -1,8 +1,8 @@
 """Constructions shared by several test modules: the hyperplane of a dual
-vector and the face of a simplex, two oracles the library itself has no
-use for; a column-sweep row reduction that shares no code with the
-library's; the converse census; and the tables the span oracle and the
-recorded verify reports run on.
+vector, the face of a simplex and the meets of corresponding t-spaces of a
+pair, oracles the library itself has no use for; a column-sweep row
+reduction that shares no code with the library's; the converse census;
+and the tables the span oracle and the recorded verify reports run on.
 
 The census runs on its own too:
 
@@ -31,7 +31,7 @@ from desarc.errors import (
     ZeroVector,
 )
 from desarc.field import GF
-from desarc.projlin import ProjPoint, Subspace, all_points, join, nullspace
+from desarc.projlin import ProjPoint, Subspace, all_points, join, meet, nullspace
 
 
 def reference_rref(field, rows, width):
@@ -85,6 +85,15 @@ def face(points, k: int) -> Subspace:
     """Face k of a simplex: the hyperplane spanned by every point except
     the one at index k."""
     return join(*(p for i, p in enumerate(points) if i != k))
+
+
+def tspace_intersections(pair, t: int):
+    """The meets of corresponding t-spaces span(A_I) and span(B_I), one per
+    (t+1)-subset I of indices in lexicographic order, each a meet of two
+    joins of the points: the oracle for the pair's frame, which reads them
+    with no span or meet."""
+    return [meet(join(*(pair.a[i] for i in idxs)), join(*(pair.b[i] for i in idxs)))
+            for idxs in combinations(range(pair.n + 1), t + 1)]
 
 
 def random_points_table(n, field, rng) -> LabeledConfiguration:

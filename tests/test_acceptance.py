@@ -29,12 +29,13 @@ from desarc.desargues import (
     random_perspective_pair,
     section_arc,
     sectioned_config,
-    tspace_intersections,
 )
 from desarc.enumeration import count_arcs, count_frames, pgl_order
 from desarc.errors import FieldTooSmall
 from desarc.field import GF
 from desarc.projlin import all_points, join, meet
+
+from support import face, tspace_intersections
 
 SECTION_CASES = [(2, 5), (3, 3), (3, 5), (4, 3), (4, 5)]
 
@@ -83,8 +84,8 @@ def test_criterion_2_extended_desargues():
                 for sub in tspace_intersections(pair, t):
                     if sub.dim != t - 1 or not axis.contains(sub):
                         ok = False
-            for fa, fb in zip(pair.faces_a, pair.faces_b):
-                fm = meet(fa, fb)
+            for k in range(n + 1):
+                fm = meet(face(pair.a, k), face(pair.b, k))
                 if fm.dim != n - 2 or not axis.contains(fm):
                     ok = False
     elapsed = time.perf_counter() - start

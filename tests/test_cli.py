@@ -900,13 +900,13 @@ def test_pair_battery_meets_once_per_index_subset(monkeypatch, n, q):
         assert len(calls) <= 570
 
 
-@pytest.mark.parametrize("n,q,meets", [(4, 5, 19), (8, 11, 49)])
+@pytest.mark.parametrize("n,q,meets", [(4, 5, 9), (8, 11, 13)])
 def test_pair_battery_meets_only_edges_connectors_and_lifts(monkeypatch, n, q, meets):
-    # the t-space and face checks read tspace_verdicts, found in the frame
-    # of A with no meet: what is left is the C(n+1, 2) edges, 2 connectors,
-    # 2 meets in the Conway lift and one per point in the lift to an arc
+    # the edge meets, the t-space and the face checks are read from the
+    # pair's frame with no meet: what is left is 2 connectors, 2 meets in
+    # the Conway lift and one per point in the lift to an arc
     calls = _battery_meets(monkeypatch, n, q)
-    assert len(calls) == comb(n + 1, 2) + 2 + 2 + (n + 1) == meets
+    assert len(calls) == 2 + 2 + (n + 1) == meets
 
 
 # -- the process: `python -m desarc` ends through desarc.__main__.run --

@@ -24,13 +24,11 @@ from desarc.desargues import (
     random_perspective_pair,
     section_arc,
     sectioned_config,
-    tspace_intersections,
     tspace_verdicts,
 )
 from desarc.errors import (
     AmbientMismatch,
     BadSymbols,
-    BadT,
     DimensionTooSmall,
     EdgesDisjoint,
     FieldTooSmall,
@@ -55,7 +53,7 @@ from desarc.projlin import (
     num_points,
 )
 
-from support import converse_census, face, hyperplane_from_dual
+from support import converse_census, face, hyperplane_from_dual, tspace_intersections
 
 F5 = GF(5)
 
@@ -189,6 +187,46 @@ def test_pair_rejects_shared_face():
         PerspectivePair(a, b)
 
 
+def _point_of(field, points, rng):
+    """A random nonzero combination of the points, normalized."""
+    while True:
+        vec = _combine(field, [rng.randrange(field.q) for _ in points],
+                       [p.coords for p in points], points[0].n + 1)
+        if any(vec):
+            return normalize(field, vec)
+
+
+@pytest.mark.parametrize("field", [F5, GF(3, 2)], ids=str)
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_pair_rejects_a_shared_face_exactly_when_the_faces_coincide(field, n):
+    # B_j in face k of A for every j != k, or for all but one: the faces k
+    # coincide exactly when the first holds and B is a simplex, and the
+    # error names the first coinciding face, found here by joins
+    rng = random.Random(10 * n + field.q)
+    pts = list(all_points(field, n))
+    seen = Counter()
+    tries = 0
+    while min(seen["shared"], seen["distinct"]) < 8:
+        tries += 1
+        a = rng.sample(pts, n + 1)
+        k = rng.randrange(n + 1)
+        spare = rng.choice([j for j in range(n + 1) if j != k]) if tries % 2 else None
+        in_face = [p for i, p in enumerate(a) if i != k]
+        b = [rng.choice(pts) if j in (k, spare) else _point_of(field, in_face, rng)
+             for j in range(n + 1)]
+        shared = next((m for m in range(n + 1) if face(a, m) == face(b, m)), None)
+        try:
+            PerspectivePair(a, b)
+        except SharedFace as err:
+            assert str(err) == f"corresponding faces {shared} coincide"
+            seen["shared"] += 1
+        except GeometryError:
+            continue   # not two simplexes, or a shared point
+        else:
+            assert shared is None
+            seen["distinct"] += 1
+
+
 # -- vertex ------------------------------------------------------------------------
 
 def test_simplex_with_vertex_is_a_frame():
@@ -306,45 +344,37 @@ def test_edge_meets_computed_once_per_pair(monkeypatch):
     assert find_vertex(pair) == vertex
     meets = edge_intersections(pair)
     axis = axis_hyperplane(pair)
-    # the C(5, 2) edge meets once each, plus the meet of two connector lines
-    assert len(calls) == comb(5, 2) + 1
+    # the edge meets are read from the pair's frame: the one meet left is
+    # that of two connector lines
+    assert len(calls) == 1
     assert axis.dim == 3 and len(meets) == comb(5, 2)
-    # t = 1 reads the edge meets; t = n - 1 computes the face meets, once
+    # the oracle's t = 1 meets are the edge meets, and its t = n - 1 meets
+    # the face meets, all on the axis
     lines = tspace_intersections(pair, 1)
-    assert len(calls) == comb(5, 2) + 1
+    assert [line.point() for line in lines] == list(meets.values())
     faces = tspace_intersections(pair, 3)
-    assert tspace_intersections(pair, 3) == faces   # read back, not recomputed
-    assert len(calls) == comb(5, 2) + 1 + 5
-    assert lines == [
-        meet(join(pair.a[i], pair.a[j]), join(pair.b[i], pair.b[j]))
-        for i, j in combinations(range(5), 2)]
     # the 4-subsets in order leave out index 4, 3, ..., 0
-    assert faces[::-1] == [meet(fa, fb) for fa, fb in zip(pair.faces_a, pair.faces_b)]
-
-
-def _index_subsets(n, low=1):
-    return [idxs for size in range(low, n + 2)
-            for idxs in combinations(range(n + 1), size)]
+    assert faces[::-1] == [meet(face(pair.a, k), face(pair.b, k)) for k in range(5)]
+    assert all(axis.contains(x) for x in faces)
 
 
 @pytest.mark.parametrize("field", [GF(5), GF(2, 3), GF(3, 2)], ids=str)
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_prefix_grown_pair_spans_match_joins_from_scratch(field, n):
-    """The pair's spans, each joined from the span of its prefix, its faces
-    and its subset meets against joins and meets of the points alone, on
-    two seeded pairs per (n, q)."""
-    from desarc.desargues import _subset_meet
+    """The edge meets the pair reads from its frame against meets of the
+    edges joined from scratch, on two seeded pairs per (n, q); the faces,
+    joined from scratch, differ as the constructor's frame test says, and
+    the oracle's t-space meets are (t-1)-spaces of the axis."""
     for seed in (1, 2):
         pair, _ = random_perspective_pair(n, field, random.Random(100 * n + seed))
-        for idxs in _index_subsets(n):
-            assert pair.span_a(idxs) == join(*(pair.a[i] for i in idxs))
-            assert pair.span_b(idxs) == join(*(pair.b[i] for i in idxs))
-        for k in range(n + 1):
-            assert pair.faces_a[k] == face(pair.a, k)
-            assert pair.faces_b[k] == face(pair.b, k)
-        for idxs in _index_subsets(n - 1, low=2):
-            assert _subset_meet(pair, idxs) == meet(
-                join(*(pair.a[i] for i in idxs)), join(*(pair.b[i] for i in idxs)))
+        assert edge_intersections(pair) == {
+            (i, j): meet(join(pair.a[i], pair.a[j]), join(pair.b[i], pair.b[j])).point()
+            for i, j in combinations(range(n + 1), 2)}
+        assert all(face(pair.a, k) != face(pair.b, k) for k in range(n + 1))
+        axis = axis_hyperplane(pair)
+        for t in range(1, n):
+            assert all(x.dim == t - 1 and axis.contains(x)
+                       for x in tspace_intersections(pair, t))
 
 
 def test_axis_is_joined_once_per_pair(monkeypatch):
@@ -433,8 +463,8 @@ def test_axis_carries_face_meets():
     config = sectioned_config(4, GF(3))
     pair, _ = extract_perspective_pair(config, 1, 2)
     axis = axis_hyperplane(pair)
-    for fa, fb in zip(pair.faces_a, pair.faces_b):
-        fm = meet(fa, fb)
+    for k in range(pair.n + 1):
+        fm = meet(face(pair.a, k), face(pair.b, k))
         assert fm.dim == pair.n - 2
         assert axis.contains(fm)
 
@@ -471,14 +501,6 @@ def test_tspace_face_meets_n4():
     for s in planes:
         assert s.dim == 2
         assert axis.contains(s)
-
-
-def test_tspace_bad_t():
-    config = sectioned_config(3, F5)
-    pair, _ = extract_perspective_pair(config, 1, 2)
-    for t in (0, 3, 7):
-        with pytest.raises(BadT):
-            tspace_intersections(pair, t)
 
 
 # -- lifting ---------------------------------------------------------------------------
@@ -710,11 +732,13 @@ def test_line_points_are_read_from_the_reduced_rows(field):
 def test_tspace_meets_are_the_closed_form_on_every_normal_form(n, field):
     # for |I| = t+1 <= n, span(A_I) = {x_j = 0 : j not in I} meets span(B_I)
     # in the points with sum over I of s_i x_i = 0: sum c_i B_i lies in
-    # span(A_I) exactly when sum c_i s_i = 0, and is then sum c_i e_i
+    # span(A_I) exactly when sum c_i s_i = 0, and is then sum c_i e_i; the
+    # edge meets the pair reads from its frame are the t = 1 meets
     unit = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
     cases = 0
     for s in normal_forms(n, field):
         pair, _ = normal_form_pair(n, field, s)
+        edges = edge_intersections(pair)
         for t in range(1, n):
             got = tspace_intersections(pair, t)
             idx_sets = list(combinations(range(n + 1), t + 1))
@@ -723,6 +747,8 @@ def test_tspace_meets_are_the_closed_form_on_every_normal_form(n, field):
                 eqs = [unit[j] for j in range(n + 1) if j not in idxs]
                 eqs.append([s[i] if i in idxs else 0 for i in range(n + 1)])
                 assert x == Subspace(field, n, nullspace(field, eqs, n + 1))
+                if t == 1:
+                    assert edges[idxs] == x.point()
                 cases += 1
     assert cases == {3: 2050, 4: 525, 2: 1365}[n]
 
@@ -793,14 +819,26 @@ def test_tspace_verdicts_match_the_meets_on_seeded_pairs(frame_defects, n, field
     assert set(reasons) == {None, "off x"}
 
 
+def _edge_verdict(pair, i, j):
+    """The meet of edges i, j as the pair reads it from its frame: the
+    point, or the reason the edges do not meet in one."""
+    from desarc.desargues import _edge_meet
+    try:
+        return _edge_meet(pair, i, j)
+    except EdgesDisjoint as err:
+        return str(err)
+
+
 @pytest.mark.parametrize("n,field", [(3, F5), (4, GF(3)), (5, GF(2, 3)), (6, GF(7))], ids=str)
 def test_tspace_verdicts_match_the_meets_on_pairs_not_in_perspective(frame_defects, n,
                                                                      field):
     # random simplexes, whose first edges are skew as a rule (rank R_I > 1),
     # and ones with B_0..B_{k-1} in span(A_0..A_{k-1}) for some k < n, whose
-    # first index set of size k has span(A_I) = span(B_I) (rank R_I = 0)
+    # first index set of size k has span(A_I) = span(B_I) (rank R_I = 0);
+    # each edge verdict is the dimension of the meet of the joined edges
     rng = random.Random(n * field.q)
     width, pairs = n + 1, 0
+    edge_kinds = Counter()
     while pairs < 12:
         a = [_random_vector(field, width, rng) for _ in range(width)]
         b = [_random_vector(field, width, rng) for _ in range(width)]
@@ -815,7 +853,14 @@ def test_tspace_verdicts_match_the_meets_on_pairs_not_in_perspective(frame_defec
             continue
         pairs += 1
         reasons = frame_defects(pair, _random_subspaces(pair, rng))
+        for i, j in combinations(range(width), 2):
+            x = meet(join(pair.a[i], pair.a[j]), join(pair.b[i], pair.b[j]))
+            want = {-1: f"edges {i},{j} are skew", 0: x.point() if x.dim == 0 else None,
+                    1: f"edges {i},{j} are the same line"}[x.dim]
+            assert _edge_verdict(pair, i, j) == want
+            edge_kinds[x.dim] += 1
     assert {"rank 0", "rank > 1"} <= set(reasons)
+    assert set(edge_kinds) == {-1, 0, 1}
 
 
 def test_lift_rejects_vertex_on_face():
@@ -825,6 +870,24 @@ def test_lift_rejects_vertex_on_face():
     bad_vertex = pair.a[0]
     with pytest.raises(SharedFace):
         lift_to_arc(pair, bad_vertex)
+
+
+@pytest.mark.parametrize("field", [F5, GF(3, 2)], ids=str)
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_lift_rejects_a_vertex_on_a_face_of_b_only(field, n):
+    # for each k, a point of face k of B that lies on no face of A, both
+    # tested by joins: the lift reads it in the basis B as well as in A
+    rng = random.Random(100 * n + field.q)
+    pair, _ = random_perspective_pair(n, field, rng)
+    faces_a = [face(pair.a, m) for m in range(n + 1)]
+    for k in range(n + 1):
+        in_face = [p for j, p in enumerate(pair.b) if j != k]
+        v = _point_of(field, in_face, rng)
+        while any(f.contains_point(v) for f in faces_a):
+            v = _point_of(field, in_face, rng)
+        assert face(pair.b, k).contains_point(v)
+        with pytest.raises(SharedFace, match="the vertex lies on a face"):
+            lift_to_arc(pair, v)
 
 
 # -- lift-and-project axis ------------------------------------------------------------
