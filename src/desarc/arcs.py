@@ -52,6 +52,8 @@ class Arc:
 
     def __init__(self, points):
         points = tuple(points)
+        if not points:
+            raise TooFew("an arc needs at least one point, got none")
         field, n = common_ambient(points)
         if n < 1:
             raise DimensionTooSmall(f"an arc needs dimension n >= 1, got n = {n}")

@@ -276,8 +276,9 @@ def _pair_battery(pair, vertex):
 
     Each check runs on its own: a typed geometry error fails that check,
     with the error type and message as its detail, and the other checks
-    still run.  The edge meets are read from the pair's frame, so a check
-    that needs them raises the same error as every other such check."""
+    still run.  The edge meets, the axis (their join) and the t-space
+    verdicts on it are computed once, up front; if an edge meet fails,
+    each check that reads them raises that one stored error."""
     from .desargues import (
         _anchor_off,
         axis_hyperplane,
@@ -289,36 +290,35 @@ def _pair_battery(pair, vertex):
     )
 
     n = pair.n
-
-    def carries_ok():
+    meets = axis = verdicts = failure = None
+    try:
+        meets = edge_intersections(pair)
         axis = axis_hyperplane(pair)
-        return all(axis.contains_point(pt) for pt in edge_intersections(pair).values())
+        verdicts = tspace_verdicts(pair, axis)
+    except GeometryError as exc:
+        failure = exc
 
-    verdicts = {}
-
-    def meets_in_axis(sizes):
-        # the verdict of each index-set size, found once in the frame of A;
-        # face k spans the n indices without k, so the face meets are size n
-        axis = axis_hyperplane(pair)
-        if not verdicts:
-            verdicts.update(tspace_verdicts(pair, axis))
-        return all(verdicts[k] for k in sizes)
+    def stored(value):
+        if failure is not None:
+            raise failure
+        return value
 
     w = _anchor_off(pair.field, n + 1)
     battery = [
         ("vertex_concurrence", lambda: find_vertex(pair) == vertex),
         ("edge_intersections_distinct",
-         lambda: len(set(edge_intersections(pair).values())) == comb(n + 1, 2)),
+         lambda: len(set(stored(meets).values())) == comb(n + 1, 2)),
         ("edge_intersections_disjoint",
          lambda: all(pt not in pair.a and pt not in pair.b and pt != vertex
-                     for pt in edge_intersections(pair).values())),
-        ("axis_is_hyperplane", lambda: axis_hyperplane(pair).dim == n - 1),
-        ("axis_carries_intersections", carries_ok),
-        ("tspace_meets", lambda: meets_in_axis(range(2, n + 1))),
-        ("face_meets_in_axis", lambda: meets_in_axis((n,))),
+                     for pt in stored(meets).values())),
+        ("axis_is_hyperplane", lambda: stored(axis).dim == n - 1),
+        ("axis_carries_intersections",
+         lambda: all(map(stored(axis).contains_point, meets.values()))),
+        # face k spans the n indices without k, so the face meets are size n
+        ("tspace_meets", lambda: all(stored(verdicts).values())),
+        ("face_meets_in_axis", lambda: stored(verdicts)[n]),
         # lift-and-project agreement
-        ("lift_project_axis",
-         lambda: conway_lift_axis(pair, w) == axis_hyperplane(pair)),
+        ("lift_project_axis", lambda: conway_lift_axis(pair, w) == stored(axis)),
         # round trip through the arc
         ("lift_section_round_trip", lambda: lift_round_trips(pair, vertex)),
     ]

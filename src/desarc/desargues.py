@@ -58,6 +58,7 @@ from .errors import (
     PointOnHyperplane,
     SharedFace,
     SharedPoint,
+    TooFew,
     WInH,
     WrongCount,
 )
@@ -214,16 +215,18 @@ class PerspectivePair:
     The pair keeps its frame (see the module docstring): `_frame[j][i]`
     is the j-th coordinate of B_i in the basis A, from which the edge
     meets, the shared-face test and the t-space verdicts are all read.
-    `_axis` keeps the axis hyperplane once it is found.
+    Every slot is set here, and none changes after.
     """
 
-    __slots__ = ("field", "n", "a", "b", "_frame", "_axis")
+    __slots__ = ("field", "n", "a", "b", "_frame")
 
     def __init__(self, a, b):
         a = tuple(a)
         b = tuple(b)
         if len(a) != len(b):
             raise WrongCount("the simplexes must have the same number of points")
+        if not a:
+            raise TooFew("the simplexes have no points")
         if not is_simplex(a):
             raise NotASimplex("first point set is not a simplex")
         if not is_simplex(b):
@@ -245,7 +248,6 @@ class PerspectivePair:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "_frame", frame)
-        object.__setattr__(self, "_axis", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PerspectivePair is immutable")
@@ -385,28 +387,26 @@ def edge_intersections(pair: PerspectivePair):
 
 
 def axis_hyperplane(pair: PerspectivePair) -> Subspace:
-    """The hyperplane spanned by the corresponding-edge intersections; it
-    carries every face-pair meet as well.  Joined once per pair; an edge
-    meet that fails raises its error on every call."""
-    if pair._axis is None:
-        object.__setattr__(pair, "_axis", join(*edge_intersections(pair).values()))
-    return pair._axis
+    """The join of the corresponding-edge intersections: for a pair in
+    perspective, the hyperplane that carries every t-space meet.  An edge
+    meet that fails raises its error."""
+    return join(*edge_intersections(pair).values())
 
 
 def tspace_verdicts(pair: PerspectivePair, x: Subspace):
     """For each size k = 2..n, whether span(A_I) meets span(B_I) in a
     (k-2)-space of x for every index set I of k indices: the t-space meets
     with t = k - 1, checked in the pair's frame with no span or meet (see
-    the module docstring).  Returns a dict keyed by k; a size stops at its
-    first I that fails (`_frame_defect`)."""
+    the module docstring).  x's equations are its dual rows, the
+    nullspace of its basis: one row for a hyperplane.  Returns a dict
+    keyed by k; a size stops at its first I that fails (`_frame_defect`)."""
     field, n = pair.field, pair.n
     width = n + 1
     common_ambient((pair.a[0], x))
-    # duals[m][i] = d.B_i for the dual row d = dual_rows[m] of x
+    # duals[m][i] = d.B_i for the m-th dual row d of x
     b_cols = list(zip(*(b.coords for b in pair.b)))
-    dual_rows = ([x.dual_vector()] if x.is_hyperplane
-                 else nullspace(field, x.basis, width))
-    duals = [_combine(field, d, b_cols, width) for d in dual_rows]
+    duals = [_combine(field, d, b_cols, width)
+             for d in nullspace(field, x.basis, width)]
     return {k: all(_frame_defect(field, pair._frame, duals, idxs) is None
                    for idxs in combinations(range(width), k))
             for k in range(2, n + 1)}

@@ -206,15 +206,14 @@ class _ArcSearch:
 
     def _line(self, x: int, y: int):
         """The line through the points x and y: its point mask, its point
-        ids and its reduced basis r0, r1 with their pivot columns.  Its
-        points are r1 and r0 - c r1 for each c in GF(q), each normalized,
-        as the basis is reduced."""
+        ids and its reduced basis r0, r1.  Its points are r1 and r0 - c r1
+        for each c in GF(q), each normalized, as the basis is reduced."""
         self.joins += 1
-        basis, pivots = rref(self.field, (self.points[x], self.points[y]))
+        basis, _ = rref(self.field, (self.points[x], self.points[y]))
         r0, r1 = basis
         index, sub_row = self.index, self.field.sub_row
         ids = [index[r1]] + [index[tuple(sub_row(c, r0, r1))] for c in range(self.q)]
-        return _mask(ids), ids, basis, pivots
+        return _mask(ids), ids, basis
 
     def _fill(self, s: int, row: list, j: int) -> int:
         """Enter span(s + j) in the row of s at every point that spans it
@@ -239,7 +238,7 @@ class _ArcSearch:
                     line = self._fill(1 << x, through, j)
                 span |= line
         elif s:
-            span, ids, _, _ = self._line(s.bit_length() - 1, j)
+            span, ids, _ = self._line(s.bit_length() - 1, j)
             for x in ids:
                 through = self.rows.get(1 << x)
                 if through is None:

@@ -33,10 +33,6 @@ class AmbientMismatch(GeometryError):
     """Objects live in different ambient spaces or over different fields."""
 
 
-class NotAHyperplane(GeometryError):
-    """A hyperplane (codimension-1 subspace) was required."""
-
-
 # simplexes and arcs
 
 class WrongCount(GeometryError):

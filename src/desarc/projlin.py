@@ -22,12 +22,15 @@ of the smaller basis are reduced modulo the other basis, and the linear
 relations among the residues give the combinations that span the meet,
 already in reduced form (see `meet`).  `_residue` is the one reduction of
 a row against a reduced basis, shared by `_extend`, `meet` and the
-membership test `_vector_in`.  Their row operations, and those of
-`_combine`, are the field's row kernels `sub_row` and `scale_row`, and
-every subspace keeps the pivot columns of its basis.  `join` and `meet`
-build their results from codes that are already canonical, so only the
-public `Subspace(...)` constructor and `normalize` coerce their input; the
-constructor takes rows of n+1 coordinates only.
+membership test `_vector_in`, which `Subspace.contains_point` and
+`Subspace.contains` apply to every subspace, hyperplanes included.  Their
+row operations, and those of `_combine`, are the field's row kernels
+`sub_row` and `scale_row`, and every subspace keeps the pivot columns of
+its basis.  `join` and `meet` build their results from codes that are
+already canonical, so only the public `Subspace(...)` constructor and
+`normalize` coerce their input; the constructor takes rows of n+1
+coordinates only.  A subspace's equations, a dual basis, are read from
+`nullspace` of its basis, the one place they are computed.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from itertools import product
 from .errors import (
     AmbientMismatch,
     InvalidField,
-    NotAHyperplane,
     NotNormalized,
     ZeroVector,
 )
@@ -163,10 +165,12 @@ class Subspace:
     dim == -1 encodes the empty subspace (empty basis).  `_pivots` keeps the
     pivot column of each basis row.  Internal callers that already hold a
     reduced basis pass its row tuples with their pivot columns as
-    `_pivots`, which skips coercion and reduction.
+    `_pivots`, which skips coercion and reduction.  Every slot is set by
+    the constructor.  A vector lies in the subspace exactly when its
+    residue modulo the basis is zero (`_vector_in`).
     """
 
-    __slots__ = ("field", "n", "basis", "_pivots", "_dual")
+    __slots__ = ("field", "n", "basis", "_pivots")
 
     def __init__(self, field: GF, n: int, rows, *, _pivots=None):
         if _pivots is None:
@@ -180,7 +184,6 @@ class Subspace:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "basis", tuple(rows))
         object.__setattr__(self, "_pivots", tuple(_pivots))
-        object.__setattr__(self, "_dual", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -193,42 +196,14 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis) - 1
 
-    @property
-    def is_hyperplane(self) -> bool:
-        return self.dim == self.n - 1
-
     def contains_point(self, p: ProjPoint) -> bool:
         if p.field != self.field or p.n != self.n:
             raise AmbientMismatch("point lives in a different space")
-        if self.is_hyperplane:
-            return self.equation_value(p.coords) == 0
         return _vector_in(self, p.coords)
 
     def contains(self, other: "Subspace") -> bool:
         common_ambient((self, other))
-        if self.is_hyperplane:
-            return all(self.equation_value(row) == 0 for row in other.basis)
         return all(_vector_in(self, row) for row in other.basis)
-
-    def equation_value(self, vec) -> int:
-        """u.vec for this hyperplane's cached dual vector u: zero exactly
-        when vec lies on the hyperplane."""
-        mul, add = self.field.mul, self.field.add
-        acc = 0
-        for x, y in zip(self.dual_vector(), vec):
-            if x and y:
-                acc = add(acc, mul(x, y))
-        return acc
-
-    def dual_vector(self) -> tuple:
-        """Normalized coefficient vector of the defining equation; only for
-        hyperplanes."""
-        if not self.is_hyperplane:
-            raise NotAHyperplane(f"dimension {self.dim} in PG({self.n})")
-        if self._dual is None:
-            ns = nullspace(self.field, self.basis, self.n + 1)
-            object.__setattr__(self, "_dual", ns[0])
-        return self._dual
 
     def point(self) -> ProjPoint:
         if self.dim != 0:

@@ -59,7 +59,7 @@ every charge is at least 0.
 point of such a search and imports this module there, so a search of a
 line or a plane does not compile it."""
 
-from .projlin import rref
+from .projlin import nullspace
 
 
 def count_pairs(search, a, pool, cand):
@@ -147,13 +147,14 @@ def incidences(search):
     with two or more root pool points, each joined once from its lowest
     pool point, with their masks, their point ids and their number of
     pool points; the q + 1 planes through each, as ids of their
-    normalized dual vectors; and for each pool point x its planes, each
-    with the lines through x in it, and its lines.  Then, with D the
-    pool points above b, from the highest pool point b down, the sums a
-    pair (a, b) reads of b: `base[b]` and `ends[b][line]` for each line
-    through b (see the module docstring)."""
+    normalized dual vectors, the points of the nullspace of the line's
+    basis; and for each pool point x its planes, each with the lines
+    through x in it, and its lines.  Then, with D the pool points above
+    b, from the highest pool point b down, the sums a pair (a, b) reads
+    of b: `base[b]` and `ends[b][line]` for each line through b (see the
+    module docstring)."""
     pool, field = search.pool0, search.field
-    index, sub_row, neg, q = search.index, field.sub_row, field.neg, search.q
+    index, sub_row, q = search.index, field.sub_row, search.q
     width = search.n + 1
     masks, points_on, pooled, planes_of = [], [], [], []
     lines_at = [[] for _ in search.points]
@@ -164,7 +165,7 @@ def incidences(search):
             rest &= ~masks[line]
         while rest:
             y = (rest & -rest).bit_length() - 1
-            mask, on_line, basis, pivots = search._line(x, y)
+            mask, on_line, basis = search._line(x, y)
             line = len(masks)
             masks.append(mask)
             points_on.append(on_line)
@@ -172,17 +173,8 @@ def incidences(search):
             pooled.append(len(on))
             for y in on:
                 lines_at[y].append(line)
-            # the planes through the line: the points of its dual line,
-            # spanned by one vector per free column of the basis
-            duals = []
-            for f in range(width):
-                if f not in pivots:
-                    v = [0] * width
-                    v[f] = 1
-                    for row, c in zip(basis, pivots):
-                        v[c] = neg(row[f])
-                    duals.append(v)
-            (u0, u1), _ = rref(field, duals)
+            # the planes through the line: the points of its dual line
+            u0, u1 = nullspace(field, basis, width)
             planes_of.append([index[u1]] + [index[tuple(sub_row(c, u0, u1))]
                                             for c in range(q)])
             rest &= ~mask

@@ -139,7 +139,7 @@ def converse_census(n, field) -> Counter:
         try:
             meets = list(edge_intersections(pair).values())
             axis = (len(set(meets)) == len(meets)
-                    and axis_hyperplane(pair).is_hyperplane)
+                    and axis_hyperplane(pair).dim == n - 1)
         except EdgesDisjoint:
             axis = False
         counts[{(True, True): "both", (False, False): "neither",

@@ -101,6 +101,12 @@ def test_arc_too_few():
         Arc([pt(F5, 1, 0, 0), pt(F5, 0, 1, 0)])
 
 
+def test_arc_of_no_points_is_too_few():
+    # no point, so no ambient space: the count is the broken precondition
+    with pytest.raises(TooFew, match="at least one point"):
+        Arc([])
+
+
 def test_arc_needs_dimension_one():
     # every point of PG(0, q) spans it, so the arc check cannot see a repeat
     p = pt(F5, 1)

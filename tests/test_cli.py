@@ -145,6 +145,25 @@ def test_a_file_whose_n_is_not_its_dimension_exits_2(runner, tmp_path, command, 
     assert f"error: AmbientMismatch: the document gives n = {n}" in result.stderr
 
 
+@pytest.mark.parametrize("command,doc,error", [
+    ("verify", {"points": []}, "TooFew: an arc needs at least one point, got none"),
+    ("section", {"points": []}, "TooFew: an arc needs at least one point, got none"),
+    ("verify", {"A": [], "B": [], "vertex": [1, 1, 1]},
+     "TooFew: the simplexes have no points"),
+], ids=["verify-arc", "section-arc", "verify-pair"])
+def test_a_file_with_no_points_names_the_missing_points(runner, tmp_path, command, doc,
+                                                        error):
+    # an empty point list exited 2 with "AmbientMismatch: no objects given",
+    # which names no precondition of the file
+    bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_text(json.dumps({"n": 2, "field": {"p": 5}, **doc}))
+    result = runner.invoke(main, [command, str(bad), "--out", str(out)])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert not out.exists()
+    assert result.stderr == f"error: {error}\n"
+
+
 def _document(kind):
     """A document as desarc writes it: a pair of PG(3, 5), its lift (an arc
     of PG(4, 5)), a configuration of PG(2, 5) or a pair of PG(2, 4096)."""

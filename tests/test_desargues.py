@@ -37,6 +37,7 @@ from desarc.errors import (
     PointOnHyperplane,
     SharedFace,
     SharedPoint,
+    TooFew,
     WInH,
     WrongCount,
 )
@@ -170,6 +171,12 @@ def test_extract_pair_bad_symbols():
         extract_perspective_pair(config, 3, 3)
     with pytest.raises(BadSymbols):
         extract_perspective_pair(config, 1, 9)
+
+
+def test_pair_rejects_empty_simplexes():
+    # two empty point lists hold no simplex, and no ambient space to name
+    with pytest.raises(TooFew, match="the simplexes have no points"):
+        PerspectivePair([], [])
 
 
 def test_pair_rejects_shared_point():
@@ -338,7 +345,7 @@ def _count_meets(monkeypatch):
     return calls
 
 
-def test_edge_meets_computed_once_per_pair(monkeypatch):
+def test_the_frame_leaves_only_the_connector_meet(monkeypatch):
     pair, vertex = random_perspective_pair(4, F5, random.Random(41))
     calls = _count_meets(monkeypatch)
     assert find_vertex(pair) == vertex
@@ -360,7 +367,7 @@ def test_edge_meets_computed_once_per_pair(monkeypatch):
 
 @pytest.mark.parametrize("field", [GF(5), GF(2, 3), GF(3, 2)], ids=str)
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_prefix_grown_pair_spans_match_joins_from_scratch(field, n):
+def test_frame_edge_points_match_meets_of_joined_edges(field, n):
     """The edge meets the pair reads from its frame against meets of the
     edges joined from scratch, on two seeded pairs per (n, q); the faces,
     joined from scratch, differ as the constructor's frame test says, and
@@ -378,21 +385,22 @@ def test_prefix_grown_pair_spans_match_joins_from_scratch(field, n):
 
 
 def test_axis_is_joined_once_per_pair(monkeypatch):
-    from desarc import desargues
-    pair, _ = random_perspective_pair(4, F5, random.Random(3))
-    points = edge_intersections(pair)   # joins the edges' spans
-    calls = []
-    real = desargues.join
-
-    def counted(*parts):
-        calls.append(parts)
-        return real(*parts)
-
-    monkeypatch.setattr(desargues, "join", counted)
-    axis = axis_hyperplane(pair)
-    assert axis_hyperplane(pair) is axis
-    assert len(calls) == 1
-    assert axis == real(*points.values())
+    # a battery computes the edge meets and the axis up front: one call of
+    # axis_hyperplane, and two of edge_intersections, the battery's own and
+    # the one the axis joins
+    from desarc import cli, desargues
+    pair, vertex = random_perspective_pair(4, F5, random.Random(3))
+    calls = Counter()
+    for name in ("axis_hyperplane", "edge_intersections"):
+        def counted(*args, _name=name, _real=getattr(desargues, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(desargues, name, counted)
+    checks = cli._pair_battery(pair, vertex)
+    assert all(ok for _, ok, _ in checks)
+    assert calls == {"axis_hyperplane": 1, "edge_intersections": 2}
+    meets = desargues.edge_intersections(pair)
+    assert desargues.axis_hyperplane(pair) == join(*meets.values())
 
 
 def test_a_span_key_joins_once_per_symbol_that_adds_points(monkeypatch):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from desarc.errors import (
     AmbientMismatch,
     InvalidField,
-    NotAHyperplane,
     NotNormalized,
     ZeroVector,
 )
@@ -253,27 +252,47 @@ def _leads(s):
     return tuple(next(i for i, x in enumerate(row) if x) for row in s.basis)
 
 
+def _in_span_by_rank(field, container, rows):
+    """Whether the rows lie in the container: whether they leave the rank
+    of its basis as it is, by the column-sweep reference reduction."""
+    width = container.n + 1
+    return (len(reference_rref(field, container.basis + tuple(rows), width)[0])
+            == len(container.basis))
+
+
 @pytest.mark.parametrize("field", [GF(5), GF(2, 3), GF(3, 2)], ids=str)
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_hyperplane_contains_agrees_with_coordinates(field, n):
-    """Subspace.contains on a hyperplane reads the dual vector; it must
-    agree with expressing each basis row in the hyperplane's basis.  Half
-    the subspaces are cut down into the hyperplane, so both answers occur.
-    The pivots each subspace keeps are its rows' leading columns."""
-    from desarc.projlin import _vector_in
+    """contains and contains_point, the residue modulo the reduced basis,
+    against a rank test on `reference_rref`, which shares no code with
+    `_residue`: in a hyperplane and in a subspace of lower dimension.  Half
+    the subspaces are cut down into the hyperplane, and each container is
+    asked for one of its own points and one random point, so both answers
+    occur for both kinds.  The pivots each subspace keeps are its rows'
+    leading columns."""
     rng = random.Random(31 * n + field.q)
+    points = list(all_points(field, n))
     seen = set()
     for _ in range(60):
         h = hyperplane_from_dual(field, [rng.randrange(field.q) for _ in range(n)] + [1])
         s = _random_subspace(field, n, rng)
         if rng.random() < 0.5:
             s = meet(s, h)
-        by_rows = all(_vector_in(h, row) for row in s.basis)
-        assert h.contains(s) == by_rows
-        seen.add(by_rows)
-        for sub in (h, s, join(s, h), meet(s, h)):
+        low = join(*rng.sample(points, rng.randrange(1, n)))
+        for container in (h, low):
+            kind = "hyperplane" if container.dim == n - 1 else "lower"
+            for sub in (s, meet(s, container), join(s, container)):
+                by_rank = _in_span_by_rank(field, container, sub.basis)
+                assert container.contains(sub) == by_rank
+                seen.add((kind, "subspace", by_rank))
+            for p in (next(container.points()), rng.choice(points)):
+                by_rank = _in_span_by_rank(field, container, [p.coords])
+                assert container.contains_point(p) == by_rank
+                seen.add((kind, "point", by_rank))
+        for sub in (h, s, low, join(s, h), meet(s, h)):
             assert sub._pivots == _leads(sub)
-    assert seen == {True, False}
+    assert seen == {(kind, what, ok) for kind in ("hyperplane", "lower")
+                    for what in ("subspace", "point") for ok in (True, False)}
 
 
 def test_join_canonical_under_presentation():
@@ -323,13 +342,20 @@ def test_meet_hyperplane_with_line():
 
 
 def test_dual_vector_round_trip():
+    # a hyperplane's equation is the one row of the nullspace of its
+    # basis: the normalized coefficients, as the reference reads them too
     for coeffs in [(1, 1, 1), (1, 0, 0), (0, 1, 3), (2, 4, 1)]:
         h = hyperplane_from_dual(F5, coeffs)
-        assert hyperplane_from_dual(F5, h.dual_vector()) == h
-    # a line of PG(3) is not a hyperplane, a line of the plane is
-    with pytest.raises(NotAHyperplane):
-        join(pt(F5, 1, 0, 0, 0), pt(F5, 0, 1, 0, 0)).dual_vector()
-    assert join(pt(F5, 1, 0, 0), pt(F5, 0, 1, 0)).dual_vector() == (0, 0, 1)
+        dual = nullspace(F5, h.basis, 3)
+        assert dual == reference_nullspace(F5, h.basis, 3) == [normalize(F5, coeffs).coords]
+        assert hyperplane_from_dual(F5, dual[0]) == h
+    # a line of PG(3) has two equations, a line of the plane one
+    line = join(pt(F5, 1, 0, 0, 0), pt(F5, 0, 1, 0, 0))
+    assert nullspace(F5, line.basis, 4) == reference_nullspace(F5, line.basis, 4) == [
+        (0, 0, 1, 0), (0, 0, 0, 1)]
+    line = join(pt(F5, 1, 0, 0), pt(F5, 0, 1, 0))
+    assert nullspace(F5, line.basis, 3) == reference_nullspace(F5, line.basis, 3) == [
+        (0, 0, 1)]
 
 
 # -- coordinate hyperplanes -------------------------------------------------------------
@@ -337,7 +363,8 @@ def test_dual_vector_round_trip():
 def test_coordinate_hyperplane():
     # x_3 = 0, the hyperplane that sections arcs of PG(3, q)
     h = hyperplane_from_dual(F5, (0, 0, 0, 1))
-    assert h.dual_vector() == (0, 0, 0, 1)
+    assert nullspace(F5, h.basis, 4) == reference_nullspace(F5, h.basis, 4) == [
+        (0, 0, 0, 1)]
     assert list(h.points()) == [p for p in all_points(F5, 3) if p.coords[3] == 0]
 
 
